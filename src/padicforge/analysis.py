@@ -18,10 +18,11 @@ particular solution and the kernel generators exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from .certify import PROVEN, CapExceeded, MapLike, _as_map, ergodicity_certificate
+from .certify import PROVEN, CapExceeded, MapLike, ergodicity_certificate
 from .core import Modulus, ord_p
+from .expr import compile_map
 from .genlib import GeneratorSpec, GeneratorState, NotBinaryModulus, NotCertified
 
 SOLVER_PERIOD_CAP = 1 << 20
@@ -309,6 +310,18 @@ def bit_plane_periods(seq: Sequence[int], m: Modulus) -> List[int]:
     return out
 
 
+def orbit(step: Callable[[int], int], m: Modulus, seed: int = 0) -> List[int]:
+    """seed, step(seed), ... up to the return to seed, at most m.value states."""
+    seq = []
+    x = seed
+    for _ in range(m.value):
+        seq.append(x)
+        x = step(x)
+        if x == seed:
+            break
+    return seq
+
+
 def complexity_growth_profile(state_fn: MapLike, p: int, k_range,
                               r_max: int = 16, cls=None) -> List[Tuple[int, Complexity]]:
     """UNIT-flavor complexity of the orbit of 0 at each precision in k_range.
@@ -325,12 +338,7 @@ def complexity_growth_profile(state_fn: MapLike, p: int, k_range,
     r_floor = 1
     for k in sorted(k_range):
         m = Modulus(p, k)
-        step = _as_map(state_fn, m)
-        seq = []
-        x = 0
-        for _ in range(m.value):
-            seq.append(x)
-            x = step(x)
+        seq = orbit(compile_map(state_fn, m), m)
         _check_buffer(seq, m)
         rel = _least_order(seq, m, r_max, unit_only=True, r_start=r_floor)
         if rel is None:

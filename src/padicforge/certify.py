@@ -12,13 +12,15 @@ every recognized class the certificate honestly degrades to UNKNOWN.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Callable, Optional, Sequence, Union
 
 from .core import Modulus, ResidueInt, mod_inverse, ord_p
-from .funcalg import BoolTriangle, FnExpr, evaluator, is_class_b, triangle_is_transitive_form
+from .expr import FnExpr, compile_map
+from .funcalg import BoolTriangle, is_class_b, triangle_is_transitive_form
 from .mahler import (
     MahlerSeries,
     RationalPoly,
@@ -102,20 +104,6 @@ class FunctionClass:
 MapLike = Union[FnExpr, MahlerSeries, RationalPoly, Callable[[int], int]]
 
 
-def _as_map(f: MapLike, m: Modulus) -> Callable[[int], int]:
-    if isinstance(f, FnExpr):
-        return evaluator(f, m)
-    if isinstance(f, MahlerSeries):
-        if f.p != m.p:
-            raise ValueError(f"series is {f.p}-adic, modulus is {m.p}-adic")
-        return lambda x: f.eval(ResidueInt(x, m)).residue
-    if isinstance(f, RationalPoly):
-        return lambda x: f.eval_mod(x, m)
-    if callable(f):
-        return lambda x: f(x) % m.value
-    raise TypeError(f"cannot evaluate {type(f).__name__} as a map")
-
-
 def bijective_mod(f: MapLike, m: Modulus, cap: Optional[int] = None):
     """Is x -> f(x) a permutation of Z/m?  Returns (bool, witness).
 
@@ -125,7 +113,7 @@ def bijective_mod(f: MapLike, m: Modulus, cap: Optional[int] = None):
     cap = cap if cap is not None else DEFAULT_STATE_CAP
     if m.value > cap:
         raise CapExceeded(f"{m.value} states exceeds cap {cap}")
-    fn = _as_map(f, m)
+    fn = compile_map(f, m)
     seen = bytearray(m.value)
     for x in range(m.value):
         v = fn(x)
@@ -148,7 +136,7 @@ def transitive_mod(f: MapLike, m: Modulus, cap: Optional[int] = None):
     cap = cap if cap is not None else DEFAULT_STATE_CAP
     if m.value > cap:
         raise CapExceeded(f"{m.value} states exceeds cap {cap}")
-    fn = _as_map(f, m)
+    fn = compile_map(f, m)
     x = 0
     for step in range(1, m.value + 1):
         x = fn(x)
@@ -172,15 +160,24 @@ class MultiPoly:
             if len(e) != arity:
                 raise ValueError(f"exponent tuple {e} has wrong arity")
 
+    def compile_mod(self, modulus: int) -> Callable[[Sequence[int]], int]:
+        """point -> value mod modulus, with the zero exponents dropped once."""
+        terms = tuple((c, tuple((i, e) for i, e in enumerate(exps) if e))
+                      for exps, c in self.terms.items())
+
+        def value(point):
+            acc = 0
+            for c, factors in terms:
+                t = c
+                for i, e in factors:
+                    t = t * pow(point[i], e, modulus)
+                acc += t
+            return acc % modulus
+
+        return value
+
     def eval_mod(self, point: Sequence[int], modulus: int) -> int:
-        acc = 0
-        for exps, c in self.terms.items():
-            t = c
-            for xi, ei in zip(point, exps):
-                if ei:
-                    t = t * pow(xi, ei, modulus)
-            acc += t
-        return acc % modulus
+        return self.compile_mod(modulus)(point)
 
     def partial(self, i: int) -> "MultiPoly":
         out: dict = {}
@@ -213,6 +210,7 @@ def equiprobable_mod(F: Sequence[MultiPoly], n_in: int, m: Modulus, cap: Optiona
     total = m.value ** n_in
     if total > cap:
         raise CapExceeded(f"{total} input tuples exceeds cap {cap}")
+    fns = [g.compile_mod(m.value) for g in F]
     counts: dict = {}
     point = [0] * n_in
     for idx in range(total):
@@ -220,7 +218,7 @@ def equiprobable_mod(F: Sequence[MultiPoly], n_in: int, m: Modulus, cap: Optiona
         for i in range(n_in):
             point[i] = r % m.value
             r //= m.value
-        out = tuple(g.eval_mod(point, m.value) for g in F)
+        out = tuple(f(point) for f in fns)
         counts[out] = counts.get(out, 0) + 1
     expected = m.value ** (n_in - n_out)
     ok = len(counts) == m.value ** n_out and all(c == expected for c in counts.values())
@@ -250,14 +248,14 @@ def jacobian_equiprobable_certificate(F: Sequence[MultiPoly], p: int) -> Certifi
     if not ok:
         return Certificate(EQUIPROBABLE, UNKNOWN, "C3_8", m1,
                            {"reason": "not equiprobable mod p", "census": census}, elapsed())
-    partials = [[g.partial(i) for i in range(n_in)] for g in F]
+    partials = [g.partial(i).compile_mod(p) for g in F for i in range(n_in)]
     point = [0] * n_in
     for idx in range(p ** n_in):
         r = idx
         for i in range(n_in):
             point[i] = r % p
             r //= p
-        if all(d.eval_mod(point, p) == 0 for row in partials for d in row):
+        if all(d(point) == 0 for d in partials):
             return Certificate(EQUIPROBABLE, UNKNOWN, "C3_8", m1,
                                {"reason": "all partials vanish", "point": list(point)}, elapsed())
     return Certificate(EQUIPROBABLE, PROVEN, "C3_8", m1, None, elapsed())
@@ -629,30 +627,16 @@ def compatibility_certificate(f: MapLike, p: int, cap: Optional[int] = None) -> 
         ok = is_compatible(series)
         return Certificate(COMPATIBLE, PROVEN if ok else REFUTED, "T2_1",
                            Modulus(p, 1), None, elapsed())
-    if isinstance(f, FnExpr):
-        leaves_ok = True
-        stack = [f]
-        while stack:
-            node = stack.pop()
-            if node.kind == "POLY":
-                if not is_compatible(series_from_poly(node.poly, p)):
-                    leaves_ok = False
-                    break
-            stack.extend(node.children)
-        if leaves_ok:
-            return Certificate(COMPATIBLE, PROVEN, "T2_1", Modulus(p, 1), None, elapsed())
+    if isinstance(f, FnExpr) and _compatible_leaves(f, p):
+        return Certificate(COMPATIBLE, PROVEN, "T2_1", Modulus(p, 1), None, elapsed())
     m = _probe_modulus(p, cap)
-    fn = _as_map(f, m)
-    table = [fn(x) for x in range(m.value)]
+    fn = compile_map(f, m)
+    table = array("q", map(fn, range(m.value)))
     for j in range(1, m.k):
         q = p ** j
-        induced: dict = {}
-        for x in range(m.value):
-            r = table[x] % q
-            prev = induced.get(x % q)
-            if prev is None:
-                induced[x % q] = r
-            elif prev != r:
+        # x mod q is the first input of its class: compare the rest with it
+        for x in range(q, m.value):
+            if (table[x] - table[x % q]) % q:
                 return Certificate(COMPATIBLE, REFUTED, "BRUTE_ONLY", m,
                                    {"level": j, "input_residue": x % q}, elapsed())
     return Certificate(COMPATIBLE, UNKNOWN, "BRUTE_ONLY", m,

@@ -39,6 +39,7 @@ from .analysis import (
     Relation,
     affine_linear_complexity,
     complexity_growth_profile,
+    orbit,
     sequence_from_bytes,
     sequence_from_generator,
 )
@@ -61,13 +62,13 @@ from .certify import (
     _poly_from_expr,
 )
 from .core import CompositeModulus, Modulus, ResidueInt, mod_inverse
+from .expr import compile_map
 from .funcalg import (
     DslError,
     add,
     build_composite_generator,
     build_ergodic,
     const,
-    evaluator,
     is_class_b,
     mul,
     parse_dsl,
@@ -338,14 +339,7 @@ def cmd_analyze(args) -> Tuple[dict, int]:
         seed = args.seed or 0
         if not 0 <= seed < m.value:
             raise ValueError(f"seed {seed} outside 0..{m.value - 1}")
-        step = evaluator(fn, m)
-        seq = []
-        x = seed
-        for _ in range(m.value):
-            seq.append(x)
-            x = step(x)
-            if x == seed:
-                break
+        seq = orbit(compile_map(fn, m), m, seed)
         source = source.strip()
     rep = affine_linear_complexity(seq, m, r_max=args.rmax)
     report = {"kind": "analyze", "source": source, "words": len(seq)}
@@ -358,17 +352,6 @@ def cmd_analyze(args) -> Tuple[dict, int]:
 # Each row replays one worked example and returns None on agreement or a
 # short description of the disagreement.  Rows are grouped so subsets can
 # be selected with --only.
-
-
-def _orbit(step: Callable[[int], int], m: Modulus, seed: int = 0) -> List[int]:
-    seq = []
-    x = seed
-    for _ in range(m.value):
-        seq.append(x)
-        x = step(x)
-        if x == seed:
-            break
-    return seq
 
 
 def _parity_flip(modval: int) -> Callable[[int], int]:
@@ -397,19 +380,19 @@ def _row_negative_cube_root() -> Optional[str]:
 
 def _row_xor_and_octet() -> Optional[str]:
     m = Modulus(2, 3)
-    got = (evaluator(parse_dsl("1 xor 3"), m)(0), evaluator(parse_dsl("2 and 7"), m)(0))
+    got = (compile_map(parse_dsl("1 xor 3"), m)(0), compile_map(parse_dsl("2 and 7"), m)(0))
     return None if got == (2, 2) else f"got {got}, want (2, 2)"
 
 
 def _row_complement_13() -> Optional[str]:
-    got = evaluator(parse_dsl("neg(13)"), Modulus(2, 3))(0)
+    got = compile_map(parse_dsl("neg(13)"), Modulus(2, 3))(0)
     return None if got == 2 else f"NEG(13) mod 8 gave {got}, want 2"
 
 
 def _row_complement_sum_identity() -> Optional[str]:
     for k in (3, 8, 12):
         m = Modulus(2, k)
-        f = evaluator(parse_dsl("x + neg(x)"), m)
+        f = compile_map(parse_dsl("x + neg(x)"), m)
         for z in (0, 1, 5, min(100, m.value - 1), m.value - 1):
             if f(z) != m.value - 1:
                 return f"z + NEG(z) mod 2^{k} at z={z} gave {f(z)}"
@@ -428,8 +411,8 @@ def _row_xor_shift_generator() -> Optional[str]:
 def _row_second_order_affine() -> Optional[str]:
     m = Modulus(2, 8)
     for a, b in ((3, 5), (7, 13), (5, 9)):
-        step = evaluator(add(const(a), mul(const(b), var())), m)
-        seq = _orbit(step, m)
+        step = compile_map(add(const(a), mul(const(b), var())), m)
+        seq = orbit(step, m)
         rel = Relation(2, (-b % m.value, (1 + b) % m.value), 0)
         if not rel.verify(seq, m):
             return f"x_(n+2) = (1+b)x_(n+1) - b*x_n fails for a={a}, b={b}"
@@ -581,7 +564,7 @@ def _row_parity_flip_recurrence() -> Optional[str]:
     orbits = {}
     for k in range(2, 13):
         m = Modulus(2, k)
-        orbits[k] = _orbit(_parity_flip(m.value), m)
+        orbits[k] = orbit(_parity_flip(m.value), m)
         if not rel.verify(orbits[k], m):
             return f"x_(n+2) = x_n + 2 fails mod 2^{k}"
     for k in range(2, 13):

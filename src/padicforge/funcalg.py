@@ -1,34 +1,19 @@
-"""Expression algebra for generator construction: ASTs, evaluation, builders.
+"""Expression algebra for generator construction: builders, DSL, constructors.
 
-Every node kind except POLY computes a 1-Lipschitz function of its inputs,
-so arbitrary compositions stay 1-Lipschitz and evaluation mod p^k is well
-defined on residues.  POLY leaves are the one escape hatch: a polynomial
-with rational coefficients need not be 1-Lipschitz (C(x,2) is not), and
-they evaluate at the exact integer representative.  Callers composing
-POLY leaves own that choice.
-
-Bitwise nodes (XOR/AND/OR/NEG) act on base-2 digit expansions and are
-rejected outside p = 2.  POW bases must be 1-units; builders that create
+The node type FnExpr and its compile-once evaluation live in `expr` and
+are re-exported here.  POW bases must be 1-units; builders that create
 the shape 1 + p*(subexpr) mark the node verified, parsed or deserialized
 POW nodes stay unverified until a certification-time residue check.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import json
 
-from .core import Modulus, ResidueInt, digits, mod_inverse, ord_p, unit_pow
+from .core import Modulus, ResidueInt, digits, ord_p
+from .expr import _BITWISE, BitwiseOddPrime, FnExpr, compile_map, eval_expr, evaluator
 from .mahler import RationalPoly
-
-KINDS = frozenset(
-    "VAR CONST ADD SUB MUL XOR AND OR NEG POW INV POLY DELTA COMPOSE".split()
-)
-_BITWISE = frozenset(("XOR", "AND", "OR", "NEG"))
-
-
-class BitwiseOddPrime(ValueError):
-    """Bitwise node evaluated at an odd prime."""
 
 
 class CDivisibleByP(ValueError):
@@ -56,19 +41,6 @@ class DslSyntaxError(DslError):
 
 class UnknownIdentifier(DslError):
     pass
-
-
-@dataclass(frozen=True)
-class FnExpr:
-    kind: str
-    children: tuple = ()
-    value: Fraction = None
-    poly: RationalPoly = None
-    base_verified: bool = False
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown node kind {self.kind!r}")
 
 
 def var():
@@ -135,67 +107,10 @@ def compose(outer, inner):
     return FnExpr("COMPOSE", (outer, inner))
 
 
-def _eval(e: FnExpr, x: int, m: Modulus) -> int:
-    """Value mod m at the exact integer point x (x may exceed the modulus).
-
-    Every kind but POLY first reduces its inputs, which is harmless for
-    1-Lipschitz operations; POLY consumes x exactly.
-    """
-    kind = e.kind
-    if kind == "VAR":
-        return x % m.value
-    if kind == "CONST":
-        q = e.value
-        if q.denominator == 1:
-            return q.numerator % m.value
-        den_inv = mod_inverse(ResidueInt(q.denominator % m.value, m)).residue
-        return q.numerator * den_inv % m.value
-    if kind == "POLY":
-        return e.poly.eval_mod(x, m)
-    if kind == "DELTA":
-        return (_eval(e.children[0], x + 1, m) - _eval(e.children[0], x, m)) % m.value
-    if kind == "COMPOSE":
-        return _eval(e.children[0], _eval(e.children[1], x, m), m)
-    if kind in _BITWISE:
-        if m.p != 2:
-            raise BitwiseOddPrime(f"{kind} needs p = 2, modulus is {m}")
-        a = _eval(e.children[0], x, m)
-        if kind == "NEG":
-            return m.value - 1 - a
-        b = _eval(e.children[1], x, m)
-        if kind == "XOR":
-            return a ^ b
-        if kind == "AND":
-            return a & b
-        return a | b
-    a = _eval(e.children[0], x, m)
-    if kind == "ADD":
-        return (a + _eval(e.children[1], x, m)) % m.value
-    if kind == "SUB":
-        return (a - _eval(e.children[1], x, m)) % m.value
-    if kind == "MUL":
-        return a * _eval(e.children[1], x, m) % m.value
-    if kind == "POW":
-        exponent = _eval(e.children[1], x, m)
-        return unit_pow(ResidueInt(a, m), exponent).residue
-    if kind == "INV":
-        return mod_inverse(ResidueInt(a, m)).residue
-    raise AssertionError(kind)
-
-
-def eval_expr(e: FnExpr, x: ResidueInt) -> ResidueInt:
-    return ResidueInt(_eval(e, x.residue, x.modulus), x.modulus)
-
-
-def evaluator(e: FnExpr, m: Modulus):
-    """Plain int -> int closure for bulk evaluation loops."""
-    return lambda x: _eval(e, x, m)
-
-
 def _one_unit_base(base: FnExpr, p: int) -> bool:
-    m = Modulus(p, 1)
     try:
-        return all(_eval(base, r, m) == 1 % p for r in range(p))
+        fn = compile_map(base, Modulus(p, 1))
+        return all(fn(r) == 1 % p for r in range(p))
     except (ValueError, ArithmeticError):
         return False
 
@@ -222,9 +137,9 @@ def is_class_b(e: FnExpr, p: int) -> bool:
     if kind == "POW":
         return e.base_verified or _one_unit_base(e.children[0], p)
     if kind == "INV":
-        m = Modulus(p, 1)
         try:
-            return all(_eval(e.children[0], r, m) != 0 for r in range(p))
+            fn = compile_map(e.children[0], Modulus(p, 1))
+            return all(fn(r) != 0 for r in range(p))
         except (ValueError, ArithmeticError):
             return False
     return True

@@ -17,12 +17,12 @@ from .certify import (
     DEFAULT_STATE_CAP,
     PROVEN,
     MapLike,
-    _as_map,
     bijective_mod,
     ergodicity_certificate,
 )
 from .core import CompositeModulus, Modulus
-from .funcalg import FnExpr, expr_from_json, expr_to_json
+from .expr import FnExpr, compile_map
+from .funcalg import expr_from_json, expr_to_json
 
 
 class NotCertified(Exception):
@@ -102,13 +102,13 @@ class GeneratorState:
         self.spec = spec
         self.steps_taken = 0
         self._factors = _factors(spec.modulus)
-        self._maps = [_as_map(spec.state_fn, f) for f in self._factors]
+        self._maps = [compile_map(spec.state_fn, f) for f in self._factors]
         if isinstance(spec.modulus, CompositeModulus):
             self._parts = list(spec.modulus.decompose(spec.seed))
         else:
             self._parts = [spec.seed]
         if spec.out_fn is not None:
-            self._out = _as_map(spec.out_fn, spec.out_modulus)
+            self._out = compile_map(spec.out_fn, spec.out_modulus)
         else:
             self._out = None
 

@@ -144,40 +144,71 @@ class RationalPoly:
             d = d * c.denominator // math.gcd(d, c.denominator)
         return [int(c * d) for c in self.coeffs], d
 
-    def eval_mod(self, x, modulus: Modulus):
-        """f(x) mod p^k at the integer representative x.
+    def _scaled_form(self, modulus: Modulus):
+        """(integer coefficients, D, p-part of D, unit part's inverse mod p^k).
+
+        Cached per instance and modulus, so the Fractions are cleared once
+        rather than at every point.  The cache lives in the instance dict,
+        outside the dataclass fields, and holds plain ints only.
+        """
+        cache = self.__dict__.setdefault("_scaled_cache", {})
+        form = cache.get(modulus)
+        if form is None:
+            ints, d = self.scaled_integer_form()
+            unit, p_part = d, 1
+            while unit % modulus.p == 0:
+                unit //= modulus.p
+                p_part *= modulus.p
+            unit_inv = pow(unit, -1, modulus.value) if unit > 1 else 1
+            form = cache[modulus] = (tuple(ints), d, p_part, unit_inv)
+        return form
+
+    def compile_mod(self, modulus: Modulus):
+        """int -> int closure for f(x) mod p^k at the integer representative x.
 
         Works modulo p^k * D so the division by the common denominator D
         stays visible.  The p-part of D must divide the scaled value
         exactly (else the value is no p-adic integer and NotIntegerValued
-        is raised); the unit part is removed by modular inverse.
+        is raised at that point); the unit part is removed by its inverse.
         """
-        ints, d = self.scaled_integer_form()
-        big = modulus.value * d
+        ints, d, p_part, unit_inv = self._scaled_form(modulus)
+        mv, p = modulus.value, modulus.p
+        big = mv * d
         if self.basis == "monomial":
-            acc = 0
-            for c in reversed(ints):
-                acc = (acc * x + c) % big
+            rev = ints[::-1]
+
+            def scaled(x):
+                acc = 0
+                for c in rev:
+                    acc = (acc * x + c) % big
+                return acc
         else:
-            acc = 0
-            ff = 1
-            for i, c in enumerate(ints):
-                if i:
-                    ff = ff * (x - (i - 1)) % big
-                acc = (acc + c * ff) % big
-        unit = d
-        p_part = 1
-        while unit % modulus.p == 0:
-            unit //= modulus.p
-            p_part *= modulus.p
-        if acc % p_part:
-            raise NotIntegerValued(
-                f"value at {x} has denominator divisible by {modulus.p}"
-            )
-        acc //= p_part
-        if unit > 1:
-            acc = acc * pow(unit, -1, modulus.value)
-        return acc % modulus.value
+            head, tail = ints[0], tuple(enumerate(ints[1:]))
+
+            def scaled(x):
+                acc = head
+                ff = 1
+                for i, c in tail:
+                    ff = ff * (x - i) % big
+                    acc = (acc + c * ff) % big
+                return acc % big
+
+        if d == 1:
+            return scaled
+        if p_part == 1:
+            return lambda x: scaled(x) * unit_inv % mv
+
+        def divided(x):
+            acc = scaled(x)
+            if acc % p_part:
+                raise NotIntegerValued(f"value at {x} has denominator divisible by {p}")
+            return acc // p_part * unit_inv % mv
+
+        return divided
+
+    def eval_mod(self, x, modulus: Modulus):
+        """f(x) mod p^k at the integer representative x; see compile_mod."""
+        return self.compile_mod(modulus)(x)
 
     def scale(self, q):
         return RationalPoly([Fraction(q) * c for c in self.coeffs], self.basis)

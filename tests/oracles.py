@@ -2,12 +2,22 @@
 
 Everything here recomputes from first principles (exact rational
 arithmetic, exhaustive walks) and deliberately avoids the library code
-under test.
+under test.  The one exception is eval_tree, the node-by-node expression
+interpreter the library used before it compiled expressions; it calls
+core's mod_inverse and unit_pow, whose checks and messages the compiled
+path must reproduce, and evaluates POLY leaves with poly_eval_mod, not
+with the library's compiled polynomials.
 """
 
 import math
 import random
 from fractions import Fraction
+
+from padicforge.core import ResidueInt, mod_inverse, unit_pow
+from padicforge.funcalg import BitwiseOddPrime
+from padicforge.mahler import NotIntegerValued
+
+_BITWISE = frozenset(("XOR", "AND", "OR", "NEG"))
 
 
 def mahler_value(coeffs, x):
@@ -109,3 +119,87 @@ def falling_value(coeffs, x):
             ff *= x - (i - 1)
         acc += Fraction(c) * ff
     return acc
+
+
+def poly_eval_mod(poly, x, m):
+    """RationalPoly value mod m at the integer x, rebuilding the scaled form.
+
+    Works modulo p^k * D for the common denominator D; the p-part of D must
+    divide the scaled value (else NotIntegerValued), the unit part is
+    removed by its inverse.
+    """
+    d = 1
+    for c in poly.coeffs:
+        d = d * c.denominator // math.gcd(d, c.denominator)
+    ints = [int(c * d) for c in poly.coeffs]
+    big = m.value * d
+    if poly.basis == "monomial":
+        acc = 0
+        for c in reversed(ints):
+            acc = (acc * x + c) % big
+    else:
+        acc = 0
+        ff = 1
+        for i, c in enumerate(ints):
+            if i:
+                ff = ff * (x - (i - 1)) % big
+            acc = (acc + c * ff) % big
+    unit = d
+    p_part = 1
+    while unit % m.p == 0:
+        unit //= m.p
+        p_part *= m.p
+    if acc % p_part:
+        raise NotIntegerValued(f"value at {x} has denominator divisible by {m.p}")
+    acc //= p_part
+    if unit > 1:
+        acc = acc * pow(unit, -1, m.value)
+    return acc % m.value
+
+
+def eval_tree(e, x, m):
+    """Value mod m at the exact integer point x (x may exceed the modulus).
+
+    Every kind but POLY first reduces its inputs, which is harmless for
+    1-Lipschitz operations; POLY consumes x exactly.
+    """
+    kind = e.kind
+    if kind == "VAR":
+        return x % m.value
+    if kind == "CONST":
+        q = e.value
+        if q.denominator == 1:
+            return q.numerator % m.value
+        den_inv = mod_inverse(ResidueInt(q.denominator % m.value, m)).residue
+        return q.numerator * den_inv % m.value
+    if kind == "POLY":
+        return poly_eval_mod(e.poly, x, m)
+    if kind == "DELTA":
+        return (eval_tree(e.children[0], x + 1, m) - eval_tree(e.children[0], x, m)) % m.value
+    if kind == "COMPOSE":
+        return eval_tree(e.children[0], eval_tree(e.children[1], x, m), m)
+    if kind in _BITWISE:
+        if m.p != 2:
+            raise BitwiseOddPrime(f"{kind} needs p = 2, modulus is {m}")
+        a = eval_tree(e.children[0], x, m)
+        if kind == "NEG":
+            return m.value - 1 - a
+        b = eval_tree(e.children[1], x, m)
+        if kind == "XOR":
+            return a ^ b
+        if kind == "AND":
+            return a & b
+        return a | b
+    a = eval_tree(e.children[0], x, m)
+    if kind == "ADD":
+        return (a + eval_tree(e.children[1], x, m)) % m.value
+    if kind == "SUB":
+        return (a - eval_tree(e.children[1], x, m)) % m.value
+    if kind == "MUL":
+        return a * eval_tree(e.children[1], x, m) % m.value
+    if kind == "POW":
+        exponent = eval_tree(e.children[1], x, m)
+        return unit_pow(ResidueInt(a, m), exponent).residue
+    if kind == "INV":
+        return mod_inverse(ResidueInt(a, m)).residue
+    raise AssertionError(kind)

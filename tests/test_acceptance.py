@@ -30,7 +30,6 @@ from padicforge.certify import (
     FunctionClass,
     MultiPoly,
     NotBijective,
-    _as_map,
     bijective_mod,
     equiprobable_mod,
     ergodicity_certificate,
@@ -42,6 +41,7 @@ from padicforge.funcalg import (
     BoolTriangle,
     add,
     build_ergodic,
+    compile_map,
     const,
     evaluator,
     mul,
@@ -80,7 +80,7 @@ def _report(num, label, ok, detail):
 
 
 def _walk_orbit(state_fn, m: Modulus):
-    step = _as_map(state_fn, m)
+    step = compile_map(state_fn, m)
     seq, x = [], 0
     for _ in range(m.value):
         seq.append(x)

@@ -56,9 +56,11 @@ from padicforge.mahler import (
 )
 
 from oracles import (
+    eval_tree,
     falling_value,
     is_transitive,
     mahler_value,
+    poly_eval_mod,
     random_integer_valued_poly,
     value_table,
 )
@@ -162,10 +164,12 @@ class TestTransitiveMod:
     def test_matches_oracle_on_tables(self):
         m = Modulus(2, 8)
         gen = build_ergodic(parse_dsl("x xor (2*x+1)"), 1, 2)
-        for f in (gen, parse_dsl("x xor 1"), RationalPoly([1, 1])):
-            from padicforge.certify import _as_map
-            table = value_table(_as_map(f, m), m.value)
+        poly = RationalPoly([1, 1])
+        for f in (gen, parse_dsl("x xor 1")):
+            table = value_table(lambda x: eval_tree(f, x, m), m.value)
             assert transitive_mod(f, m)[0] == is_transitive(table)
+        table = value_table(lambda x: poly_eval_mod(poly, x, m), m.value)
+        assert transitive_mod(poly, m)[0] == is_transitive(table)
 
     def test_cap(self):
         with pytest.raises(CapExceeded):

@@ -1,0 +1,157 @@
+"""compile_map, evaluator and eval_expr against the node-by-node interpreter.
+
+oracles.eval_tree is the tree interpreter the library evaluated
+expressions with before it compiled them.  Every compiled value, and every
+evaluation error (type and message), must match it point for point.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from corpus import random_compatible_ast
+from oracles import eval_tree, poly_eval_mod, random_integer_valued_poly
+
+from padicforge import funcalg as fa
+from padicforge.certify import MultiPoly
+from padicforge.core import BaseNotOneUnit, Modulus, NotAUnit, ResidueInt
+from padicforge.funcalg import BitwiseOddPrime, compile_map, eval_expr, evaluator, parse_dsl
+from padicforge.mahler import NotIntegerValued, RationalPoly
+
+X = fa.var()
+EVAL_ERRORS = (BitwiseOddPrime, BaseNotOneUnit, NotAUnit, NotIntegerValued)
+MAX_K = {2: 6, 3: 4, 5: 3}
+
+
+def outcome(fn, x):
+    """fn(x), or (exception type, message) when the evaluation raises."""
+    try:
+        return fn(x)
+    except EVAL_ERRORS as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_tree(e, m, points):
+    compiled = compile_map(e, m)  # compiling never raises; errors wait for a point
+    for x in points:
+        want = outcome(lambda y: eval_tree(e, y, m), x)
+        assert outcome(compiled, x) == want, (e, m, x)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_corpus_matches_tree_interpreter(p):
+    rng = random.Random(1000 + p)
+    trees = [random_compatible_ast(rng, p, rng.randint(1, 3)) for _ in range(40)]
+    for k in range(1, MAX_K[p] + 1):
+        m = Modulus(p, k)
+        for e in trees:
+            # every residue, plus exact points past the modulus that DELTA
+            # and POLY leaves can see
+            assert_matches_tree(e, m, range(m.value + 3))
+    m = Modulus(p, MAX_K[p])
+    for e in trees[:10]:
+        step = evaluator(e, m)
+        for x in range(m.value):
+            assert step(x) == eval_expr(e, ResidueInt(x, m)).residue == eval_tree(e, x, m)
+
+
+def test_delta_of_non_lipschitz_poly_uses_exact_point():
+    # C(x, 2) is not 1-Lipschitz, so its difference at the wrap point
+    # x = p^k - 1 needs C(p^k, 2), not C(0, 2); delta C(x, 2) = x exactly
+    choose2 = fa.delta(fa.poly_node(RationalPoly([0, 0, Fraction(1, 2)], "falling")))
+    for p in (2, 3, 5):
+        for k in range(1, MAX_K[p] + 1):
+            m = Modulus(p, k)
+            assert [compile_map(choose2, m)(x) for x in range(m.value)] == list(range(m.value))
+            assert_matches_tree(choose2, m, range(m.value))
+
+
+ERROR_CASES = [
+    # bitwise nodes at odd p, alone and behind an earlier failing operand
+    (fa.xor(X, X), 3),
+    (fa.neg(fa.add(X, fa.const(1))), 5),
+    (fa.add(fa.inv(X), fa.and_(X, X)), 3),
+    # 1-unit bases: the exponent is evaluated before the base is checked
+    (fa.pow_(X, X), 2),
+    (fa.pow_(X, X), 5),
+    (fa.pow_(fa.const(3), X), 5),
+    (fa.pow_(X, fa.inv(X)), 3),
+    # units: variable, constant, and a zero factor that must still evaluate
+    (fa.inv(X), 3),
+    (fa.inv(fa.const(6)), 3),
+    (fa.const(Fraction(5, 18)), 2),
+    (fa.const(Fraction(5, 18)), 3),
+    (fa.mul(fa.const(0), fa.inv(X)), 5),
+    (parse_dsl("1/2*x"), 2),
+    (parse_dsl("1 + x + 9*delta(inv(x))"), 3),
+    (parse_dsl("1 - 127*x - 152*x^3 + 152*x^5"), 5),
+    # values that are not p-adic integers, at some points or at all
+    (fa.poly_node(RationalPoly([0, Fraction(1, 2)])), 2),
+    (fa.poly_node(RationalPoly([0, 0, Fraction(1, 4)], "falling")), 2),
+    (fa.delta(fa.poly_node(RationalPoly([0, 0, 0, Fraction(1, 9)], "falling"))), 3),
+]
+
+
+@pytest.mark.parametrize("e,p", ERROR_CASES)
+def test_error_parity(e, p):
+    m = Modulus(p, 3)
+    assert_matches_tree(e, m, range(m.value + 1))
+    errors = [outcome(compile_map(e, m), x) for x in range(m.value)]
+    assert any(isinstance(r, tuple) for r in errors), "case raises nowhere"
+
+
+def test_cli_messages_unchanged():
+    m = Modulus(3, 3)
+    with pytest.raises(NotAUnit, match="^0 is divisible by 3$"):
+        compile_map(parse_dsl("1 + x + 9*delta(inv(x))"), m)(m.value - 1)
+    m = Modulus(5, 6)
+    with pytest.raises(BaseNotOneUnit, match=r"^0 is not a 1-unit mod 5\^6$"):
+        compile_map(parse_dsl("1 - 127*x - 152*x^3 + 152*x^5"), m)(0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rational_poly_matches_rebuilt_scaled_form(p):
+    rng = random.Random(2000 + p)
+    m = Modulus(p, MAX_K[p])
+    polys = [RationalPoly(random_integer_valued_poly(rng), "falling") for _ in range(15)]
+    polys += [poly.to_monomial() for poly in polys[:5]]
+    polys.append(RationalPoly([1, Fraction(1, p), Fraction(2, 7)]))  # not integer-valued
+    for poly in polys:
+        fn = compile_map(poly, m)
+        for x in list(range(m.value)) + [m.value + 5, 3 * m.value - 1]:
+            want = outcome(lambda y: poly_eval_mod(poly, y, m), x)
+            assert outcome(fn, x) == outcome(lambda y: poly.eval_mod(y, m), x) == want
+
+
+def test_long_sum_chain_compiles_without_recursion():
+    e = X
+    for _ in range(3000):
+        e = fa.add(e, X)
+    m = Modulus(2, 16)
+    fn = compile_map(e, m)
+    assert [fn(x) for x in (0, 1, 777, m.value - 1)] == [
+        3001 * x % m.value for x in (0, 1, 777, m.value - 1)]
+
+
+def test_plain_callables_and_unknown_types():
+    m = Modulus(3, 2)
+    assert compile_map(lambda x: x - 1, m)(0) == 8
+    with pytest.raises(TypeError):
+        compile_map(42, m)
+
+
+def test_multipoly_compile_matches_plain_sum():
+    rng = random.Random(3000)
+    for _ in range(20):
+        arity = rng.randint(1, 3)
+        terms = {tuple(rng.randint(0, 3) for _ in range(arity)): rng.randint(-9, 9)
+                 for _ in range(rng.randint(1, 5))}
+        poly = MultiPoly(arity, terms)
+        modulus = rng.choice([4, 9, 25, 32])
+        fn = poly.compile_mod(modulus)
+        for _ in range(30):
+            point = [rng.randrange(modulus) for _ in range(arity)]
+            want = sum(c * math.prod(x ** e for x, e in zip(point, exps))
+                       for exps, c in terms.items()) % modulus
+            assert fn(point) == poly.eval_mod(point, modulus) == want
