@@ -12,16 +12,21 @@ the entire period before it is reported.
 Z/p^k is not a field, so the solver is not Berlekamp-Massey.  It eliminates
 with full pivoting on the entry of least p-valuation, which keeps every
 frozen row solvable independently of the free choices and makes both the
-particular solution and the kernel generators exact.
+particular solution and the kernel generators exact.  The least valuation
+of the remaining block comes from one gcd with p^k, and ties go to the
+first such entry in row-major order.  A UNIT relation is also an ANY
+relation, so when the ANY scan finds nothing up to r_max the UNIT flavor
+is reported as NoneFoundUpTo(r_max) without scanning again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .certify import PROVEN, CapExceeded, MapLike, ergodicity_certificate
-from .core import Modulus, ord_p
+from .core import Modulus
 from .expr import compile_map
 from .genlib import GeneratorSpec, GeneratorState, NotBinaryModulus, NotCertified
 
@@ -60,10 +65,6 @@ class Relation:
 
     def has_unit_coeff(self, p: int) -> bool:
         return any(cj % p for cj in self.coeffs)
-
-    def as_vector(self) -> Tuple[int, ...]:
-        """(c, c_0, ..., c_{r-1}); the leading coefficient is an implicit 1."""
-        return (self.constant, *self.coeffs)
 
     def to_json(self) -> dict:
         return {"order": self.order, "constant": self.constant,
@@ -112,9 +113,12 @@ def _solve_mod_pk(rows: List[List[int]], rhs: List[int], p: int, k: int):
     solution.  Full pivoting picks the remaining entry of least
     p-valuation, so once a row is frozen every entry to the right of its
     pivot has valuation >= the pivot's and the row can be solved by one
-    exact division whatever the later variables are.  Kernel generators
-    come in two kinds: one per free column, and one per pivot whose
-    valuation e leaves p^(k-e) of slack.
+    exact division whatever the later variables are.  The least valuation
+    e comes from one gcd of p^k with the remaining block, taken row by row
+    and stopped at 1; p^k itself means the block is all zero.  The pivot is
+    the first entry in row-major order not divisible by p^(e+1).  Kernel
+    generators come in two kinds: one per free column, and one per pivot
+    whose valuation e leaves p^(k-e) of slack.
     """
     m = p ** k
     a = [[v % m for v in row] for row in rows]
@@ -124,31 +128,30 @@ def _solve_mod_pk(rows: List[List[int]], rhs: List[int], p: int, k: int):
     piv_val = []
     t = 0
     while t < nrows and t < ncols:
-        best = None
+        g = m
         for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] == 0:
-                    continue
-                e = ord_p(a[i][j], p)
-                if best is None or e < best[0]:
-                    best = (e, i, j)
-                    if e == 0:
-                        break
-            if best is not None and best[0] == 0:
+            g = gcd(g, *a[i][t:])
+            if g == 1:
                 break
-        if best is None:
+        if g == m:
             break
-        e, bi, bj = best
+        e = 0
+        pe = 1
+        while pe != g:
+            pe *= p
+            e += 1
+        above = pe * p
+        bi, bj = next((i, j) for i in range(t, nrows) for j in range(t, ncols)
+                      if a[i][j] % above)
         a[t], a[bi] = a[bi], a[t]
         b[t], b[bi] = b[bi], b[t]
         if bj != t:
             for row in a:
                 row[t], row[bj] = row[bj], row[t]
             col_of[t], col_of[bj] = col_of[bj], col_of[t]
-        inv_unit = pow(a[t][t] // p ** e, -1, m)
+        inv_unit = pow(a[t][t] // pe, -1, m)
         a[t] = [v * inv_unit % m for v in a[t]]
         b[t] = b[t] * inv_unit % m
-        pe = p ** e
         for i in range(t + 1, nrows):
             if a[i][t]:
                 q = a[i][t] // pe
@@ -262,16 +265,19 @@ def affine_linear_complexity(seq: Sequence[int], m: Modulus,
     """Full diagnostics for one period of residues mod p^k.
 
     The headline complexity is the ANY flavor; the UNIT flavor never comes
-    out smaller, so its scan starts where the first one stopped.
+    out smaller, so its scan starts where the first one stopped.  A UNIT
+    relation is also an ANY relation, and the ANY scan misses an order only
+    when the system at that order has no solution at all, so after an ANY
+    miss up to r_max the UNIT flavor is reported as a miss without a scan.
     """
     seq = list(seq)
     _check_buffer(seq, m)
     any_rel = _least_order(seq, m, r_max, unit_only=False)
-    if any_rel is not None and any_rel.has_unit_coeff(m.p):
+    if any_rel is None or any_rel.has_unit_coeff(m.p):
         unit_rel = any_rel
     else:
         unit_rel = _least_order(seq, m, r_max, unit_only=True,
-                                r_start=any_rel.order if any_rel else 1)
+                                r_start=any_rel.order)
     counts = {}
     for x in seq:
         counts[x] = counts.get(x, 0) + 1
@@ -292,7 +298,7 @@ def bit_plane_periods(seq: Sequence[int], m: Modulus) -> List[int]:
     """Minimal period of each bit sequence delta_j(x_n), j = 0..k-1.
 
     The buffer is one full period, so every candidate divides its length;
-    each divisor is checked against all rotations, no shortcuts.
+    each divisor is checked by comparing the plane with its rotation.
     """
     if m.p != 2:
         raise NotBinaryModulus(f"bit planes need p = 2, modulus is {m}")
@@ -304,7 +310,7 @@ def bit_plane_periods(seq: Sequence[int], m: Modulus) -> List[int]:
     for j in range(m.k):
         bits = [(x >> j) & 1 for x in seq]
         for d in divisors:
-            if all(bits[i] == bits[(i + d) % period] for i in range(period)):
+            if bits[d:] + bits[:d] == bits:
                 out.append(d)
                 break
     return out

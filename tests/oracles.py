@@ -1,12 +1,13 @@
 """Brute-force reference implementations shared by the test modules.
 
 Everything here recomputes from first principles (exact rational
-arithmetic, exhaustive walks) and deliberately avoids the library code
-under test.  The one exception is eval_tree, the node-by-node expression
-interpreter the library used before it compiled expressions; it calls
-core's mod_inverse and unit_pow, whose checks and messages the compiled
-path must reproduce, and evaluates POLY leaves with poly_eval_mod, not
-with the library's compiled polynomials.
+arithmetic, exhaustive walks, the solver's full-scan pivot search) and
+deliberately avoids the library code under test.  The one exception is
+eval_tree, the node-by-node expression interpreter the library used
+before it compiled expressions; it calls core's mod_inverse and
+unit_pow, whose checks and messages the compiled path must reproduce,
+and evaluates POLY leaves with poly_eval_mod, not with the library's
+compiled polynomials.
 """
 
 import math
@@ -155,6 +156,104 @@ def poly_eval_mod(poly, x, m):
     if unit > 1:
         acc = acc * pow(unit, -1, m.value)
     return acc % m.value
+
+
+def _valuation(n, p):
+    """p-adic valuation of a nonzero integer."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
+def solve_mod_pk_fullscan(rows, rhs, p, k):
+    """General solution of A z = b over Z/p^k by the full-scan pivot search.
+
+    The solver as it was before its pivot search used a gcd: every nonzero
+    entry of the remaining block gets its own valuation, and the first one
+    of least valuation in row-major order is the pivot.  Returns
+    (particular, kernel_gens) or None, with the same pivots, generators
+    and order as the library solver must produce.
+    """
+    m = p ** k
+    a = [[v % m for v in row] for row in rows]
+    b = [v % m for v in rhs]
+    nrows, ncols = len(a), len(a[0])
+    col_of = list(range(ncols))
+    piv_val = []
+    t = 0
+    while t < nrows and t < ncols:
+        best = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                if a[i][j] == 0:
+                    continue
+                e = _valuation(a[i][j], p)
+                if best is None or e < best[0]:
+                    best = (e, i, j)
+                    if e == 0:
+                        break
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            break
+        e, bi, bj = best
+        a[t], a[bi] = a[bi], a[t]
+        b[t], b[bi] = b[bi], b[t]
+        if bj != t:
+            for row in a:
+                row[t], row[bj] = row[bj], row[t]
+            col_of[t], col_of[bj] = col_of[bj], col_of[t]
+        inv_unit = pow(a[t][t] // p ** e, -1, m)
+        a[t] = [v * inv_unit % m for v in a[t]]
+        b[t] = b[t] * inv_unit % m
+        pe = p ** e
+        for i in range(t + 1, nrows):
+            if a[i][t]:
+                q = a[i][t] // pe
+                a[i] = [(vi - q * vt) % m for vi, vt in zip(a[i], a[t])]
+                b[i] = (b[i] - q * b[t]) % m
+        piv_val.append(e)
+        t += 1
+    rank = len(piv_val)
+    if any(b[i] % m for i in range(rank, nrows)):
+        return None
+
+    def back_substitute(target, start, preset):
+        z = list(preset)
+        for i in range(start, -1, -1):
+            s = (target[i] - sum(a[i][j] * z[j] for j in range(i + 1, ncols))) % m
+            pe = p ** piv_val[i]
+            if s % pe:
+                return None
+            z[i] = (s // pe) % (m // pe)
+        return z
+
+    particular = back_substitute(b, rank - 1, [0] * ncols)
+    if particular is None:
+        return None
+    zeros = [0] * nrows
+    gens = []
+    for free in range(rank, ncols):
+        preset = [0] * ncols
+        preset[free] = 1
+        gens.append(back_substitute(zeros, rank - 1, preset))
+    for t in range(rank):
+        slack = p ** (k - piv_val[t])
+        if slack % m == 0:
+            continue
+        preset = [0] * ncols
+        preset[t] = slack
+        gens.append(back_substitute(zeros, t - 1, preset))
+
+    def unpermute(z):
+        out = [0] * ncols
+        for pos, orig in enumerate(col_of):
+            out[orig] = z[pos]
+        return out
+
+    return unpermute(particular), [unpermute(g) for g in gens]
 
 
 def eval_tree(e, x, m):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicforge import analysis
 from padicforge.analysis import (
     EmptySequence,
     NoneFoundUpTo,
@@ -21,10 +22,12 @@ from padicforge.analysis import (
 )
 from padicforge.certify import CapExceeded
 from padicforge.core import Modulus
+from padicforge.expr import compile_map
+from padicforge.funcalg import parse_dsl
 from padicforge.genlib import NotBinaryModulus, NotCertified, emit_bytes, make_generator
 from padicforge.mahler import MahlerSeries, RationalPoly
 
-from oracles import value_table
+from oracles import solve_mod_pk_fullscan, value_table
 
 
 def orbit_of_zero(step, m: Modulus):
@@ -42,6 +45,61 @@ def exception_fn(x):
 def exception_series(degree=14):
     coeffs = [-3, 9] + [(-1) ** (j + 1) * 2 ** (j + 2) for j in range(2, degree + 1)]
     return MahlerSeries(tuple(Fraction(c) for c in coeffs), 2)
+
+
+def valuation_heavy_entry(rng, p, k):
+    """p^e * u with u a unit mod p and e uniform in 0..k (e = k gives 0 mod p^k)."""
+    unit = rng.randrange(p ** k // p) * p + rng.randrange(1, p)
+    return p ** rng.randint(0, k) * unit
+
+
+def coset_of(part, gens, m):
+    """Every vector part + (Z-span of gens), reduced mod m."""
+    span = {(0,) * len(part)}
+    frontier = [(0,) * len(part)]
+    while frontier:
+        base = frontier.pop()
+        for g in gens:
+            step = tuple((u + v) % m for u, v in zip(base, g))
+            if step not in span:
+                span.add(step)
+                frontier.append(step)
+    return {tuple((u + v) % m for u, v in zip(part, s)) for s in span}
+
+
+def solver_corpus(seed, count):
+    """Seeded systems for p in {2,3,5,7}, k <= 6, up to 12 x 8.
+
+    Half the matrices draw entries as p^e * u; some get an all-zero
+    trailing block, some repeat earlier rows times a scalar so the block
+    left after elimination is zero, and half the right-hand sides are
+    A z for a random z so that solvable systems are common.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        p, k = rng.choice((2, 3, 5, 7)), rng.randint(1, 6)
+        m = p ** k
+        nr, nc = rng.randint(1, 12), rng.randint(1, 8)
+        if rng.random() < 0.5:
+            a = [[valuation_heavy_entry(rng, p, k) for _ in range(nc)] for _ in range(nr)]
+        else:
+            a = [[rng.randrange(m) for _ in range(nc)] for _ in range(nr)]
+        shape = rng.random()
+        if shape < 0.2:
+            r0, c0 = rng.randrange(nr), rng.randrange(nc)
+            for i in range(r0, nr):
+                for j in range(c0, nc):
+                    a[i][j] = 0
+        elif shape < 0.4 and nr > 1:
+            for i in range(rng.randrange(1, nr), nr):
+                src, q = rng.randrange(i), p ** rng.randint(0, k - 1)
+                a[i] = [q * v for v in a[src]]
+        if rng.random() < 0.5:
+            z = [rng.randrange(m) for _ in range(nc)]
+            b = [sum(x * y for x, y in zip(row, z)) for row in a]
+        else:
+            b = [valuation_heavy_entry(rng, p, k) for _ in range(nr)]
+        yield a, b, p, k
 
 
 def brute_least_order(seq, m, r_max, unit_only):
@@ -87,6 +145,44 @@ class TestSolver:
                             frontier.append(step)
                 coset = {tuple((u + v) % m for u, v in zip(part, s)) for s in span}
                 assert coset == brute
+
+    def test_coset_matches_exhaustive_enumeration_non_unit_pivots(self):
+        # p^e * u entries make pivots of valuation >= 1 and their slack
+        # kernel generators common; uniform entries almost always give units
+        rng = random.Random(23)
+        non_unit_first_pivot = 0
+        for p, k, dim in ((2, 2, 4), (2, 3, 4), (3, 2, 4), (5, 1, 4), (5, 2, 3)):
+            m = p ** k
+            for _ in range(40):
+                nr, nc = rng.randint(1, dim), rng.randint(1, dim)
+                a = [[valuation_heavy_entry(rng, p, k) for _ in range(nc)] for _ in range(nr)]
+                b = [valuation_heavy_entry(rng, p, k) for _ in range(nr)]
+                reduced = [v % m for row in a for v in row]
+                if any(reduced) and not any(v % p for v in reduced):
+                    non_unit_first_pivot += 1
+                brute = {
+                    z for z in itertools.product(range(m), repeat=nc)
+                    if all((sum(a[i][j] * z[j] for j in range(nc)) - b[i]) % m == 0
+                           for i in range(nr))
+                }
+                got = _solve_mod_pk(a, b, p, k)
+                if not brute:
+                    assert got is None
+                    continue
+                part, gens = got
+                assert coset_of(part, gens, m) == brute
+        assert non_unit_first_pivot >= 20
+
+    def test_pivot_order_matches_full_scan_oracle(self):
+        solvable = unsolvable = 0
+        for a, b, p, k in solver_corpus(seed=4, count=3000):
+            want = solve_mod_pk_fullscan(a, b, p, k)
+            assert _solve_mod_pk(a, b, p, k) == want, (a, b, p, k)
+            if want is None:
+                unsolvable += 1
+            else:
+                solvable += 1
+        assert solvable >= 1000 and unsolvable >= 500
 
     def test_non_square_and_zero_pivot_shapes(self):
         # underdetermined: one row, three unknowns mod 8
@@ -183,6 +279,35 @@ class TestAffineComplexity:
         rep = affine_linear_complexity(seq, m, r_max=1)
         assert rep.linear_complexity == NoneFoundUpTo(1)
         assert rep.relation is None and rep.unit_relation is None
+
+    def test_unit_scan_skipped_after_any_miss(self, monkeypatch):
+        # a UNIT relation is an ANY relation, so an ANY miss up to r_max is
+        # a UNIT miss too: the orders are scanned once, not twice
+        cases = []
+        for k, r_max in ((4, 1), (6, 1)):
+            m = Modulus(2, k)
+            cases.append((orbit_of_zero(lambda x: 1 + x + 4 * x * x, m), m, r_max))
+        shift = parse_dsl("1 + x + 2*delta(x xor (2*x + 1))")
+        for k, r_max in ((5, 2), (8, 4)):
+            m = Modulus(2, k)
+            cases.append((analysis.orbit(compile_map(shift, m), m), m, r_max))
+        real = analysis._relation_at_order
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "_relation_at_order", counting)
+        for seq, m, r_max in cases:
+            calls.clear()
+            rep = affine_linear_complexity(seq, m, r_max=r_max)
+            assert rep.linear_complexity == NoneFoundUpTo(r_max)
+            assert calls == list(range(1, r_max + 1))
+            assert rep.unit_complexity == NoneFoundUpTo(r_max)
+            assert rep.unit_relation is None
+            if m.value ** (r_max + 1) <= 1 << 15:
+                assert brute_least_order(seq, m, r_max, unit_only=True) is None
 
     def test_reduction_consistency(self):
         # complexity may only grow with precision
