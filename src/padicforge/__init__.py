@@ -47,21 +47,17 @@ from .core import (
     CompositeModulus,
     Modulus,
     ResidueInt,
-    binomial_eval,
     digits,
-    falling_factorial,
-    lucas_binomial_mod_p,
     mod_inverse,
     ord_p,
     unit_pow,
 )
-from .expr import FnExpr, compile_map, eval_expr, evaluator
+from .expr import FnExpr, compile_map, evaluator
 from .funcalg import (
     BoolTriangle,
     DslError,
     build_composite_generator,
     build_ergodic,
-    build_ergodic_4_12,
     build_measure_preserving,
     expr_from_json,
     expr_to_json,
@@ -119,11 +115,9 @@ __all__ = [
     "SequenceReport",
     "affine_linear_complexity",
     "bijective_mod",
-    "binomial_eval",
     "bit_plane_periods",
     "build_composite_generator",
     "build_ergodic",
-    "build_ergodic_4_12",
     "build_measure_preserving",
     "coeffs_from_values",
     "compatibility_certificate",
@@ -133,11 +127,9 @@ __all__ = [
     "emit_bytes",
     "equiprobable_mod",
     "ergodicity_certificate",
-    "eval_expr",
     "evaluator",
     "expr_from_json",
     "expr_to_json",
-    "falling_factorial",
     "full_period_census",
     "infer_class",
     "is_class_b",
@@ -146,7 +138,6 @@ __all__ = [
     "is_ergodic_sufficient_oddp",
     "is_measure_preserving_2adic",
     "jacobian_equiprobable_certificate",
-    "lucas_binomial_mod_p",
     "make_generator",
     "measure_preservation_certificate",
     "mod_inverse",

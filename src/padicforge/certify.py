@@ -5,8 +5,12 @@ Two layers.  The checkers (`bijective_mod`, `transitive_mod`,
 they are bounded by explicit state caps and never extrapolate.  The
 certificate constructors decide a property at every precision from a
 single finite check at a class-dependent threshold modulus, and record
-which result licensed the extrapolation.  When a function falls outside
-every recognized class the certificate honestly degrades to UNKNOWN.
+which result licensed the extrapolation.  Ergodicity and measure
+preservation share one dispatch: the (property, class) table `_THRESHOLDS`
+gives each recognized class its theorem and threshold, and `_PROPERTIES`
+gives each property its finite check and fallbacks.  When a function
+falls outside every recognized class the certificate honestly degrades
+to UNKNOWN.
 """
 
 from __future__ import annotations
@@ -15,10 +19,9 @@ import time
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Callable, Optional, Sequence, Union
 
-from .core import Modulus, ResidueInt, mod_inverse, ord_p
+from .core import Modulus, ord_p
 from .expr import FnExpr, compile_map
 from .funcalg import BoolTriangle, is_class_b, triangle_is_transitive_form
 from .mahler import (
@@ -58,10 +61,6 @@ class CapExceeded(Exception):
 
 class NotBijective(Exception):
     """Orbit walk re-entered itself off the start; no cycle through 0 exists."""
-
-
-class NotClassA(Exception):
-    """Differentiability machinery asked for outside its domain."""
 
 
 @dataclass(frozen=True)
@@ -370,11 +369,6 @@ def infer_class(f: MapLike, p: int) -> FunctionClass:
     return FunctionClass(GENERIC_COMPATIBLE)
 
 
-def class_b_membership(e: FnExpr, p: int) -> bool:
-    """Structural membership test; False means not recognized, not a refutation."""
-    return is_class_b(e, p)
-
-
 def _flatten_sum(e: FnExpr):
     """Signed summand list of an ADD/SUB tree."""
     out = []
@@ -480,6 +474,91 @@ def _probe_modulus(p: int, cap: Optional[int]) -> Modulus:
     return Modulus(p, k)
 
 
+def _transitive_check(f: MapLike, m: Modulus, cap: Optional[int]):
+    """(transitive mod m, witness on failure)."""
+    try:
+        ok, length = transitive_mod(f, m, cap)
+    except NotBijective:
+        return False, {"reason": "not bijective"}
+    return ok, None if ok else {"cycle_through_zero": length}
+
+
+def _bijective_check(f: MapLike, m: Modulus, cap: Optional[int]):
+    """(bijective mod m, witness on failure)."""
+    ok, witness = bijective_mod(f, m, cap)
+    return ok, None if ok else {"collision": list(witness)}
+
+
+def _t4_9_ergodic(p, _):
+    return 3 if p in (2, 3) else 2
+
+
+def _degree_threshold(p, d):
+    return floor_log(max(d, 1), p) + 3
+
+
+# (property, class tag) -> (theorem, threshold exponent from p and d or lam).
+# Every cell is an if-and-only-if, so a failed check at p^k0 is a REFUTED.
+_THRESHOLDS = {
+    (ERGODIC, Z_POLY): ("T4_9", _t4_9_ergodic),
+    (ERGODIC, CLASS_B): ("T4_9", _t4_9_ergodic),
+    (ERGODIC, QP_POLY_INTVAL): ("P4_7", _degree_threshold),
+    (ERGODIC, CLASS_A): ("T4_1", lambda p, lam: lam + (2 if p == 3 else 1)),
+    (MEASURE_PRESERVING, Z_POLY): ("C3_10", lambda p, _: 2),
+    (MEASURE_PRESERVING, CLASS_B): ("T4_9", lambda p, _: 2),
+    (MEASURE_PRESERVING, QP_POLY_INTVAL): ("P4_8", _degree_threshold),
+    (MEASURE_PRESERVING, CLASS_A): ("T4_1", lambda p, lam: lam + 2),
+}
+
+# property -> (finite check, BRUTE_ONLY witness key, accepted shift shapes,
+#              p = 2 CLASS_A coefficient test)
+_PROPERTIES = {
+    ERGODIC: (_transitive_check, "transitive_up_to", ("ergodic",),
+              ("T2_3", is_ergodic_2adic)),
+    MEASURE_PRESERVING: (_bijective_check, "bijective_up_to", ("ergodic", "measure"),
+                         ("T2_2", is_measure_preserving_2adic)),
+}
+
+
+def _certificate(prop: str, f: MapLike, p: int, cls: Optional[FunctionClass],
+                 cap: Optional[int]) -> Certificate:
+    """The route both property certificates share; see their docstrings."""
+    t0 = time.perf_counter()
+    elapsed = lambda: (time.perf_counter() - t0) * 1000.0
+    if cls is None:
+        cls = infer_class(f, p)
+    check, probe_key, shapes, (coeff_theorem, coeff_test) = _PROPERTIES[prop]
+    row = _THRESHOLDS.get((prop, cls.tag))
+    if row is None:
+        if isinstance(f, FnExpr) and _shift_family(f, p) in shapes:
+            # the construction is confirmed at the CLASS_B threshold
+            m = Modulus(p, _THRESHOLDS[prop, CLASS_B][1](p, None))
+            if not check(f, m, cap)[0]:
+                raise AssertionError("shift-family match contradicts the brute check")
+            return Certificate(prop, PROVEN, "L2_5", m, None, elapsed())
+        m = _probe_modulus(p, cap)
+        ok, witness = check(f, m, cap)
+        return Certificate(prop, UNKNOWN if ok else REFUTED, "BRUTE_ONLY", m,
+                           {probe_key: m.k} if ok else witness, elapsed())
+    theorem, threshold = row
+    size = None
+    if cls.tag in (QP_POLY_INTVAL, CLASS_A):  # read off the interpolation series
+        series = _as_series(f, p)
+        if cls.tag == CLASS_A and p == 2:
+            return Certificate(prop, PROVEN if coeff_test(series) else REFUTED,
+                               coeff_theorem, Modulus(2, 1), None, elapsed())
+        if not is_compatible(series):
+            return Certificate(prop, REFUTED, "T2_1", Modulus(p, 1),
+                               {"reason": "not compatible"}, elapsed())
+        if cls.tag == CLASS_A:
+            size = _lam_for(f, p, cls)
+        else:
+            size = cls.degree if cls.degree is not None else series.degree
+    m = Modulus(p, threshold(p, size))
+    ok, witness = check(f, m, cap)
+    return Certificate(prop, PROVEN if ok else REFUTED, theorem, m, witness, elapsed())
+
+
 def ergodicity_certificate(f: MapLike, p: int, cls: Optional[FunctionClass] = None,
                            cap: Optional[int] = None) -> Certificate:
     """One finite transitivity check, extrapolated to every precision.
@@ -495,58 +574,7 @@ def ergodicity_certificate(f: MapLike, p: int, cls: Optional[FunctionClass] = No
     a bounded brute probe: transitive there is UNKNOWN (no theorem
     extends it), a short cycle is REFUTED.
     """
-    t0 = time.perf_counter()
-    elapsed = lambda: (time.perf_counter() - t0) * 1000.0
-    if cls is None:
-        cls = infer_class(f, p)
-    if cls.tag in (Z_POLY, CLASS_B):
-        k0, theorem = (3 if p in (2, 3) else 2), "T4_9"
-    elif cls.tag == QP_POLY_INTVAL:
-        series = _as_series(f, p)
-        if not is_compatible(series):
-            return Certificate(ERGODIC, REFUTED, "T2_1", Modulus(p, 1),
-                               {"reason": "not compatible"}, elapsed())
-        d = cls.degree if cls.degree is not None else series.degree
-        k0, theorem = floor_log(max(d, 1), p) + 3, "P4_7"
-    elif cls.tag == CLASS_A:
-        if p == 2:
-            series = _as_series(f, 2)
-            ok = is_ergodic_2adic(series)
-            return Certificate(ERGODIC, PROVEN if ok else REFUTED, "T2_3",
-                               Modulus(2, 1), None, elapsed())
-        if not is_compatible(_as_series(f, p)):
-            return Certificate(ERGODIC, REFUTED, "T2_1", Modulus(p, 1),
-                               {"reason": "not compatible"}, elapsed())
-        lam = _lam_for(f, p, cls)
-        k0, theorem = lam + (2 if p == 3 else 1), "T4_1"
-    else:
-        if isinstance(f, FnExpr) and _shift_family(f, p) == "ergodic":
-            m1 = Modulus(p, 3 if p in (2, 3) else 2)
-            ok, _ = transitive_mod(f, m1, cap)
-            if not ok:
-                raise AssertionError("shift-family match contradicts the brute walk")
-            return Certificate(ERGODIC, PROVEN, "L2_5", m1, None, elapsed())
-        m = _probe_modulus(p, cap)
-        try:
-            ok, length = transitive_mod(f, m, cap)
-        except NotBijective:
-            return Certificate(ERGODIC, REFUTED, "BRUTE_ONLY", m,
-                               {"reason": "not bijective"}, elapsed())
-        if ok:
-            return Certificate(ERGODIC, UNKNOWN, "BRUTE_ONLY", m,
-                               {"transitive_up_to": m.k}, elapsed())
-        return Certificate(ERGODIC, REFUTED, "BRUTE_ONLY", m,
-                           {"cycle_through_zero": length}, elapsed())
-    m0 = Modulus(p, k0)
-    try:
-        ok, length = transitive_mod(f, m0, cap)
-    except NotBijective:
-        return Certificate(ERGODIC, REFUTED, theorem, m0,
-                           {"reason": "not bijective"}, elapsed())
-    if ok:
-        return Certificate(ERGODIC, PROVEN, theorem, m0, None, elapsed())
-    return Certificate(ERGODIC, REFUTED, theorem, m0,
-                       {"cycle_through_zero": length}, elapsed())
+    return _certificate(ERGODIC, f, p, cls, cap)
 
 
 def measure_preservation_certificate(f: MapLike, p: int, cls: Optional[FunctionClass] = None,
@@ -564,52 +592,7 @@ def measure_preservation_certificate(f: MapLike, p: int, cls: Optional[FunctionC
     is bijective at every precision by construction (L2_5); otherwise a
     bounded probe, UNKNOWN or REFUTED only.
     """
-    t0 = time.perf_counter()
-    elapsed = lambda: (time.perf_counter() - t0) * 1000.0
-    if cls is None:
-        cls = infer_class(f, p)
-    if cls.tag == Z_POLY:
-        k0, theorem = 2, "C3_10"
-    elif cls.tag == CLASS_B:
-        k0, theorem = 2, "T4_9"
-    elif cls.tag == QP_POLY_INTVAL:
-        series = _as_series(f, p)
-        if not is_compatible(series):
-            return Certificate(MEASURE_PRESERVING, REFUTED, "T2_1", Modulus(p, 1),
-                               {"reason": "not compatible"}, elapsed())
-        d = cls.degree if cls.degree is not None else series.degree
-        k0, theorem = floor_log(max(d, 1), p) + 3, "P4_8"
-    elif cls.tag == CLASS_A:
-        if p == 2:
-            series = _as_series(f, 2)
-            ok = is_measure_preserving_2adic(series)
-            return Certificate(MEASURE_PRESERVING, PROVEN if ok else REFUTED, "T2_2",
-                               Modulus(2, 1), None, elapsed())
-        if not is_compatible(_as_series(f, p)):
-            return Certificate(MEASURE_PRESERVING, REFUTED, "T2_1", Modulus(p, 1),
-                               {"reason": "not compatible"}, elapsed())
-        lam = _lam_for(f, p, cls)
-        k0, theorem = lam + 2, "T4_1"
-    else:
-        if isinstance(f, FnExpr) and _shift_family(f, p) is not None:
-            m1 = Modulus(p, 2)
-            ok, _ = bijective_mod(f, m1, cap)
-            if not ok:
-                raise AssertionError("shift-family match contradicts the brute check")
-            return Certificate(MEASURE_PRESERVING, PROVEN, "L2_5", m1, None, elapsed())
-        m = _probe_modulus(p, cap)
-        ok, witness = bijective_mod(f, m, cap)
-        if ok:
-            return Certificate(MEASURE_PRESERVING, UNKNOWN, "BRUTE_ONLY", m,
-                               {"bijective_up_to": m.k}, elapsed())
-        return Certificate(MEASURE_PRESERVING, REFUTED, "BRUTE_ONLY", m,
-                           {"collision": list(witness)}, elapsed())
-    m0 = Modulus(p, k0)
-    ok, witness = bijective_mod(f, m0, cap)
-    if ok:
-        return Certificate(MEASURE_PRESERVING, PROVEN, theorem, m0, None, elapsed())
-    return Certificate(MEASURE_PRESERVING, REFUTED, theorem, m0,
-                       {"collision": list(witness)}, elapsed())
+    return _certificate(MEASURE_PRESERVING, f, p, cls, cap)
 
 
 def compatibility_certificate(f: MapLike, p: int, cap: Optional[int] = None) -> Certificate:
@@ -659,39 +642,3 @@ def triangle_ergodicity_certificate(t: BoolTriangle) -> Certificate:
     return Certificate(ERGODIC, PROVEN if ok else REFUTED, "T3_14_NOTE",
                        Modulus(2, t.length), witness,
                        (time.perf_counter() - t0) * 1000.0)
-
-
-def derivative_mod_p(f: MahlerSeries, x: ResidueInt, lam: int) -> ResidueInt:
-    """Derivative of f at x, modulo p^2, for odd p.
-
-    Computed from the interpolation coefficients: the i-th finite
-    difference of f is the coefficient-shifted series, and the derivative
-    mod p^2 is the alternating sum of differences truncated at 2*p^lam.
-    Raises NotClassA for p = 2 or when the truncated sum fails to be
-    p-integral.
-    """
-    p = f.p
-    if p == 2:
-        raise NotClassA("derivative reduction needs an odd prime")
-    if x.modulus.p != p:
-        raise ValueError(f"point lives mod {x.modulus.p}^k, series is {p}-adic")
-    f._require_integer_valued()
-    xhat = x.residue
-    top = min(2 * p ** lam, f.degree)
-    total = Fraction(0)
-    for i in range(1, top + 1):
-        delta_i = Fraction(0)
-        for j in range(f.degree - i + 1):
-            a = f.coeffs[i + j]
-            if a:
-                delta_i += a * comb(xhat, j)
-        if i % 2 == 1:
-            total += delta_i / i
-        else:
-            total -= delta_i / i
-    if ord_p(total, p) < 0:
-        raise NotClassA(f"difference sum {total} is not p-integral")
-    psq = Modulus(p, 2)
-    num = total.numerator % psq.value
-    inv = mod_inverse(ResidueInt(total.denominator % psq.value, psq)).residue
-    return ResidueInt(num * inv % psq.value, psq)

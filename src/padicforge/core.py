@@ -27,10 +27,6 @@ class BaseNotOneUnit(ValueError):
     """Exponentiation base is not congruent to 1 modulo p (odd modulo 2)."""
 
 
-class PrecisionShortfall(ValueError):
-    """A lifted representative was supplied with too little precision."""
-
-
 def is_prime(n):
     """Deterministic trial-division primality test."""
     if n < 2:
@@ -238,37 +234,6 @@ def digits(x: ResidueInt):
     return out
 
 
-def binomial_eval(x, i, target: Modulus):
-    """C(x, i) reduced modulo p^k.
-
-    Division by i! destroys ord_p(i!) digits of precision, so the caller
-    must supply x to at least k + ord_p(i!) digits.  A plain int is an
-    exact value (unbounded precision); a ResidueInt declares its precision
-    through its own modulus and is rejected when that declared precision
-    falls short.
-    """
-    p, k = target.p, target.k
-    need = k + ord_p_factorial(i, p)
-    if isinstance(x, ResidueInt):
-        if x.modulus.p != p:
-            raise ValueError(f"lift prime {x.modulus.p} does not match target {p}")
-        if x.modulus.k < need:
-            raise PrecisionShortfall(
-                f"C(x,{i}) mod {target} needs x mod {p}^{need}, got {x.modulus}"
-            )
-        x = x.residue
-    return ResidueInt(math.comb(x, i) % target.value, target)
-
-
-def falling_factorial(x: ResidueInt, i):
-    """x(x-1)...(x-i+1) mod p^k; the empty product for i = 0."""
-    m = x.modulus.value
-    acc = 1
-    for j in range(i):
-        acc = acc * (x.residue - j) % m
-    return ResidueInt(acc, x.modulus)
-
-
 def mod_inverse(u: ResidueInt):
     """Multiplicative inverse of a unit mod p^k."""
     if u.residue % u.modulus.p == 0:
@@ -309,16 +274,3 @@ def unit_pow(u: ResidueInt, e):
         raise BaseNotOneUnit(f"{u.residue} is not a 1-unit mod {m}")
     exp = reduce_exponent(e, m)
     return ResidueInt(pow(u.residue, exp, m.value), m)
-
-
-def lucas_binomial_mod_p(a, b, p):
-    """C(a, b) mod p as the digitwise product of small binomials."""
-    r = 1
-    while b:
-        da, db = a % p, b % p
-        if db > da:
-            return 0
-        r = r * math.comb(da, db) % p
-        a //= p
-        b //= p
-    return r

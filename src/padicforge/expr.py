@@ -299,10 +299,6 @@ def compile_map(f, m: Modulus) -> Callable[[int], int]:
     raise TypeError(f"cannot evaluate {type(f).__name__} as a map")
 
 
-def eval_expr(e: FnExpr, x: ResidueInt) -> ResidueInt:
-    return ResidueInt(compile_map(e, x.modulus)(x.residue), x.modulus)
-
-
 def evaluator(e: FnExpr, m: Modulus):
     """Plain int -> int closure for bulk evaluation loops; see compile_map."""
     return compile_map(e, m)

@@ -12,16 +12,12 @@ from fractions import Fraction
 import json
 
 from .core import Modulus, ResidueInt, digits, ord_p
-from .expr import _BITWISE, BitwiseOddPrime, FnExpr, compile_map, eval_expr, evaluator
-from .mahler import RationalPoly
+from .expr import _BITWISE, BitwiseOddPrime, FnExpr, compile_map, evaluator
+from .mahler import DEGREE_CAP, RationalPoly
 
 
 class CDivisibleByP(ValueError):
     """Linear coefficient of a construction is not a unit."""
-
-
-class NotClassB(ValueError):
-    """Expression outside the polynomial/rational/exponential closure."""
 
 
 class LengthMismatch(ValueError):
@@ -107,10 +103,11 @@ def compose(outer, inner):
     return FnExpr("COMPOSE", (outer, inner))
 
 
-def _one_unit_base(base: FnExpr, p: int) -> bool:
+def _holds_mod_p(e: FnExpr, p: int, pred) -> bool:
+    """pred holds at every value of e on Z/p; an evaluation error is a miss."""
     try:
-        fn = compile_map(base, Modulus(p, 1))
-        return all(fn(r) == 1 % p for r in range(p))
+        fn = compile_map(e, Modulus(p, 1))
+        return all(pred(fn(r)) for r in range(p))
     except (ValueError, ArithmeticError):
         return False
 
@@ -121,28 +118,23 @@ def is_class_b(e: FnExpr, p: int) -> bool:
     Polynomials with p-integral coefficients, inversions of pointwise
     units, powers of 1-unit bases, and sums/products/compositions of
     those.  Bitwise nodes are outside.  Semantic POW/INV checks run mod p
-    only; 1-Lipschitz closure makes that decisive.
+    only; 1-Lipschitz closure makes that decisive.  They run after the
+    structural walk, which keeps an explicit stack, so no tree is too deep.
     """
-    kind = e.kind
-    if kind == "VAR":
-        return True
-    if kind == "CONST":
-        return e.value.denominator % p != 0
-    if kind == "POLY":
-        return all(c.denominator % p != 0 for c in e.poly.coeffs)
-    if kind in _BITWISE:
-        return False
-    if not all(is_class_b(c, p) for c in e.children):
-        return False
-    if kind == "POW":
-        return e.base_verified or _one_unit_base(e.children[0], p)
-    if kind == "INV":
-        try:
-            fn = compile_map(e.children[0], Modulus(p, 1))
-            return all(fn(r) != 0 for r in range(p))
-        except (ValueError, ArithmeticError):
+    stack, semantic = [e], []
+    while stack:
+        node = stack.pop()
+        kind = node.kind
+        if kind in _BITWISE or (kind == "CONST" and node.value.denominator % p == 0):
             return False
-    return True
+        if kind == "POLY" and any(c.denominator % p == 0 for c in node.poly.coeffs):
+            return False
+        if kind == "POW" and not node.base_verified:
+            semantic.append((node.children[0], lambda v: v == 1))
+        elif kind == "INV":
+            semantic.append((node.children[0], lambda v: v != 0))
+        stack.extend(node.children)
+    return all(_holds_mod_p(arg, p, pred) for arg, pred in semantic)
 
 
 def build_measure_preserving(v: FnExpr, c, d, p: int) -> FnExpr:
@@ -159,13 +151,6 @@ def build_ergodic(v: FnExpr, c, p: int) -> FnExpr:
     if ord_p(c, p) != 0:
         raise CDivisibleByP(f"additive constant {c} is not a unit mod {p}")
     return add(add(const(c), var()), mul(const(p), delta(v)))
-
-
-def build_ergodic_4_12(g: FnExpr, p: int) -> FnExpr:
-    """1 + x + p^2*g(x) for g in the class-B closure."""
-    if not is_class_b(g, p):
-        raise NotClassB("g must lie in the polynomial/rational/exponential closure")
-    return add(add(const(1), var()), mul(const(p * p), g))
 
 
 def build_composite_generator(
@@ -263,6 +248,10 @@ def triangle_is_transitive_form(t: BoolTriangle) -> bool:
 # --- DSL ---------------------------------------------------------------------
 
 _FUNCS = frozenset(("xor", "and", "or", "neg", "inv", "ff", "delta"))
+# Deepest nesting of parentheses, calls and unary minus the parser accepts.
+# A level costs up to six parser frames and two compiler frames, so this
+# stays well inside Python's default recursion limit of 1000.
+_MAX_NESTING = 100
 _SYMBOLS = "+-*/^(),"
 
 
@@ -312,6 +301,7 @@ class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -388,20 +378,25 @@ class _Parser:
                     raise DslSyntaxError("zero denominator", line, col)
                 return const(Fraction(value, den))
             return const(value)
+        if kind == "IDENT" and value == "x":
+            return var()
+        if kind == "IDENT" and value not in _FUNCS:
+            raise UnknownIdentifier(f"unknown identifier {value!r}", line, col)
+        if kind not in ("(", "-", "IDENT"):
+            raise DslSyntaxError(f"unexpected {value!r}", line, col)
+        if self.depth == _MAX_NESTING:
+            raise DslSyntaxError(f"nesting deeper than {_MAX_NESTING} levels", line, col)
+        self.depth += 1
         if kind == "(":
             e = self.bitexpr()
             self.expect(")")
-            return e
-        if kind == "-":
+        elif kind == "-":
             inner = self.atom()
-            return const(-inner.value) if inner.kind == "CONST" else sub(const(0), inner)
-        if kind == "IDENT":
-            if value == "x":
-                return var()
-            if value in _FUNCS:
-                return self.call(value, line, col)
-            raise UnknownIdentifier(f"unknown identifier {value!r}", line, col)
-        raise DslSyntaxError(f"unexpected {value!r}", line, col)
+            e = const(-inner.value) if inner.kind == "CONST" else sub(const(0), inner)
+        else:
+            e = self.call(value, line, col)
+        self.depth -= 1
+        return e
 
     def call(self, name, line, col):
         self.expect("(")
@@ -424,6 +419,8 @@ class _Parser:
                     "ff needs a nonnegative integer degree", line, col
                 )
             n = int(deg.value)
+            if n > DEGREE_CAP:
+                raise DslSyntaxError(f"ff degree {n} is above the cap {DEGREE_CAP}", line, col)
             return poly_node(RationalPoly([0] * n + [1], "falling"))
         build = {
             "xor": xor, "and": and_, "or": or_,
@@ -437,7 +434,8 @@ def parse_dsl(text: str) -> FnExpr:
 
     Grammar: infix + - * ^ with function forms xor/and/or/neg/inv/delta
     and the falling-factorial atom ff(x, n); infix xor/and/or bind loosest.
-    Rational literals are written a/b.
+    Rational literals are written a/b.  Nesting deeper than _MAX_NESTING
+    and ff degrees above DEGREE_CAP are syntax errors.
     """
     return _Parser(text).parse()
 

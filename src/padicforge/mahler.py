@@ -262,10 +262,6 @@ class MahlerSeries:
     def degree(self):
         return len(self.coeffs) - 1
 
-    def is_integer_valued(self):
-        """True iff every coefficient is a p-adic integer."""
-        return all(c.denominator % self.p != 0 for c in self.coeffs)
-
     def _require_integer_valued(self):
         for i, c in enumerate(self.coeffs):
             if c.denominator % self.p == 0:

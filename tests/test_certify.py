@@ -14,16 +14,13 @@ from padicforge.certify import (
     GENERIC_COMPATIBLE,
     MultiPoly,
     NotBijective,
-    NotClassA,
     PROVEN,
     QP_POLY_INTVAL,
     REFUTED,
     UNKNOWN,
     Z_POLY,
     bijective_mod,
-    class_b_membership,
     compatibility_certificate,
-    derivative_mod_p,
     equiprobable_mod,
     ergodicity_certificate,
     infer_class,
@@ -33,7 +30,7 @@ from padicforge.certify import (
     transitive_mod,
     triangle_ergodicity_certificate,
 )
-from padicforge.core import Modulus, ResidueInt
+from padicforge.core import Modulus
 from padicforge.funcalg import (
     BoolTriangle,
     add,
@@ -43,6 +40,7 @@ from padicforge.funcalg import (
     delta,
     expr_from_json,
     expr_to_json,
+    is_class_b,
     mul,
     parse_dsl,
     var,
@@ -57,7 +55,6 @@ from padicforge.mahler import (
 
 from oracles import (
     eval_tree,
-    falling_value,
     is_transitive,
     mahler_value,
     poly_eval_mod,
@@ -489,6 +486,74 @@ class TestMeasurePreservationCertificate:
         assert cert.verdict == REFUTED and cert.theorem == "T2_1"
 
 
+def cell(cert):
+    """The part of a certificate the (property, class) tables decide."""
+    return (cert.verdict, cert.theorem,
+            (cert.checked_modulus.p, cert.checked_modulus.k), cert.witness)
+
+
+class TestCertificateTableCells:
+    """Literal (verdict, theorem, modulus, witness) for each table cell and
+    fallback that the route tests above leave unpinned."""
+
+    def test_threshold_walk_not_bijective(self):
+        cert = ergodicity_certificate(parse_dsl("1 + x*x"), 2)
+        assert cell(cert) == (REFUTED, "T4_9", (2, 3), {"reason": "not bijective"})
+
+    def test_class_a_at_three_uses_lam_plus_two(self):
+        a = FunctionClass(CLASS_A)
+        for coeffs, erg in (([1, 1, 9], (PROVEN, "T4_1", (3, 3), None)),
+                            ([1, 1, 3], (REFUTED, "T4_1", (3, 3), {"cycle_through_zero": 3}))):
+            f = RationalPoly(coeffs)  # lam = 1
+            assert cell(ergodicity_certificate(f, 3, cls=a)) == erg
+            assert cell(measure_preservation_certificate(f, 3, cls=a)) == (
+                PROVEN, "T4_1", (3, 3), None)
+        lam2 = FunctionClass(CLASS_A, lam=2)
+        f = RationalPoly([1, 1, 9])
+        assert cell(ergodicity_certificate(f, 3, cls=lam2)) == (PROVEN, "T4_1", (3, 4), None)
+        assert cell(measure_preservation_certificate(f, 3, cls=lam2)) == (
+            PROVEN, "T4_1", (3, 4), None)
+
+    def test_class_a_sextic_at_odd_primes(self):
+        a = FunctionClass(CLASS_A)
+        want = {
+            5: ((PROVEN, "T4_1", (5, 2), None), (PROVEN, "T4_1", (5, 3), None)),
+            7: ((REFUTED, "T4_1", (7, 2), {"reason": "not bijective"}),
+                (REFUTED, "T4_1", (7, 3), {"collision": [2, 9]})),
+            3: ((REFUTED, "T2_1", (3, 1), {"reason": "not compatible"}),
+                (REFUTED, "T2_1", (3, 1), {"reason": "not compatible"})),
+        }
+        for p, (erg, mp) in want.items():
+            assert cell(ergodicity_certificate(ff6_gen(), p, cls=a)) == erg
+            assert cell(measure_preservation_certificate(ff6_gen(), p, cls=a)) == mp
+
+    def test_class_a_without_lam_needs_a_polynomial(self):
+        series = series_from_poly(ff6_gen(), 5)
+        for certificate in (ergodicity_certificate, measure_preservation_certificate):
+            with pytest.raises(ValueError, match="needs lam"):
+                certificate(series, 5, cls=FunctionClass(CLASS_A))
+
+    def test_measure_shape_only(self):
+        f = parse_dsl("1 + 3*x + 2*(x xor 3)")
+        assert cell(measure_preservation_certificate(f, 2)) == (PROVEN, "L2_5", (2, 2), None)
+        assert cell(ergodicity_certificate(f, 2)) == (
+            UNKNOWN, "BRUTE_ONLY", (2, 14), {"transitive_up_to": 14})
+
+    def test_brute_probe_not_bijective(self):
+        f = parse_dsl("1 + (x and 6)")
+        assert cell(ergodicity_certificate(f, 2)) == (
+            REFUTED, "BRUTE_ONLY", (2, 14), {"reason": "not bijective"})
+        assert cell(measure_preservation_certificate(f, 2)) == (
+            REFUTED, "BRUTE_ONLY", (2, 14), {"collision": [0, 1]})
+
+    def test_shift_family_at_three(self):
+        # the 1/9 leaf keeps it out of class B, inv keeps it from folding
+        f = parse_dsl("1 + x + 3*delta((1/9)*ff(x,9) + inv(1 + 3*x))")
+        assert infer_class(f, 3).tag == GENERIC_COMPATIBLE
+        assert cell(ergodicity_certificate(f, 3)) == (PROVEN, "L2_5", (3, 3), None)
+        assert cell(measure_preservation_certificate(f, 3)) == (PROVEN, "L2_5", (3, 2), None)
+
+
 class TestCompatibilityCertificate:
     def test_polynomials(self):
         assert compatibility_certificate(RationalPoly([4, 9, 3]), 2).verdict == PROVEN
@@ -515,9 +580,9 @@ class TestCompatibilityCertificate:
 
 class TestClassBMembership:
     def test_examples(self):
-        assert class_b_membership(parse_dsl("x*x*x + 7*x"), 5)
-        assert class_b_membership(parse_dsl("(1+2*x)^x"), 2)
-        assert not class_b_membership(parse_dsl("x xor 1"), 2)
+        assert is_class_b(parse_dsl("x*x*x + 7*x"), 5)
+        assert is_class_b(parse_dsl("(1+2*x)^x"), 2)
+        assert not is_class_b(parse_dsl("x xor 1"), 2)
 
 
 class TestTriangleCertificate:
@@ -549,50 +614,6 @@ class TestTriangleCertificate:
         cert = triangle_ergodicity_certificate(t)
         assert cert.verdict == REFUTED
         assert cert.witness["layer"] == 0
-
-
-class TestDerivativeModP:
-    def test_square_matches_formal_derivative(self):
-        f = series_from_poly(RationalPoly([0, 0, 1]), 5)
-        for x in range(25):
-            got = derivative_mod_p(f, ResidueInt(x, Modulus(5, 2)), 1)
-            assert got.residue == (2 * x) % 25
-
-    def test_constant_and_identity(self):
-        const = MahlerSeries([7], 5)
-        ident = MahlerSeries([0, 1], 5)
-        for x in (0, 3, 11):
-            r = ResidueInt(x, Modulus(5, 2))
-            assert derivative_mod_p(const, r, 1).residue == 0
-            assert derivative_mod_p(ident, r, 1).residue == 1
-
-    def test_p2_rejected(self):
-        f = series_from_poly(RationalPoly([0, 0, 1]), 2)
-        with pytest.raises(NotClassA):
-            derivative_mod_p(f, ResidueInt(1, Modulus(2, 2)), 1)
-
-    def test_non_integral_derivative_rejected(self):
-        # C(x,5) at p=5 has 5-adic derivative 1/5 at 0
-        f = MahlerSeries([0, 0, 0, 0, 0, 1], 5)
-        with pytest.raises(NotClassA):
-            derivative_mod_p(f, ResidueInt(0, Modulus(5, 2)), 2)
-
-    def test_difference_quotient_congruence(self):
-        # step p^(lam+1) * unit, quotient must agree mod p^2
-        p, lam = 5, 1
-        psq = p * p
-        for poly in (RationalPoly([0, 0, 1]), ff6_gen(), RationalPoly([2, 3, 0, 5])):
-            series = series_from_poly(poly, p)
-            step = p ** (lam + 1)
-            for x in range(0, p ** (lam + 2), 7):
-                want_at = None
-                got = derivative_mod_p(series, ResidueInt(x, Modulus(p, 3)), lam).residue
-                for h in (1, 2, 4):
-                    q = (falling_value(poly.to_falling().coeffs, x + step * h)
-                         - falling_value(poly.to_falling().coeffs, x)) / (step * h)
-                    assert q.denominator % p != 0
-                    q_mod = q.numerator * pow(q.denominator, -1, psq) % psq
-                    assert q_mod == got
 
 
 class TestCertificateJson:

@@ -1,13 +1,15 @@
 """CLI surface: exit codes, report schema conformance, byte output."""
 
+import hashlib
 import json
+import time
 
 import pytest
 from jsonschema import Draft202012Validator
 
 from padicforge.cli import main, report_schema
 from padicforge.core import Modulus
-from padicforge.funcalg import parse_dsl
+from padicforge.funcalg import _MAX_NESTING, parse_dsl
 from padicforge.genlib import emit_bytes, make_generator, spec_to_json
 
 XORGEN = "1 + x + 2*delta(x xor (2*x + 1))"
@@ -137,6 +139,12 @@ class TestGen:
         spec = make_generator(parse_dsl(XORGEN), Modulus(2, 16), 3)
         assert captured.out == emit_bytes(spec, 16)
 
+    def test_readme_stream_bytes_pinned(self, capsysbinary):
+        rc = main(["gen", XORGEN, "-p", "2", "-k", "32", "--seed", "1", "--count", "4096"])
+        assert rc == 0
+        digest = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
+        assert digest == "70da7f67f7669a9c0c2d5248472d033b84e7554ca8ab7e7e47106a2726e21b71"
+
     def test_refuted_state_map_exits_5(self, capsysbinary):
         rc = main(["gen", "-p", "2", "-k", "8", "x"])
         assert rc == 5
@@ -244,6 +252,42 @@ class TestRepro:
         assert rc == 0
         out = capsys.readouterr().out
         assert "ok  " in out and "0 failed" in out
+
+
+def timed_certify(source):
+    t0 = time.perf_counter()
+    rc = main(["certify", "-p", "2", source])
+    return rc, time.perf_counter() - t0
+
+
+class TestHostileInput:
+    """Inputs that once ended in a traceback or an unbounded run."""
+
+    def test_flat_sum_of_3000_terms(self, capsys):
+        rc, elapsed = timed_certify("+".join(["x"] * 3000))
+        assert rc == 5 and elapsed < 1.0
+        assert "T4_9" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("opener", ["(", "neg("])
+    def test_nesting_up_to_the_limit_certifies(self, capsys, opener):
+        for depth in (_MAX_NESTING - 1, _MAX_NESTING):
+            rc, _ = timed_certify(opener * depth + "x" + ")" * depth)
+            assert rc in (0, 2, 3, 4, 5)
+            assert "nesting" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("opener", ["(", "neg(", "- "])
+    def test_nesting_past_the_limit_exits_2(self, capsys, opener):
+        for depth in (_MAX_NESTING + 1, 3000):
+            closer = "" if opener == "- " else ")"
+            rc, elapsed = timed_certify("x + " + opener * depth + "x" + closer * depth)
+            assert rc == 2 and elapsed < 1.0
+            assert f"nesting deeper than {_MAX_NESTING} levels" in capsys.readouterr().err
+
+    def test_falling_factorial_degree_capped_at_parse(self, capsys):
+        t0 = time.perf_counter()
+        assert main(["check", "ff(x, 100000)", "-p", "2", "-k", "3"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "cap 64" in capsys.readouterr().err
 
 
 class TestParser:

@@ -1,4 +1,4 @@
-"""compile_map, evaluator and eval_expr against the node-by-node interpreter.
+"""compile_map and evaluator against the node-by-node interpreter.
 
 oracles.eval_tree is the tree interpreter the library evaluated
 expressions with before it compiled them.  Every compiled value, and every
@@ -15,8 +15,8 @@ from oracles import eval_tree, poly_eval_mod, random_integer_valued_poly
 
 from padicforge import funcalg as fa
 from padicforge.certify import MultiPoly
-from padicforge.core import BaseNotOneUnit, Modulus, NotAUnit, ResidueInt
-from padicforge.funcalg import BitwiseOddPrime, compile_map, eval_expr, evaluator, parse_dsl
+from padicforge.core import BaseNotOneUnit, Modulus, NotAUnit
+from padicforge.funcalg import BitwiseOddPrime, compile_map, evaluator, parse_dsl
 from padicforge.mahler import NotIntegerValued, RationalPoly
 
 X = fa.var()
@@ -53,7 +53,7 @@ def test_corpus_matches_tree_interpreter(p):
     for e in trees[:10]:
         step = evaluator(e, m)
         for x in range(m.value):
-            assert step(x) == eval_expr(e, ResidueInt(x, m)).residue == eval_tree(e, x, m)
+            assert step(x) == eval_tree(e, x, m)
 
 
 def test_delta_of_non_lipschitz_poly_uses_exact_point():

@@ -9,12 +9,8 @@ from padicforge.core import (
     CompositeModulus,
     Modulus,
     NotAUnit,
-    PrecisionShortfall,
     ResidueInt,
-    binomial_eval,
     digits,
-    falling_factorial,
-    lucas_binomial_mod_p,
     mod_inverse,
     ord_p,
     ord_p_factorial,
@@ -99,49 +95,6 @@ def test_ord_p_factorial_matches_direct():
             assert ord_p_factorial(i, p) == ord_p(math.factorial(i), p) or i == 0
 
 
-def test_binomial_eval():
-    assert binomial_eval(5, 2, Modulus(2, 3)).residue == 2  # C(5,2)=10
-    assert binomial_eval(7, 0, Modulus(3, 2)).residue == 1
-    assert binomial_eval(7, 3, Modulus(5, 2)).residue == 10  # C(7,3)=35
-
-
-def test_binomial_eval_precision_contract():
-    # C(x,2) mod 2^3 needs x mod 2^4 (ord_2(2!)=1): a 2^4 lift passes,
-    # a bare 2^3 residue is a shortfall.
-    target = Modulus(2, 3)
-    lifted = Modulus(2, 4).residue(13)
-    assert binomial_eval(lifted, 2, target).residue == math.comb(13, 2) % 8
-    with pytest.raises(PrecisionShortfall):
-        binomial_eval(Modulus(2, 3).residue(5), 2, target)
-    with pytest.raises(ValueError):
-        binomial_eval(Modulus(3, 9).residue(5), 2, target)
-    # exact ints carry unbounded precision
-    assert binomial_eval(2**30 + 5, 2, target).residue == math.comb(2**30 + 5, 2) % 8
-
-
-def test_binomial_eval_well_defined_at_declared_precision():
-    # lifts that agree mod p^{k+ord_p(i!)} give the same C(x,i) mod p^k
-    target = Modulus(2, 4)
-    for i in (2, 3, 4):
-        need = 4 + ord_p_factorial(i, 2)
-        step = 2**need
-        for x in range(0, 64):
-            a = binomial_eval(x, i, target).residue
-            b = binomial_eval(x + 3 * step, i, target).residue
-            assert a == b
-
-
-def test_falling_factorial():
-    assert falling_factorial(Modulus(2, 4).residue(5), 2).residue == 4
-    assert falling_factorial(Modulus(7, 3).residue(11), 0).residue == 1
-    # six consecutive integers starting at 3 include 0
-    assert falling_factorial(Modulus(2, 6).residue(3), 6).residue == 0
-    m = Modulus(5, 3)
-    for x in range(0, 30):
-        want = math.prod(x - j for j in range(4)) % m.value
-        assert falling_factorial(m.residue(x), 4).residue == want
-
-
 def test_mod_inverse():
     assert mod_inverse(Modulus(2, 4).residue(3)).residue == 11
     assert mod_inverse(Modulus(7, 5).residue(1)).residue == 1
@@ -202,20 +155,6 @@ def test_unit_pow_order_divides_pk():
         for u in range(m.value):
             if (p == 2 and u % 2 == 1) or (p != 2 and u % p == 1):
                 assert unit_pow(m.residue(u), m.value).residue == 1
-
-
-def test_lucas_binomial():
-    assert lucas_binomial_mod_p(7, 3, 2) == 1
-    assert lucas_binomial_mod_p(5, 2, 5) == 0
-    assert lucas_binomial_mod_p(10, 5, 3) == 0
-
-
-def test_lucas_matches_exact_binomial():
-    # math.comb(a, b) is 0 for b > a, matching the digit test
-    for p in (2, 3, 5, 7):
-        for a in range(200):
-            for b in range(200):
-                assert lucas_binomial_mod_p(a, b, p) == math.comb(a, b) % p
 
 
 def test_composite_modulus():

@@ -14,13 +14,11 @@ from padicforge.funcalg import (
     CDivisibleByP,
     DslSyntaxError,
     LengthMismatch,
-    NotClassB,
     UnknownIdentifier,
     build_composite_generator,
     build_ergodic,
-    build_ergodic_4_12,
     build_measure_preserving,
-    eval_expr,
+    compile_map,
     evaluator,
     expr_from_json,
     expr_to_json,
@@ -35,7 +33,7 @@ X = fa.var()
 
 
 def ev(e, x, p, k):
-    return int(eval_expr(e, ResidueInt(x % p**k, Modulus(p, k))))
+    return compile_map(e, Modulus(p, k))(x % p**k)
 
 
 def table(e, p, k):
@@ -199,25 +197,6 @@ def test_build_ergodic_trivial_and_corpus():
             v = random_compatible_ast(rng, p, rng.randint(1, 4))
             f = build_ergodic(v, 1 + p * rng.randint(0, 2), p)
             assert is_transitive(table(f, p, k)), (p, expr_to_json(v))
-
-
-def test_build_ergodic_4_12():
-    cube = fa.poly_node(RationalPoly([0, 0, 0, 1]))
-    f3 = build_ergodic_4_12(cube, 3)
-    tab = table(f3, 3, 8)
-    assert is_transitive(tab)
-    # p=2 and p=5 components of 1 + x + 100 x^3
-    f2 = build_ergodic_4_12(fa.poly_node(RationalPoly([0, 0, 0, 25])), 2)
-    f5 = build_ergodic_4_12(fa.poly_node(RationalPoly([0, 0, 0, 4])), 5)
-    for f, p in ((f2, 2), (f5, 5)):
-        tab = table(f, p, 5)
-        assert is_transitive(tab)
-        assert tab[7] == (1 + 7 + 100 * 343) % p**5
-    assert table(build_ergodic_4_12(fa.const(0), 7), 7, 2) == [
-        (1 + x) % 49 for x in range(49)
-    ]
-    with pytest.raises(NotClassB):
-        build_ergodic_4_12(fa.xor(X, fa.const(1)), 2)
 
 
 def test_is_class_b():
