@@ -17,6 +17,11 @@ of the remaining block comes from one gcd with p^k, and ties go to the
 first such entry in row-major order.  A UNIT relation is also an ANY
 relation, so when the ANY scan finds nothing up to r_max the UNIT flavor
 is reported as NoneFoundUpTo(r_max) without scanning again.
+
+A cheap bound rules out low orders first.  An affine relation of order r
+gives dx_{n+r} = sum c_j dx_{n+j}, dx_n = x_{n+1} - x_n, on every window,
+so the scans skip the orders that fail on the first 2*r_max + 2
+differences: they would fail on the full period, so reports are the same.
 """
 
 from __future__ import annotations
@@ -116,9 +121,10 @@ def _solve_mod_pk(rows: List[List[int]], rhs: List[int], p: int, k: int):
     exact division whatever the later variables are.  The least valuation
     e comes from one gcd of p^k with the remaining block, taken row by row
     and stopped at 1; p^k itself means the block is all zero.  The pivot is
-    the first entry in row-major order not divisible by p^(e+1).  Kernel
-    generators come in two kinds: one per free column, and one per pivot
-    whose valuation e leaves p^(k-e) of slack.
+    the first entry in row-major order not divisible by p^(e+1).  Rows are
+    updated from the pivot column on; the columns left of it are zero.
+    Kernel generators come in two kinds: one per free column, and one per
+    pivot whose valuation e leaves p^(k-e) of slack.
     """
     m = p ** k
     a = [[v % m for v in row] for row in rows]
@@ -150,12 +156,12 @@ def _solve_mod_pk(rows: List[List[int]], rhs: List[int], p: int, k: int):
                 row[t], row[bj] = row[bj], row[t]
             col_of[t], col_of[bj] = col_of[bj], col_of[t]
         inv_unit = pow(a[t][t] // pe, -1, m)
-        a[t] = [v * inv_unit % m for v in a[t]]
+        a[t][t:] = pivot_row = [v * inv_unit % m for v in a[t][t:]]
         b[t] = b[t] * inv_unit % m
         for i in range(t + 1, nrows):
             if a[i][t]:
                 q = a[i][t] // pe
-                a[i] = [(vi - q * vt) % m for vi, vt in zip(a[i], a[t])]
+                a[i][t:] = [(vi - q * vt) % m for vi, vt in zip(a[i][t:], pivot_row)]
                 b[i] = (b[i] - q * b[t]) % m
         piv_val.append(e)
         t += 1
@@ -242,6 +248,28 @@ def _relation_at_order(seq: Sequence[int], m: Modulus, r: int,
         chosen.add(violated)
 
 
+def _prefix_lower_bound(seq: Sequence[int], m: Modulus, r_max: int) -> int:
+    """Least order that a short prefix of differences leaves open.
+
+    With dx_n = x_{n+1} - x_n (cyclic), a full-period relation of order r
+    gives dx_{n+r} = sum c_j dx_{n+j} on every window, so an order whose
+    windows over the first min(period, 2*r_max + 2) differences have no
+    solution has no relation at all.  Returns r_max + 1 when every order
+    up to r_max is ruled out; an order with no more equations than
+    unknowns is not decided and ends the search as the bound.
+    """
+    period = len(seq)
+    n = min(period, 2 * r_max + 2)
+    diff = [(seq[(i + 1) % period] - seq[i]) % m.value for i in range(n)]
+    for r in range(1, r_max + 1):
+        if n - r <= r:
+            return r
+        rows = [diff[i:i + r] for i in range(n - r)]
+        if _solve_mod_pk(rows, diff[r:], m.p, m.k) is not None:
+            return r
+    return r_max + 1
+
+
 def _least_order(seq, m, r_max, unit_only, r_start=1):
     for r in range(r_start, r_max + 1):
         rel = _relation_at_order(seq, m, r, unit_only)
@@ -269,10 +297,14 @@ def affine_linear_complexity(seq: Sequence[int], m: Modulus,
     relation is also an ANY relation, and the ANY scan misses an order only
     when the system at that order has no solution at all, so after an ANY
     miss up to r_max the UNIT flavor is reported as a miss without a scan.
+    The ANY scan starts at _prefix_lower_bound: orders below it fail on a
+    prefix of the differences, hence on the full period, so the relation
+    is the one a scan from order 1 finds; a bound past r_max is a miss.
     """
     seq = list(seq)
     _check_buffer(seq, m)
-    any_rel = _least_order(seq, m, r_max, unit_only=False)
+    any_rel = _least_order(seq, m, r_max, unit_only=False,
+                           r_start=_prefix_lower_bound(seq, m, r_max))
     if any_rel is None or any_rel.has_unit_coeff(m.p):
         unit_rel = any_rel
     else:
@@ -335,7 +367,7 @@ def complexity_growth_profile(state_fn: MapLike, p: int, k_range,
     The state map must carry a PROVEN ergodicity certificate, which also
     guarantees the orbit is one full period of length p^k.  Complexity is
     nondecreasing in k (a relation mod p^k holds mod p^(k-1), units stay
-    units), so each scan resumes at the previous level's order.
+    units), so each scan starts at max(previous order, prefix bound).
     """
     cert = ergodicity_certificate(state_fn, p, cls=cls)
     if cert.verdict != PROVEN:
@@ -346,7 +378,8 @@ def complexity_growth_profile(state_fn: MapLike, p: int, k_range,
         m = Modulus(p, k)
         seq = orbit(compile_map(state_fn, m), m)
         _check_buffer(seq, m)
-        rel = _least_order(seq, m, r_max, unit_only=True, r_start=r_floor)
+        rel = _least_order(seq, m, r_max, unit_only=True,
+                           r_start=max(r_floor, _prefix_lower_bound(seq, m, r_max)))
         if rel is None:
             out.append((k, NoneFoundUpTo(r_max)))
             r_floor = r_max + 1

@@ -210,19 +210,6 @@ def ord_p(n, p):
     return e
 
 
-def digit_sum(n, p):
-    s = 0
-    while n:
-        s += n % p
-        n //= p
-    return s
-
-
-def ord_p_factorial(i, p):
-    """ord_p(i!) via the digit-sum identity (i - wt_p(i)) / (p - 1)."""
-    return (i - digit_sum(i, p)) // (p - 1)
-
-
 def digits(x: ResidueInt):
     """Base-p digit vector of x, least significant first, padded to length k."""
     out = []

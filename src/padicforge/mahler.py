@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import Modulus, ResidueInt, ord_p, ord_p_factorial
+from .core import Modulus, ResidueInt, ord_p
 
 DEGREE_CAP = 64
 

@@ -27,6 +27,7 @@ from padicforge.funcalg import parse_dsl
 from padicforge.genlib import NotBinaryModulus, NotCertified, emit_bytes, make_generator
 from padicforge.mahler import MahlerSeries, RationalPoly
 
+from corpus import random_compatible_ast
 from oracles import solve_mod_pk_fullscan, value_table
 
 
@@ -282,7 +283,8 @@ class TestAffineComplexity:
 
     def test_unit_scan_skipped_after_any_miss(self, monkeypatch):
         # a UNIT relation is an ANY relation, so an ANY miss up to r_max is
-        # a UNIT miss too: the orders are scanned once, not twice
+        # a UNIT miss too: the orders from the prefix bound on are scanned
+        # once, not twice
         cases = []
         for k, r_max in ((4, 1), (6, 1)):
             m = Modulus(2, k)
@@ -291,6 +293,11 @@ class TestAffineComplexity:
         for k, r_max in ((5, 2), (8, 4)):
             m = Modulus(2, k)
             cases.append((analysis.orbit(compile_map(shift, m), m), m, r_max))
+        # the first six differences are all 1, so the prefix leaves order 1
+        # open, but the full period has no relation up to order 2
+        planted = [0, 1, 2, 3, 4, 5, 6, 3, 5, 1]
+        cases.append((planted, Modulus(2, 3), 2))
+        assert analysis._prefix_lower_bound(planted, Modulus(2, 3), 2) == 1
         real = analysis._relation_at_order
         calls = []
 
@@ -301,9 +308,10 @@ class TestAffineComplexity:
         monkeypatch.setattr(analysis, "_relation_at_order", counting)
         for seq, m, r_max in cases:
             calls.clear()
+            bound = analysis._prefix_lower_bound(seq, m, r_max)
             rep = affine_linear_complexity(seq, m, r_max=r_max)
             assert rep.linear_complexity == NoneFoundUpTo(r_max)
-            assert calls == list(range(1, r_max + 1))
+            assert calls == list(range(bound, r_max + 1))
             assert rep.unit_complexity == NoneFoundUpTo(r_max)
             assert rep.unit_relation is None
             if m.value ** (r_max + 1) <= 1 << 15:
@@ -332,6 +340,88 @@ class TestAffineComplexity:
             affine_linear_complexity([], Modulus(2, 3))
         with pytest.raises(ValueError):
             affine_linear_complexity([1, 9], Modulus(2, 3))
+
+
+def planted_recurrence(rng, m, r):
+    """One full period of x_{n+r} = c + sum c_j x_{n+j} with c_0 a unit.
+
+    A unit c_0 makes the step on r-tuples a bijection, so the state
+    sequence is purely periodic and the relation holds cyclically.
+    """
+    coeffs = [rng.randrange(1, m.p) + m.p * rng.randrange(m.value // m.p)]
+    coeffs += [rng.randrange(m.value) for _ in range(r - 1)]
+    const = rng.randrange(m.value)
+    start = tuple(rng.randrange(m.value) for _ in range(r))
+    state, seq = start, []
+    while True:
+        seq.append(state[0])
+        nxt = (const + sum(c * x for c, x in zip(coeffs, state))) % m.value
+        state = state[1:] + (nxt,)
+        if state == start:
+            return seq
+
+
+def bound_corpus(seed, per_kind):
+    """(kind, seq, m, r_max) at p = 2, 3, 5 for the prefix-bound test."""
+    rng = random.Random(seed)
+    small = {2: (1, 2, 3, 4, 5), 3: (1, 2, 3), 5: (1, 2)}
+    for i in range(per_kind):
+        p = (2, 3, 5)[i % 3]
+        m = Modulus(p, rng.choice(small[p]))
+        fn = random_compatible_ast(rng, p, rng.randint(1, 3))
+        step = compile_map(fn, m)
+        yield "orbit", analysis.orbit(step, m, rng.randrange(m.value)), m, rng.randint(1, 5)
+        r = rng.randint(1, 3 if m.value <= 9 else 2)
+        yield "planted", planted_recurrence(rng, m, r), m, rng.randint(r, r + 2)
+        yield ("random", [rng.randrange(m.value) for _ in range(rng.randint(1, 40))],
+               m, rng.randint(1, 5))
+        yield "constant", [rng.randrange(m.value)] * rng.randint(1, 30), m, rng.randint(1, 5)
+        r_max = rng.randint(2, 6)
+        yield ("short", [rng.randrange(m.value) for _ in range(rng.randint(1, 2 * r_max + 1))],
+               m, r_max)
+
+
+class TestPrefixBound:
+    def test_bound_never_exceeds_least_order(self):
+        seen = {}
+        raised = ruled_out = 0
+        for kind, seq, m, r_max in bound_corpus(seed=31, per_kind=64):
+            seen[(kind, m.p)] = seen.get((kind, m.p), 0) + 1
+            bound = analysis._prefix_lower_bound(seq, m, r_max)
+            assert 1 <= bound <= r_max + 1
+            if m.value ** (r_max + 1) <= 4096:
+                want = brute_least_order(seq, m, r_max, unit_only=False)
+            else:
+                rel = analysis._least_order(seq, m, r_max, unit_only=False)
+                want = rel.order if rel else None
+            if want is not None:
+                assert bound <= want, (kind, seq, m, r_max, bound, want)
+            if kind == "planted":
+                assert want is not None
+            raised += bound > 1
+            ruled_out += bound > r_max
+        assert sum(seen.values()) >= 300
+        assert set(seen) == {(kind, p) for kind in
+                             ("orbit", "planted", "random", "constant", "short")
+                             for p in (2, 3, 5)}
+        assert raised >= 50 and ruled_out >= 20
+
+    def test_reports_identical_without_bound(self, monkeypatch):
+        cases = [(seq, m, r_max) for _, seq, m, r_max in bound_corpus(seed=37, per_kind=12)]
+        shift = parse_dsl("1 + x + 2*delta(x xor (2*x + 1))")
+        for k, r_max in ((5, 2), (7, 8), (8, 16)):
+            m = Modulus(2, k)
+            cases.append((analysis.orbit(compile_map(shift, m), m), m, r_max))
+        for k in (4, 6, 8):
+            m = Modulus(2, k)
+            cases.append((orbit_of_zero(lambda x: 1 + x + 4 * x * x, m), m, 4))
+            cases.append((orbit_of_zero(exception_fn, m), m, 3))
+        with_bound = [affine_linear_complexity(s, m, r).to_json() for s, m, r in cases]
+        profile = complexity_growth_profile(RationalPoly([1, 1, 4]), 2, range(3, 9), r_max=2)
+        monkeypatch.setattr(analysis, "_prefix_lower_bound", lambda seq, m, r_max: 1)
+        assert [affine_linear_complexity(s, m, r).to_json() for s, m, r in cases] == with_bound
+        assert complexity_growth_profile(RationalPoly([1, 1, 4]), 2, range(3, 9),
+                                         r_max=2) == profile
 
 
 class TestGrowthProfile:

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -13,7 +12,6 @@ from padicforge.core import (
     digits,
     mod_inverse,
     ord_p,
-    ord_p_factorial,
     unit_pow,
 )
 
@@ -87,12 +85,6 @@ def test_digits():
     for x in range(m.value):
         ds = digits(m.residue(x))
         assert sum(d * 3**i for i, d in enumerate(ds)) == x
-
-
-def test_ord_p_factorial_matches_direct():
-    for p in (2, 3, 5, 7):
-        for i in range(0, 200):
-            assert ord_p_factorial(i, p) == ord_p(math.factorial(i), p) or i == 0
 
 
 def test_mod_inverse():
