@@ -4,7 +4,7 @@ The package splits along the pipeline:
 
     core      exact Z/p^k arithmetic and p-adic primitives
     mahler    interpolation-series coefficients and the coefficient criteria
-    expr      expression nodes and their compile-once evaluation mod p^k
+    expr      expression nodes, their two walks and compile-once evaluation
     funcalg   the expression algebra (builders, DSL, ergodic constructors)
     certify   brute-force checkers and theorem-backed certificates
     genlib    the streaming generator engine

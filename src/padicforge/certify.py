@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .core import Modulus, ord_p
-from .expr import FnExpr, compile_map
+from .expr import FnExpr, compile_map, fold, nodes, operands
 from .funcalg import BoolTriangle, is_class_b, triangle_is_transitive_form
 from .mahler import (
     MahlerSeries,
@@ -291,48 +291,38 @@ def polynomial_bijectivity_certificate(f, p: int, cap: Optional[int] = None) -> 
     return Certificate(MEASURE_PRESERVING, REFUTED, "C3_10", m2, {"census": census}, elapsed())
 
 
-def _poly_from_expr(e: FnExpr, depth: int = 0) -> Optional[RationalPoly]:
+def _poly_from_expr(e: FnExpr) -> Optional[RationalPoly]:
     """Fold an AST into a RationalPoly when only polynomial nodes appear.
 
-    Returns None on any bitwise, POW, or INV node, or if intermediate
-    degrees blow past the series degree cap.
+    Returns None on any bitwise, POW, or INV node, or if a degree along
+    the way, chains taken left to right, blows past the series degree cap.
     """
-    if depth > 64:
+    if any(node.kind in ("XOR", "AND", "OR", "NEG", "POW", "INV") for node in nodes(e)):
         return None
-    k = e.kind
-    if k == "VAR":
-        return RationalPoly([0, 1])
-    if k == "CONST":
-        return RationalPoly([e.value])
-    if k == "POLY":
-        return e.poly
-    if k in ("ADD", "SUB", "MUL"):
-        a = _poly_from_expr(e.children[0], depth + 1)
-        b = _poly_from_expr(e.children[1], depth + 1)
-        if a is None or b is None:
+
+    def visit(node, vals, signs):
+        k = node.kind
+        if k == "VAR":
+            return RationalPoly([0, 1])
+        if k == "CONST":
+            return RationalPoly([node.value])
+        if k == "POLY":
+            return node.poly
+        if any(v is None for v in vals):  # a degree past the cap below
             return None
-        if k == "ADD":
-            out = a + b
-        elif k == "SUB":
-            out = a + b.scale(-1)
-        else:
-            out = a * b
-        return out if out.degree <= 64 else None
-    if k == "COMPOSE":
-        outer = _poly_from_expr(e.children[0], depth + 1)
-        inner = _poly_from_expr(e.children[1], depth + 1)
-        if outer is None or inner is None:
-            return None
-        if outer.degree * max(inner.degree, 1) > 64:
-            return None
-        return outer.compose(inner)
-    if k == "DELTA":
-        child = _poly_from_expr(e.children[0], depth + 1)
-        if child is None:
-            return None
-        shifted = child.compose(RationalPoly([1, 1]))
-        return shifted + child.scale(-1)
-    return None
+        if k == "DELTA":
+            return vals[0].compose(RationalPoly([1, 1])) + vals[0].scale(-1)
+        if k == "COMPOSE":
+            outer, inner = vals
+            return outer.compose(inner) if outer.degree * max(inner.degree, 1) <= 64 else None
+        out = vals[0]
+        for sign, v in zip(signs[1:], vals[1:]):
+            out = out * v if k == "MUL" else out + (v if sign == 1 else v.scale(-1))
+            if out.degree > 64:
+                return None
+        return out
+
+    return fold(e, visit)
 
 
 def infer_class(f: MapLike, p: int) -> FunctionClass:
@@ -369,23 +359,6 @@ def infer_class(f: MapLike, p: int) -> FunctionClass:
     return FunctionClass(GENERIC_COMPATIBLE)
 
 
-def _flatten_sum(e: FnExpr):
-    """Signed summand list of an ADD/SUB tree."""
-    out = []
-    stack = [(e, 1)]
-    while stack:
-        node, sign = stack.pop()
-        if node.kind == "ADD":
-            stack.append((node.children[0], sign))
-            stack.append((node.children[1], sign))
-        elif node.kind == "SUB":
-            stack.append((node.children[0], sign))
-            stack.append((node.children[1], -sign))
-        else:
-            out.append((sign, node))
-    return out
-
-
 def _split_scale(node: FnExpr):
     """Peel one constant factor off a MUL; scale 1 otherwise."""
     if node.kind == "MUL":
@@ -400,14 +373,8 @@ def _split_scale(node: FnExpr):
 def _compatible_leaves(e: FnExpr, p: int) -> bool:
     """Polynomial leaves must pass the coefficient test; every other node
     kind respects congruences by construction."""
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if node.kind == "POLY":
-            if not is_compatible(series_from_poly(node.poly, p)):
-                return False
-        stack.extend(node.children)
-    return True
+    return all(is_compatible(series_from_poly(node.poly, p))
+               for node in nodes(e) if node.kind == "POLY")
 
 
 def _shift_family(e: FnExpr, p: int) -> Optional[str]:
@@ -422,7 +389,8 @@ def _shift_family(e: FnExpr, p: int) -> Optional[str]:
     var_coeff = Fraction(0)
     saw_var = False
     rest = []
-    for sign, node in _flatten_sum(e):
+    summands = operands(e) if e.kind in ("ADD", "SUB") else ((1,), (e,))
+    for sign, node in zip(*summands):
         if node.kind == "CONST":
             consts += sign * node.value
             continue

@@ -813,8 +813,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except NotCertified as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN if UNKNOWN in str(exc) else EXIT_REFUTED
-    except (ValueError, OSError, EmptySequence, NotBinaryModulus) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, EmptySequence, NotBinaryModulus, RecursionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)  # RecursionError: input nested too deep
         return EXIT_PARSE
     _emit(report, args)
     return code

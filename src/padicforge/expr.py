@@ -1,4 +1,4 @@
-"""Expression nodes and their evaluation mod p^k, compiled once per modulus.
+"""Expression nodes, the walks over them, and their evaluation mod p^k.
 
 Every node kind except POLY computes a 1-Lipschitz function of its inputs,
 so arbitrary compositions stay 1-Lipschitz and evaluation mod p^k is well
@@ -10,10 +10,17 @@ POLY leaves own that choice.
 Bitwise nodes (XOR/AND/OR/NEG) act on base-2 digit expansions and are
 rejected outside p = 2.  POW bases must be 1-units and INV arguments
 units, both checked at every point.
+
+Every walk over a tree is one of two, each on an explicit stack, so no
+tree is too deep to walk: `nodes(e)` yields the nodes in post-order, and
+`fold(e, visit)` computes each node's value from its operands' values,
+handing every ADD/SUB, MUL, XOR, AND or OR chain to `visit` as one call.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import and_, or_, xor
 from typing import Callable
 
 from .core import BaseNotOneUnit, Modulus, NotAUnit, ResidueInt, mod_inverse
@@ -23,6 +30,10 @@ KINDS = frozenset(
     "VAR CONST ADD SUB MUL XOR AND OR NEG POW INV POLY DELTA COMPOSE".split()
 )
 _BITWISE = frozenset(("XOR", "AND", "OR", "NEG"))
+# A node absorbs the operands of a child of its own group: ADD and SUB
+# chain together, each other chain kind with itself.
+_GROUP = {"ADD": "+", "SUB": "+", "MUL": "*", "XOR": "^", "AND": "&", "OR": "|"}
+_BITOPS = {"XOR": xor, "AND": and_, "OR": or_}
 
 
 class BitwiseOddPrime(ValueError):
@@ -42,13 +53,69 @@ class FnExpr:
             raise ValueError(f"unknown node kind {self.kind!r}")
 
 
-# An expression compiles once per modulus into nested closures, a
-# straight-line program over Z/p^k: constants are reduced up front and
-# ADD/SUB/MUL chains become one n-ary closure with their constant operands
-# folded.  _compile returns an int for a subtree that is a constant and
-# cannot raise, and an int -> int closure for everything else.  A closure
-# takes the exact integer point, as the node semantics require: VAR
-# reduces it, POLY consumes it, DELTA shifts it.
+def nodes(root, children=None):
+    """Every node under root in post-order, children left to right first.
+    `children` reads a node's children, so any tree of nodes will do."""
+    order, todo = [], [root]
+    while todo:  # pre-order, right child first: post-order reversed
+        node = todo.pop()
+        order.append(node)
+        todo += node.children if children is None else children(node)
+    return reversed(order)
+
+
+def operands(node: FnExpr):
+    """(signs, operands) that fold hands to visit with node.  A chain gives
+    its operands left to right, a SUB negating its right side; any other
+    node gives its children, with signs 1."""
+    group = _GROUP.get(node.kind)
+    if group is None:
+        return (1,) * len(node.children), node.children
+    a, b = node.children
+    if _GROUP.get(a.kind) != group != _GROUP.get(b.kind):  # the common case
+        return (1, -1 if node.kind == "SUB" else 1), node.children
+    signs, ops, todo = [], [], [(1, node)]
+    while todo:
+        sign, n = todo.pop()
+        if _GROUP.get(n.kind) == group:
+            a, b = n.children
+            todo += [(-sign if n.kind == "SUB" else sign, b), (sign, a)]
+        else:
+            signs.append(sign)
+            ops.append(n)
+    return signs, ops
+
+
+def fold(e: FnExpr, visit):
+    """visit(node, values, signs) computed bottom-up over e; returns e's.
+
+    values are the operands' results, left to right.  A chain is one call
+    on its top node: a + (b - c) - d calls visit once, with the values of
+    a, b, c, d and signs [1, 1, -1, -1].  Outside ADD/SUB signs are all 1.
+    """
+    order, todo = [], [e]
+    while todo:  # as in nodes, but over operands
+        node = todo.pop()
+        signs, ops = operands(node) if node.children else ((), ())
+        order.append((node, signs))
+        todo += ops
+    values = []
+    for node, signs in reversed(order):
+        if signs:
+            cut = len(values) - len(signs)
+            values[cut:] = [visit(node, values[cut:], signs)]
+        else:
+            values.append(visit(node, (), ()))
+    return values[0]
+
+
+# An expression compiles once per modulus, by one fold, into closures
+# nested one frame per level that is not a chain: every chain becomes one
+# n-ary closure, ADD/SUB/MUL with their constant operands folded.  A
+# compiled subtree is an int when it is a constant and cannot raise, an
+# open product (c, xpow, fns) for x and MUL chains, so that sums inline
+# their products, and else an int -> int closure.  A closure takes the
+# exact integer point: VAR reduces it, POLY consumes it, DELTA shifts it.
 #
 # Errors keep their point of evaluation.  A subtree that fails whatever the
 # input (a bitwise node at odd p, a rational constant whose denominator is
@@ -73,44 +140,28 @@ def _lift(c):
     return c if callable(c) else lambda x: c
 
 
-def _chain(e: FnExpr, kinds):
-    """Operands of a left-to-right chain of `kinds` nodes, with their signs."""
-    out = []
-    stack = [(e, 1)]
-    while stack:
-        node, sign = stack.pop()
-        if node.kind in kinds:
-            a, b = node.children
-            stack.append((b, -sign if node.kind == "SUB" else sign))
-            stack.append((a, sign))
-        else:
-            out.append((sign, node))
-    return out
-
-
-def _product(e: FnExpr, m: Modulus):
-    """MUL chain as (constant factor, power of x, closures of other factors)."""
-    mv = m.value
-    c, xpow, fns = 1, 0, []
-    for _, node in _chain(e, ("MUL",)):
-        if node.kind == "VAR":
-            xpow += 1
-            continue
-        f = _compile(node, m)
-        if callable(f):
-            fns.append(f)
-        else:
-            c = c * f % mv
-    return c, xpow, tuple(fns)
-
-
-def _compile_mul(e: FnExpr, m: Modulus):
-    mv = m.value
-    c, xpow, fns = _product(e, m)
+def _close(v, mv):
+    """A compiled subtree as an int or a closure: open products close here."""
+    if not isinstance(v, tuple):
+        return v
+    c, xpow, fns = v
     if not fns and not xpow:
         return c
     f = _monomial_fn(xpow, fns, mv)
     return f if c == 1 else (lambda x: c * f(x) % mv)
+
+
+def _product(vals, mv):
+    """MUL chain as (constant factor, power of x, closures of other factors)."""
+    c, xpow, fns = 1, 0, []
+    for v in vals:
+        if isinstance(v, tuple):  # x: no operand of a chain is a product
+            xpow += 1
+        elif callable(v):
+            fns.append(v)
+        else:
+            c = c * v % mv
+    return c, xpow, tuple(fns)
 
 
 def _monomial_fn(xpow, fns, mv):
@@ -132,16 +183,12 @@ def _monomial_fn(xpow, fns, mv):
     return prod
 
 
-def _compile_sum(e: FnExpr, m: Modulus):
+def _compile_sum(vals, signs, mv):
     """ADD/SUB chain as offset + a*x + sum of c_i * term_i(x), mod p^k."""
-    mv = m.value
     offset, a, terms = 0, 0, []
-    for sign, node in _chain(e, ("ADD", "SUB")):
-        if node.kind == "VAR":
-            a += sign
-            continue
-        if node.kind == "MUL":
-            c, xpow, fns = _product(node, m)
+    for sign, v in zip(signs, vals):
+        if isinstance(v, tuple):
+            c, xpow, fns = v
             if not fns and xpow <= 1:
                 if xpow:
                     a += sign * c
@@ -149,12 +196,10 @@ def _compile_sum(e: FnExpr, m: Modulus):
                     offset += sign * c
                 continue
             terms.append((sign * c % mv, _monomial_fn(xpow, fns, mv)))
-            continue
-        f = _compile(node, m)
-        if callable(f):
-            terms.append((sign % mv, f))
+        elif callable(v):
+            terms.append((sign % mv, v))
         else:
-            offset += sign * f
+            offset += sign * v
     offset, a = offset % mv, a % mv
     if not terms:
         if not a:
@@ -176,34 +221,36 @@ def _compile_sum(e: FnExpr, m: Modulus):
     return total
 
 
-def _compile_bitwise(e: FnExpr, m: Modulus):
-    kind = e.kind
+def _compile_bitwise(kind, fs, m: Modulus):
     if m.p != 2:
         return _raising(BitwiseOddPrime(f"{kind} needs p = 2, modulus is {m}"))
-    mv = m.value
-    top = mv - 1
+    top = m.value - 1
     if kind == "NEG":
-        f = _compile(e.children[0], m)
-        if not callable(f):
-            return top - f
-        return lambda x: top - f(x)
-    f, g = (_compile(c, m) for c in e.children)
-    if not callable(f) and not callable(g):
-        return {"XOR": f ^ g, "AND": f & g, "OR": f | g}[kind]
-    f, g = _lift(f), _lift(g)
-    if kind == "XOR":
-        return lambda x: f(x) ^ g(x)
-    if kind == "AND":
-        return lambda x: f(x) & g(x)
-    return lambda x: f(x) | g(x)
+        (f,) = fs
+        return (lambda x: top - f(x)) if callable(f) else top - f
+    op = _BITOPS[kind]
+    if not any(map(callable, fs)):
+        return reduce(op, fs)
+    if len(fs) == 2:
+        f, g = map(_lift, fs)
+        return {"XOR": lambda x: f(x) ^ g(x), "AND": lambda x: f(x) & g(x),
+                "OR": lambda x: f(x) | g(x)}[kind]
+    first, *rest = map(_lift, fs)
+
+    def chain(x):
+        acc = first(x)
+        for f in rest:
+            acc = op(acc, f(x))
+        return acc
+
+    return chain
 
 
-def _compile_pow(e: FnExpr, m: Modulus):
+def _compile_pow(base, expo, m: Modulus):
     """1-unit power, with the check and messages of core.unit_pow.  The base
     and the exponent are both evaluated before the base is checked."""
     p, mv = m.p, m.value
     why = "is even, not a unit mod" if p == 2 else "is not a 1-unit mod"
-    base, expo = (_compile(c, m) for c in e.children)
     if not callable(base) and base % p == 1:
         if not callable(expo):
             return pow(base, expo, mv)
@@ -220,10 +267,9 @@ def _compile_pow(e: FnExpr, m: Modulus):
     return power
 
 
-def _compile_inv(e: FnExpr, m: Modulus):
+def _compile_inv(f, m: Modulus):
     """Unit inverse, with the check and message of core.mod_inverse."""
     p, mv = m.p, m.value
-    f = _compile(e.children[0], m)
     if not callable(f):
         if f % p:
             return pow(f, -1, mv)
@@ -239,41 +285,43 @@ def _compile_inv(e: FnExpr, m: Modulus):
 
 
 def _compile(e: FnExpr, m: Modulus):
-    kind = e.kind
+    """e compiled mod m, as an int or an int -> int closure."""
     mv = m.value
-    if kind == "VAR":
-        return lambda x: x % mv
-    if kind == "CONST":
-        q = e.value
-        if q.denominator == 1:
-            return q.numerator % mv
-        try:
-            return q.numerator * mod_inverse(ResidueInt(q.denominator % mv, m)).residue % mv
-        except NotAUnit as exc:
-            return _raising(exc)
-    if kind == "POLY":
-        return e.poly.compile_mod(m)
-    if kind in ("ADD", "SUB"):
-        return _compile_sum(e, m)
-    if kind == "MUL":
-        return _compile_mul(e, m)
-    if kind in _BITWISE:
-        return _compile_bitwise(e, m)
-    if kind == "POW":
-        return _compile_pow(e, m)
-    if kind == "INV":
-        return _compile_inv(e, m)
-    if kind == "DELTA":
-        # the child runs at the exact point x + 1, so a POLY leaf that is
-        # not 1-Lipschitz sees p^k rather than 0 at the wrap point
-        f = _compile(e.children[0], m)
-        if not callable(f):
-            return 0
-        return lambda x: (f(x + 1) - f(x)) % mv
-    if kind == "COMPOSE":
-        outer, inner = (_lift(_compile(c, m)) for c in e.children)
+
+    def visit(node, vals, signs):
+        kind = node.kind
+        if kind == "VAR":
+            return (1, 1, ())
+        if kind == "CONST":
+            q = node.value
+            if q.denominator == 1:
+                return q.numerator % mv
+            try:
+                return q.numerator * mod_inverse(ResidueInt(q.denominator % mv, m)).residue % mv
+            except NotAUnit as exc:
+                return _raising(exc)
+        if kind == "POLY":
+            return node.poly.compile_mod(m)
+        if kind in ("ADD", "SUB"):
+            return _compile_sum(vals, signs, mv)
+        if kind == "MUL":
+            return _product(vals, mv)
+        vals = [_close(v, mv) for v in vals]
+        if kind in _BITWISE:
+            return _compile_bitwise(kind, vals, m)
+        if kind == "POW":
+            return _compile_pow(*vals, m)
+        if kind == "INV":
+            return _compile_inv(*vals, m)
+        if kind == "DELTA":
+            # the child runs at the exact point x + 1, so a POLY leaf that is
+            # not 1-Lipschitz sees p^k rather than 0 at the wrap point
+            (f,) = vals
+            return (lambda x: (f(x + 1) - f(x)) % mv) if callable(f) else 0
+        outer, inner = map(_lift, vals)  # COMPOSE
         return lambda x: outer(inner(x))
-    raise AssertionError(kind)
+
+    return _close(fold(e, visit), mv)
 
 
 def compile_map(f, m: Modulus) -> Callable[[int], int]:

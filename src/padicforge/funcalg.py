@@ -12,7 +12,7 @@ from fractions import Fraction
 import json
 
 from .core import Modulus, ResidueInt, digits, ord_p
-from .expr import _BITWISE, BitwiseOddPrime, FnExpr, compile_map, evaluator
+from .expr import _BITWISE, KINDS, BitwiseOddPrime, FnExpr, compile_map, evaluator, nodes
 from .mahler import DEGREE_CAP, RationalPoly
 
 
@@ -119,11 +119,10 @@ def is_class_b(e: FnExpr, p: int) -> bool:
     units, powers of 1-unit bases, and sums/products/compositions of
     those.  Bitwise nodes are outside.  Semantic POW/INV checks run mod p
     only; 1-Lipschitz closure makes that decisive.  They run after the
-    structural walk, which keeps an explicit stack, so no tree is too deep.
+    structural walk.
     """
-    stack, semantic = [e], []
-    while stack:
-        node = stack.pop()
+    semantic = []
+    for node in nodes(e):
         kind = node.kind
         if kind in _BITWISE or (kind == "CONST" and node.value.denominator % p == 0):
             return False
@@ -133,7 +132,6 @@ def is_class_b(e: FnExpr, p: int) -> bool:
             semantic.append((node.children[0], lambda v: v == 1))
         elif kind == "INV":
             semantic.append((node.children[0], lambda v: v != 0))
-        stack.extend(node.children)
     return all(_holds_mod_p(arg, p, pred) for arg, pred in semantic)
 
 
@@ -249,8 +247,9 @@ def triangle_is_transitive_form(t: BoolTriangle) -> bool:
 
 _FUNCS = frozenset(("xor", "and", "or", "neg", "inv", "ff", "delta"))
 # Deepest nesting of parentheses, calls and unary minus the parser accepts.
-# A level costs up to six parser frames and two compiler frames, so this
-# stays well inside Python's default recursion limit of 1000.
+# A level costs up to six parser frames, well inside Python's default limit
+# of 1000.  Walks over the tree keep their own stacks; only evaluation
+# closures nest, one frame per level that is not a chain.
 _MAX_NESTING = 100
 _SYMBOLS = "+-*/^(),"
 
@@ -442,41 +441,52 @@ def parse_dsl(text: str) -> FnExpr:
 
 # --- serialization -----------------------------------------------------------
 
+# Operand count of each node kind in the postfix form.
+_ARITY = dict.fromkeys(KINDS, 2) | {"VAR": 0, "CONST": 0, "POLY": 0,
+                                    "NEG": 1, "INV": 1, "DELTA": 1}
 
-def _to_doc(e: FnExpr):
+
+def _doc(e: FnExpr) -> dict:
     doc = {"kind": e.kind}
     if e.kind == "CONST":
         doc["value"] = [e.value.numerator, e.value.denominator]
     elif e.kind == "POLY":
         doc["basis"] = e.poly.basis
         doc["coeffs"] = [[c.numerator, c.denominator] for c in e.poly.coeffs]
-    else:
-        if e.children:
-            doc["children"] = [_to_doc(c) for c in e.children]
-        if e.kind == "POW":
-            doc["base_verified"] = e.base_verified
     return doc
 
 
-def _from_doc(doc):
-    kind = doc["kind"]
-    if kind == "CONST":
-        n, d = doc["value"]
-        return const(Fraction(n, d))
-    if kind == "POLY":
-        return poly_node(
-            RationalPoly([Fraction(n, d) for n, d in doc["coeffs"]], doc["basis"])
-        )
-    children = tuple(_from_doc(c) for c in doc.get("children", ()))
-    if kind == "POW":
-        # serialized guarantees are not trusted; certify re-checks bases
-        return FnExpr(kind, children, base_verified=False)
-    return FnExpr(kind, children)
+def _from_docs(docs) -> FnExpr:
+    """The tree of a postfix list of node docs."""
+    stack = []
+    for doc in docs:
+        kind = doc["kind"]
+        cut = len(stack) - _ARITY[kind]
+        if cut < 0:
+            raise ValueError(f"{kind} node is short of operands")
+        if kind == "CONST":
+            n, d = doc["value"]
+            node = const(Fraction(n, d))
+        elif kind == "POLY":
+            coeffs = [Fraction(n, d) for n, d in doc["coeffs"]]
+            node = poly_node(RationalPoly(coeffs, doc["basis"]))
+        else:  # serialized POW guarantees are not trusted; certify re-checks bases
+            node = FnExpr(kind, tuple(stack[cut:]))
+        stack[cut:] = [node]
+    if len(stack) != 1:
+        raise ValueError(f"expression doc holds {len(stack)} trees, not one")
+    return stack[0]
 
 
 def expr_to_json(e: FnExpr) -> str:
-    return json.dumps(_to_doc(e))
+    """e as a flat postfix list of node docs: operands before their node."""
+    return json.dumps([_doc(node) for node in nodes(e)])
 
 
 def expr_from_json(text: str) -> FnExpr:
-    return _from_doc(json.loads(text))
+    """Read expr_to_json's postfix list, or the nested {"kind", "children"}
+    dict earlier versions wrote."""
+    doc = json.loads(text)
+    if isinstance(doc, dict):
+        doc = nodes(doc, lambda d: d.get("children", ()))
+    return _from_docs(doc)

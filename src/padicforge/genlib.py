@@ -198,18 +198,19 @@ def spec_to_json(spec: GeneratorSpec) -> dict:
 
 
 def spec_from_json(blob: dict, cap: Optional[int] = None) -> GeneratorSpec:
-    """Rebuild a generator from its JSON form, re-certifying unless flagged."""
-    out_fn = expr_from_json(blob["out_fn"]) if "out_fn" in blob else None
-    out_modulus = _modulus_from_json(blob["out_modulus"]) if "out_modulus" in blob else None
-    return make_generator(
-        expr_from_json(blob["state_fn"]),
-        _modulus_from_json(blob["modulus"]),
-        blob["seed"],
-        out_fn=out_fn,
-        out_modulus=out_modulus,
-        unchecked=bool(blob.get("unchecked", False)),
-        cap=cap,
-    )
+    """Rebuild a generator from its JSON form, re-certifying unless flagged.
+    A missing or mistyped field raises ValueError("malformed generator spec")."""
+    try:
+        out_fn = expr_from_json(blob["out_fn"]) if "out_fn" in blob else None
+        out_modulus = _modulus_from_json(blob["out_modulus"]) if "out_modulus" in blob else None
+        state_fn, modulus, seed = (expr_from_json(blob["state_fn"]),
+                                   _modulus_from_json(blob["modulus"]), blob["seed"])
+        if type(seed) is not int:
+            raise TypeError(f"seed {seed!r} is not an integer")
+    except (LookupError, TypeError, AttributeError, ArithmeticError) as exc:
+        raise ValueError(f"malformed generator spec: {type(exc).__name__}: {exc}") from None
+    return make_generator(state_fn, modulus, seed, out_fn=out_fn, out_modulus=out_modulus,
+                          unchecked=bool(blob.get("unchecked", False)), cap=cap)
 
 
 def _modulus_to_json(m: AnyModulus) -> dict:
@@ -219,6 +220,8 @@ def _modulus_to_json(m: AnyModulus) -> dict:
 
 
 def _modulus_from_json(blob: dict) -> AnyModulus:
-    if "factors" in blob:
-        return CompositeModulus(tuple(Modulus(p, k) for p, k in blob["factors"]))
-    return Modulus(blob["p"], blob["k"])
+    pairs = blob["factors"] if "factors" in blob else [(blob["p"], blob["k"])]
+    if any(type(v) is not int for pair in pairs for v in pair):
+        raise TypeError(f"modulus {blob} has a p or k that is not an integer")
+    factors = tuple(Modulus(p, k) for p, k in pairs)
+    return CompositeModulus(factors) if "factors" in blob else factors[0]

@@ -11,7 +11,6 @@ expensive as ord_p(i!) grows); past that the brute-force checkers in
 `certify` are the tool.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,22 +119,6 @@ class RationalPoly:
                 for k, s in enumerate(_stirling2_row(n)):
                     out[k] += c * s
         return RationalPoly(out, "falling")
-
-    def eval_exact(self, x):
-        """Exact value at a rational point."""
-        x = Fraction(x)
-        if self.basis == "monomial":
-            acc = Fraction(0)
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
-        acc = Fraction(0)
-        ff = Fraction(1)
-        for i, c in enumerate(self.coeffs):
-            if i:
-                ff *= x - (i - 1)
-            acc += c * ff
-        return acc
 
     def scaled_integer_form(self):
         """(integer coefficient list, common denominator D) with f = P/D."""
@@ -296,18 +279,6 @@ class MahlerSeries:
                 term *= pow(c.denominator, -1, m.value)
             acc = (acc + term) % m.value
         return ResidueInt(acc, m)
-
-    def to_json(self):
-        return json.dumps(
-            {"p": self.p, "coeffs": [[c.numerator, c.denominator] for c in self.coeffs]}
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        doc = json.loads(text)
-        return cls(
-            tuple(Fraction(n, d) for n, d in doc["coeffs"]), doc["p"]
-        )
 
 
 def coeffs_from_values(values, p, precision_note=""):

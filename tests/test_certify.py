@@ -296,6 +296,20 @@ class TestInferClass:
         assert infer_class(parse_dsl("delta(x*x)"), 3).tag == Z_POLY
         assert infer_class(parse_dsl("(x+1)*(x-1) - x*x"), 2).degree == 0
 
+    @pytest.mark.parametrize("n", [60, 64, 70])
+    def test_deep_polynomial_sum_certifies_like_its_flat_form(self, n):
+        # the left-deep sum nests n + 2 levels; trees past 64 levels used to
+        # miss the polynomial fold and fall to CLASS_B
+        deep = parse_dsl("1 + " + "x + " * n + "3*x*x")
+        flat = parse_dsl(f"1 + {n}*x + 3*x*x")
+        assert infer_class(deep, 3) == infer_class(flat, 3) == FunctionClass(
+            Z_POLY, degree=2, rho=0, lam=1)
+        for certify in (compatibility_certificate, measure_preservation_certificate,
+                        ergodicity_certificate):
+            got, want = certify(deep, 3), certify(flat, 3)
+            assert (got.verdict, got.theorem, got.checked_modulus, got.witness) == (
+                want.verdict, want.theorem, want.checked_modulus, want.witness)
+
     def test_series_and_callable(self):
         s = series_from_poly(RationalPoly([0, 0, 1]), 3)
         assert infer_class(s, 3).tag == QP_POLY_INTVAL

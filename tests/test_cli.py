@@ -14,6 +14,20 @@ from padicforge.genlib import emit_bytes, make_generator, spec_to_json
 
 XORGEN = "1 + x + 2*delta(x xor (2*x + 1))"
 
+# spec_to_json of the README generator (XORGEN mod 2^32, seed 1) in the nested
+# {"kind", "children"} form that specs were saved in before the postfix form
+LEGACY_README_SPEC = (
+    '{"state_fn": "{\\"kind\\": \\"ADD\\", \\"children\\": [{\\"kind\\": \\"ADD\\", '
+    '\\"children\\": [{\\"kind\\": \\"CONST\\", \\"value\\": [1, 1]}, {\\"kind\\": '
+    '\\"VAR\\"}]}, {\\"kind\\": \\"MUL\\", \\"children\\": [{\\"kind\\": \\"CONST\\", '
+    '\\"value\\": [2, 1]}, {\\"kind\\": \\"DELTA\\", \\"children\\": [{\\"kind\\": '
+    '\\"XOR\\", \\"children\\": [{\\"kind\\": \\"VAR\\"}, {\\"kind\\": \\"ADD\\", '
+    '\\"children\\": [{\\"kind\\": \\"MUL\\", \\"children\\": [{\\"kind\\": '
+    '\\"CONST\\", \\"value\\": [2, 1]}, {\\"kind\\": \\"VAR\\"}]}, {\\"kind\\": '
+    '\\"CONST\\", \\"value\\": [1, 1]}]}]}]}]}]}", '
+    '"modulus": {"p": 2, "k": 32}, "seed": 1}'
+)
+
 VALIDATOR = Draft202012Validator(report_schema())
 
 
@@ -144,6 +158,14 @@ class TestGen:
         assert rc == 0
         digest = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
         assert digest == "70da7f67f7669a9c0c2d5248472d033b84e7554ca8ab7e7e47106a2726e21b71"
+
+    def test_legacy_nested_spec_replays_readme_stream(self, capsysbinary, tmp_path):
+        path = tmp_path / "legacy.json"
+        path.write_text(LEGACY_README_SPEC)
+        assert main(["gen", "--file", str(path), "--count", "4096"]) == 0
+        replayed = capsysbinary.readouterr().out
+        assert main(["gen", XORGEN, "-p", "2", "-k", "32", "--seed", "1", "--count", "4096"]) == 0
+        assert replayed == capsysbinary.readouterr().out
 
     def test_refuted_state_map_exits_5(self, capsysbinary):
         rc = main(["gen", "-p", "2", "-k", "8", "x"])
@@ -283,11 +305,107 @@ class TestHostileInput:
             assert rc == 2 and elapsed < 1.0
             assert f"nesting deeper than {_MAX_NESTING} levels" in capsys.readouterr().err
 
+    def test_xor_chain_of_3000_terms(self, capsys):
+        rc, elapsed = timed_certify(" xor ".join(["x"] * 3000))
+        assert rc == 5 and elapsed < 1.0
+
+    def test_and_chain_of_3000_terms_at_odd_prime(self, capsys):
+        t0 = time.perf_counter()
+        rc = main(["certify", "-p", "3", " and ".join(["x"] * 3000)])
+        assert rc == 2 and time.perf_counter() - t0 < 1.0
+        assert "AND needs p = 2" in capsys.readouterr().err
+
+    def test_delta_sum_of_3000_terms_through_gen(self, capsysbinary):
+        source = "1 + x + 2*delta(" + " + ".join(["x"] * 3000) + ")"
+        t0 = time.perf_counter()
+        rc = main(["gen", source, "-p", "2", "-k", "16", "--count", "2"])
+        assert rc == 0 and time.perf_counter() - t0 < 1.0
+        assert len(capsysbinary.readouterr().out) == 4
+
+    def test_alternating_chain_spec_replays_byte_identically(self, capsysbinary, tmp_path):
+        source = "1 + x" + " - x + x" * 1499  # 3000 terms
+        t0 = time.perf_counter()
+        assert main(["gen", source, "-p", "2", "-k", "16", "--count", "64", "--json"]) == 0
+        first = capsysbinary.readouterr()
+        spec = json.loads(first.err)["spec"]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["gen", "--file", str(path), "--count", "64", "--json"]) == 0
+        again = capsysbinary.readouterr()
+        assert time.perf_counter() - t0 < 1.0
+        assert again.out == first.out and len(first.out) == 128
+        assert json.loads(again.err)["spec"] == spec
+
     def test_falling_factorial_degree_capped_at_parse(self, capsys):
         t0 = time.perf_counter()
         assert main(["check", "ff(x, 100000)", "-p", "2", "-k", "3"]) == 2
         assert time.perf_counter() - t0 < 1.0
         assert "cap 64" in capsys.readouterr().err
+
+
+VALID_STATE_FN = json.dumps([{"kind": "CONST", "value": [1, 1]}, {"kind": "VAR"}, {"kind": "ADD"}])
+
+MALFORMED_SPECS = {
+    "no modulus": {"state_fn": VALID_STATE_FN, "seed": 0},
+    "no seed": {"state_fn": VALID_STATE_FN, "modulus": {"p": 2, "k": 8}},
+    "no state_fn": {"modulus": {"p": 2, "k": 8}, "seed": 0},
+    "string modulus": {"state_fn": VALID_STATE_FN, "modulus": "2^8", "seed": 0},
+    "string prime": {"state_fn": VALID_STATE_FN, "modulus": {"p": "2", "k": 8}, "seed": 0},
+    "float exponent": {"state_fn": VALID_STATE_FN, "modulus": {"p": 2, "k": 8.0}, "seed": 0},
+    "float seed": {"state_fn": VALID_STATE_FN, "modulus": {"p": 2, "k": 8}, "seed": 1.5},
+    "int state_fn": {"state_fn": 5, "modulus": {"p": 2, "k": 8}, "seed": 0},
+    "node without kind": {"state_fn": json.dumps([{"value": [1, 1]}]),
+                          "modulus": {"p": 2, "k": 8}, "seed": 0},
+    "nested node without kind": {"state_fn": json.dumps({"children": []}),
+                                 "modulus": {"p": 2, "k": 8}, "seed": 0},
+    "zero denominator": {"state_fn": json.dumps([{"kind": "CONST", "value": [1, 0]}]),
+                         "modulus": {"p": 2, "k": 8}, "seed": 0},
+    "too few operands": {"state_fn": json.dumps([{"kind": "VAR"}, {"kind": "ADD"}]),
+                         "modulus": {"p": 2, "k": 8}, "seed": 0},
+    "two trees": {"state_fn": json.dumps([{"kind": "VAR"}, {"kind": "VAR"}]),
+                  "modulus": {"p": 2, "k": 8}, "seed": 0},
+    "no tree": {"state_fn": "[]", "modulus": {"p": 2, "k": 8}, "seed": 0},
+    "unknown kind": {"state_fn": json.dumps([{"kind": "SIN"}]),
+                     "modulus": {"p": 2, "k": 8}, "seed": 0},
+    # json itself recurses on nesting, so a nested doc this deep cannot load
+    "state_fn nested 5000 deep": {
+        "state_fn": '{"kind": "NEG", "children": [' * 5000 + '{"kind": "VAR"}' + "]}" * 5000,
+        "modulus": {"p": 2, "k": 8}, "seed": 0},
+    # loads, but its evaluation closures nest one frame per NEG
+    "3000 NEG levels": {
+        "state_fn": json.dumps([{"kind": "CONST", "value": [1, 1]}, {"kind": "VAR"},
+                                {"kind": "ADD"}, {"kind": "CONST", "value": [2, 1]},
+                                {"kind": "VAR"}] + [{"kind": "NEG"}] * 3000
+                               + [{"kind": "MUL"}, {"kind": "ADD"}]),
+        "modulus": {"p": 2, "k": 8}, "seed": 0},
+}
+
+
+class TestMalformedSpec:
+    """A spec file that is JSON but no generator spec exits 2, never a traceback."""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_SPECS))
+    @pytest.mark.parametrize("command", ["gen", "analyze"])
+    def test_exits_2(self, capsysbinary, tmp_path, command, name):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(MALFORMED_SPECS[name]))
+        assert main([command, "--file", str(path)]) == 2
+        captured = capsysbinary.readouterr()
+        assert captured.out == b"" and captured.err.startswith(b"error: ")
+
+    @pytest.mark.parametrize("command", ["gen", "analyze"])
+    def test_file_nested_100000_deep_exits_2(self, capsysbinary, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main([command, "--file", str(path)]) == 2
+        assert capsysbinary.readouterr().err.startswith(b"error: ")
+
+    def test_valid_postfix_spec_runs(self, capsysbinary, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"state_fn": VALID_STATE_FN,
+                                    "modulus": {"p": 2, "k": 8}, "seed": 0}))
+        assert main(["gen", "--file", str(path), "--count", "3"]) == 0
+        assert capsysbinary.readouterr().out == bytes([1, 2, 3])
 
 
 class TestParser:

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from corpus import random_compatible_ast
 from oracles import is_bijection, is_transitive, preserves_congruences, value_table
 
 from padicforge import funcalg as fa
+from padicforge.certify import CLASS_B, GENERIC_COMPATIBLE, Z_POLY, infer_class
 from padicforge.core import BaseNotOneUnit, Modulus, NotAUnit, ResidueInt
 from padicforge.funcalg import (
     BitwiseOddPrime,
@@ -363,6 +365,34 @@ def test_json_roundtrip():
     flagged = fa.one_unit_pow(X, X, 2)
     assert flagged.base_verified
     assert not expr_from_json(expr_to_json(flagged)).base_verified
+
+
+CHAINS = {"ADD": (fa.add, operator.add), "SUB": (fa.sub, operator.sub),
+          "MUL": (fa.mul, operator.mul), "XOR": (fa.xor, operator.xor),
+          "AND": (fa.and_, operator.and_), "OR": (fa.or_, operator.or_)}
+
+
+@pytest.mark.parametrize("kind", sorted(CHAINS))
+@pytest.mark.parametrize("nesting", ["left", "right"])
+def test_3000_term_chains_need_no_recursion(kind, nesting):
+    build, op = CHAINS[kind]
+    terms = [X if j % 3 else fa.const(j % 11 + 1) for j in range(3000)]
+    e = terms[0] if nesting == "left" else terms[-1]
+    for t in terms[1:] if nesting == "left" else reversed(terms[:-1]):
+        e = build(e, t) if nesting == "left" else build(t, e)
+    m = Modulus(2, 16)
+    fn = compile_map(e, m)
+    for x in (0, 1, 777, m.value - 1):
+        vals = [x if t.kind == "VAR" else int(t.value) for t in terms]
+        want = vals[0] if nesting == "left" else vals[-1]
+        for v in vals[1:] if nesting == "left" else reversed(vals[:-1]):
+            want = (op(want, v) if nesting == "left" else op(v, want)) % m.value
+        assert fn(x) == want, (kind, nesting, x)
+    text = expr_to_json(e)
+    assert expr_to_json(expr_from_json(text)) == text
+    tag = {"ADD": Z_POLY, "SUB": Z_POLY, "MUL": CLASS_B}.get(kind, GENERIC_COMPATIBLE)
+    assert infer_class(e, 2).tag == tag
+    assert is_class_b(e, 2) == (kind in ("ADD", "SUB", "MUL"))
 
 
 def test_three_machine_forms():
