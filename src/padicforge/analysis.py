@@ -22,12 +22,18 @@ A cheap bound rules out low orders first.  An affine relation of order r
 gives dx_{n+r} = sum c_j dx_{n+j}, dx_n = x_{n+1} - x_n, on every window,
 so the scans skip the orders that fail on the first 2*r_max + 2
 differences: they would fail on the full period, so reports are the same.
+Solvability on the prefix is monotone in r: c solving order r makes
+(0, c_0, ..., c_{r-1}) solve order r+1, on windows shifted by one, so the
+least open order takes about log2(r_max) solves, galloping and bisecting.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, compress, count, islice, repeat
 from math import gcd
+from operator import add, mod, mul, sub
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .certify import PROVEN, CapExceeded, MapLike, ergodicity_certificate
@@ -58,15 +64,18 @@ class Relation:
     coeffs: Tuple[int, ...]
     constant: int
 
-    def holds_at(self, seq: Sequence[int], m: Modulus, n: int) -> bool:
-        period = len(seq)
-        acc = self.constant
+    def first_violation(self, seq: Sequence[int], m: Modulus) -> Optional[int]:
+        """Least cyclic n where the relation fails, or None; stops at n."""
+        period = len(seq) or 1
+        rot = lambda j: chain(islice(seq, j % period, None), islice(seq, j % period))
+        acc = map(sub, repeat(self.constant), rot(self.order))
         for j, cj in enumerate(self.coeffs):
-            acc += cj * seq[(n + j) % period]
-        return (acc - seq[(n + self.order) % period]) % m.value == 0
+            if cj:
+                acc = map(add, acc, map(mul, repeat(cj), rot(j)))
+        return next(compress(count(), map(mod, acc, repeat(m.value))), None)
 
     def verify(self, seq: Sequence[int], m: Modulus) -> bool:
-        return all(self.holds_at(seq, m, n) for n in range(len(seq)))
+        return self.first_violation(seq, m) is None
 
     def has_unit_coeff(self, p: int) -> bool:
         return any(cj % p for cj in self.coeffs)
@@ -205,13 +214,6 @@ def _solve_mod_pk(rows: List[List[int]], rhs: List[int], p: int, k: int):
     return unpermute(particular), [unpermute(g) for g in gens]
 
 
-def _sample_rows(period: int, want: int) -> List[int]:
-    if want >= period:
-        return list(range(period))
-    stride = period // want
-    return [i * stride for i in range(want)]
-
-
 def _relation_at_order(seq: Sequence[int], m: Modulus, r: int,
                        unit_only: bool) -> Optional[Relation]:
     """Least-order search step: decide order r and return a verified relation.
@@ -222,7 +224,8 @@ def _relation_at_order(seq: Sequence[int], m: Modulus, r: int,
     before (r+1)*k rounds.
     """
     period = len(seq)
-    picked = _sample_rows(period, min(period, 4 * (r + 1)))
+    want = min(period, 4 * (r + 1))
+    picked = [i * (period // want) for i in range(want)]
     chosen = set(picked)
     while True:
         rows = [[seq[(n + j) % period] for j in range(r)] + [1] for n in picked]
@@ -238,8 +241,7 @@ def _relation_at_order(seq: Sequence[int], m: Modulus, r: int,
                 return None
             z = [(zi + gi) % m.value for zi, gi in zip(z, bump)]
         candidate = Relation(r, tuple(z[:r]), z[r])
-        violated = next((n for n in range(period)
-                         if not candidate.holds_at(seq, m, n)), None)
+        violated = candidate.first_violation(seq, m)
         if violated is None:
             return candidate
         picked.append(violated)
@@ -261,13 +263,16 @@ def _prefix_lower_bound(seq: Sequence[int], m: Modulus, r_max: int) -> int:
     period = len(seq)
     n = min(period, 2 * r_max + 2)
     diff = [(seq[(i + 1) % period] - seq[i]) % m.value for i in range(n)]
-    for r in range(1, r_max + 1):
-        if n - r <= r:
-            return r
+    top = min(r_max, (n - 1) // 2)
+    lo, hi, r = 0, top + 1, 1  # orders up to lo are ruled out, hi is open
+    while lo + 1 < hi:
         rows = [diff[i:i + r] for i in range(n - r)]
-        if _solve_mod_pk(rows, diff[r:], m.p, m.k) is not None:
-            return r
-    return r_max + 1
+        if _solve_mod_pk(rows, diff[r:], m.p, m.k) is None:
+            lo = r
+        else:
+            hi = r
+        r = min(2 * r, top) if hi > top else (lo + hi) // 2
+    return hi
 
 
 def _least_order(seq, m, r_max, unit_only, r_start=1):
@@ -283,8 +288,8 @@ def _check_buffer(seq, m: Modulus):
         raise EmptySequence("need one full period, got an empty buffer")
     if len(seq) > SOLVER_PERIOD_CAP:
         raise CapExceeded(f"period {len(seq)} exceeds the solver cap {SOLVER_PERIOD_CAP}")
-    bad = next((x for x in seq if not 0 <= x < m.value), None)
-    if bad is not None:
+    if min(seq) < 0 or max(seq) >= m.value:
+        bad = next(x for x in seq if not 0 <= x < m.value)
         raise ValueError(f"element {bad} is not a residue mod {m.value}")
 
 
@@ -310,9 +315,7 @@ def affine_linear_complexity(seq: Sequence[int], m: Modulus,
     else:
         unit_rel = _least_order(seq, m, r_max, unit_only=True,
                                 r_start=any_rel.order)
-    counts = {}
-    for x in seq:
-        counts[x] = counts.get(x, 0) + 1
+    counts = Counter(seq)
     census_ok = len(counts) == m.value and len(set(counts.values())) == 1
     return SequenceReport(
         modulus=m,
@@ -326,26 +329,23 @@ def affine_linear_complexity(seq: Sequence[int], m: Modulus,
     )
 
 
+_BIT_OF_BYTE = [bytes((b >> j) & 1 for b in range(256)) for j in range(8)]
+
+
 def bit_plane_periods(seq: Sequence[int], m: Modulus) -> List[int]:
     """Minimal period of each bit sequence delta_j(x_n), j = 0..k-1.
 
-    The buffer is one full period, so every candidate divides its length;
-    each divisor is checked by comparing the plane with its rotation.
+    The buffer is one full period, so a plane's least period is the first
+    d >= 1 where it recurs in itself written twice.  Each byte of the words
+    is packed once, and plane j is read from byte j//8 by bytes.translate.
     """
     if m.p != 2:
         raise NotBinaryModulus(f"bit planes need p = 2, modulus is {m}")
     seq = list(seq)
     _check_buffer(seq, m)
-    period = len(seq)
-    divisors = [d for d in range(1, period + 1) if period % d == 0]
-    out = []
-    for j in range(m.k):
-        bits = [(x >> j) & 1 for x in seq]
-        for d in divisors:
-            if bits[d:] + bits[:d] == bits:
-                out.append(d)
-                break
-    return out
+    octets = [bytes([x >> s & 255 for x in seq]) for s in range(0, m.k, 8)]
+    planes = (octets[j // 8].translate(_BIT_OF_BYTE[j % 8]) for j in range(m.k))
+    return [(plane + plane).find(plane, 1) for plane in planes]
 
 
 def orbit(step: Callable[[int], int], m: Modulus, seed: int = 0) -> List[int]:

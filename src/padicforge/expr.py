@@ -40,7 +40,7 @@ class BitwiseOddPrime(ValueError):
     """Bitwise node evaluated at an odd prime."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class FnExpr:
     kind: str
     children: tuple = ()
@@ -51,6 +51,22 @@ class FnExpr:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown node kind {self.kind!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._postfix() == other._postfix()
+
+    def __hash__(self):
+        return hash(self._postfix())
+
+    def __repr__(self):
+        return f"FnExpr(postfix={list(self._postfix())})"
+
+    def _postfix(self):
+        """Each node's (kind, child count, value, poly, base_verified), post-order."""
+        return tuple((n.kind, len(n.children), n.value, n.poly, n.base_verified)
+                     for n in nodes(self))
 
 
 def nodes(root, children=None):

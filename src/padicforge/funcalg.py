@@ -12,7 +12,7 @@ from fractions import Fraction
 import json
 
 from .core import Modulus, ResidueInt, digits, ord_p
-from .expr import _BITWISE, KINDS, BitwiseOddPrime, FnExpr, compile_map, evaluator, nodes
+from .expr import _BITWISE, KINDS, BitwiseOddPrime, FnExpr, compile_map, evaluator, fold, nodes
 from .mahler import DEGREE_CAP, RationalPoly
 
 
@@ -249,7 +249,7 @@ _FUNCS = frozenset(("xor", "and", "or", "neg", "inv", "ff", "delta"))
 # Deepest nesting of parentheses, calls and unary minus the parser accepts.
 # A level costs up to six parser frames, well inside Python's default limit
 # of 1000.  Walks over the tree keep their own stacks; only evaluation
-# closures nest, one frame per level that is not a chain.
+# closures nest, one frame per non-chain level, which spec files cap too.
 _MAX_NESTING = 100
 _SYMBOLS = "+-*/^(),"
 
@@ -489,4 +489,7 @@ def expr_from_json(text: str) -> FnExpr:
     doc = json.loads(text)
     if isinstance(doc, dict):
         doc = nodes(doc, lambda d: d.get("children", ()))
-    return _from_docs(doc)
+    e = _from_docs(doc)
+    if fold(e, lambda node, vals, signs: 1 + max(vals, default=-1)) > _MAX_NESTING:
+        raise ValueError(f"expression nested deeper than {_MAX_NESTING} levels")
+    return e

@@ -1,8 +1,9 @@
 """Brute-force reference implementations shared by the test modules.
 
 Everything here recomputes from first principles (exact rational
-arithmetic, exhaustive walks, the solver's full-scan pivot search) and
-deliberately avoids the library code under test.  The one exception is
+arithmetic, exhaustive walks, the solver's full-scan pivot search, and
+per-index or per-order scans in place of the full-period passes of the
+sequence diagnostics) and deliberately avoids the library code under test.  The one exception is
 eval_tree, the node-by-node expression interpreter the library used
 before it compiled expressions; it calls core's mod_inverse and
 unit_pow, whose checks and messages the compiled path must reproduce,
@@ -302,3 +303,50 @@ def eval_tree(e, x, m):
     if kind == "INV":
         return mod_inverse(ResidueInt(a, m)).residue
     raise AssertionError(kind)
+
+
+def relation_holds_at(rel, seq, m, n):
+    """Whether x_{n+r} = c + sum c_j x_{n+j} holds at one cyclic index n,
+    by plain indexing."""
+    period = len(seq)
+    acc = rel.constant
+    for j, cj in enumerate(rel.coeffs):
+        acc += cj * seq[(n + j) % period]
+    return (acc - seq[(n + rel.order) % period]) % m.value == 0
+
+
+def first_violation_scan(rel, seq, m):
+    """Least index where rel fails, one index at a time, or None."""
+    return next((n for n in range(len(seq)) if not relation_holds_at(rel, seq, m, n)), None)
+
+
+def prefix_lower_bound_scan(seq, m, r_max):
+    """The difference-prefix bound by trying every order from 1 up.
+
+    Orders whose windows over the first min(period, 2*r_max + 2)
+    differences have no solution are skipped; an order with no more
+    equations than unknowns ends the scan as the bound, and r_max + 1
+    means every order up to r_max is ruled out.
+    """
+    period = len(seq)
+    n = min(period, 2 * r_max + 2)
+    diff = [(seq[(i + 1) % period] - seq[i]) % m.value for i in range(n)]
+    for r in range(1, r_max + 1):
+        if n - r <= r:
+            return r
+        rows = [diff[i:i + r] for i in range(n - r)]
+        if solve_mod_pk_fullscan(rows, diff[r:], m.p, m.k) is not None:
+            return r
+    return r_max + 1
+
+
+def bit_plane_periods_divisors(seq, k):
+    """Least period of each bit plane of one full period, by trying every
+    divisor of the length against the plane's rotation."""
+    period = len(seq)
+    divisors = [d for d in range(1, period + 1) if period % d == 0]
+    out = []
+    for j in range(k):
+        bits = [(x >> j) & 1 for x in seq]
+        out.append(next(d for d in divisors if bits[d:] + bits[:d] == bits))
+    return out

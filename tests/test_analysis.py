@@ -28,7 +28,14 @@ from padicforge.genlib import NotBinaryModulus, NotCertified, emit_bytes, make_g
 from padicforge.mahler import MahlerSeries, RationalPoly
 
 from corpus import random_compatible_ast
-from oracles import solve_mod_pk_fullscan, value_table
+from oracles import (
+    bit_plane_periods_divisors,
+    first_violation_scan,
+    prefix_lower_bound_scan,
+    relation_holds_at,
+    solve_mod_pk_fullscan,
+    value_table,
+)
 
 
 def orbit_of_zero(step, m: Modulus):
@@ -111,7 +118,7 @@ def brute_least_order(seq, m, r_max, unit_only):
             if unit_only and not any(c % m.p for c in vec[:r]):
                 continue
             rel = Relation(r, vec[:r], vec[r])
-            if all(rel.holds_at(seq, m, i) for i in range(n)):
+            if all(relation_holds_at(rel, seq, m, i) for i in range(n)):
                 return r
     return None
 
@@ -338,8 +345,8 @@ class TestAffineComplexity:
     def test_input_validation(self):
         with pytest.raises(EmptySequence):
             affine_linear_complexity([], Modulus(2, 3))
-        with pytest.raises(ValueError):
-            affine_linear_complexity([1, 9], Modulus(2, 3))
+        with pytest.raises(ValueError, match="element 9 is not a residue mod 8"):
+            affine_linear_complexity([1, 9, -1, 12], Modulus(2, 3))
 
 
 def planted_recurrence(rng, m, r):
@@ -422,6 +429,118 @@ class TestPrefixBound:
         assert [affine_linear_complexity(s, m, r).to_json() for s, m, r in cases] == with_bound
         assert complexity_growth_profile(RationalPoly([1, 1, 4]), 2, range(3, 9),
                                          r_max=2) == profile
+
+
+def planes_buffer(rng, k, length):
+    """length words mod 2^k, each bit plane repeating a random pattern
+    whose length divides length, so the least periods vary by plane."""
+    divisors = [d for d in range(1, length + 1) if length % d == 0]
+    seq = [0] * length
+    for j in range(k):
+        pattern = [rng.randrange(2) for _ in range(rng.choice(divisors))]
+        for n in range(length):
+            seq[n] |= pattern[n % len(pattern)] << j
+    return seq
+
+
+def kernel_corpus(seed, count):
+    """(kind, seq, m, r_max): orbits of corpus maps from random starts,
+    random, constant and non-full-period buffers, buffers shorter than
+    2*r_max + 2, and p = 2 buffers with structured bit planes at k = 1,
+    9 and 70.  The kinds and primes take turns."""
+    rng = random.Random(seed)
+    ks = {2: (1, 2, 3, 5, 7, 9), 3: (1, 2, 3, 4), 5: (1, 2, 3)}
+    kinds = ("orbit", "random", "constant", "partial", "short", "planes")
+    for i in range(count):
+        kind = kinds[i % len(kinds)]
+        p = 2 if kind == "planes" else (2, 3, 5)[i // len(kinds) % 3]
+        m = Modulus(p, rng.choice((1, 9, 70) if kind == "planes" else ks[p]))
+        r_max = rng.choice((1, 2, 3, 4, 6, 8, 16))
+        if kind in ("orbit", "partial"):
+            step = compile_map(random_compatible_ast(rng, p, rng.randint(1, 3)), m)
+            seq = analysis.orbit(step, m, rng.randrange(m.value))
+            if kind == "partial":
+                seq = seq[:rng.randint(1, len(seq))]
+        elif kind == "random":
+            seq = [rng.randrange(m.value) for _ in range(rng.randint(1, 80))]
+        elif kind == "constant":
+            seq = [rng.randrange(m.value)] * rng.randint(1, 40)
+        elif kind == "short":
+            seq = [rng.randrange(m.value) for _ in range(rng.randint(1, 2 * r_max + 1))]
+        else:
+            seq = planes_buffer(rng, m.k, rng.randint(1, 96))
+        yield kind, seq, m, r_max
+
+
+def relations_to_check(rng, seq, m):
+    """Random relations, zero coefficients included, and relations solved
+    on the first few windows, which hold there and mostly fail later."""
+    period = len(seq)
+    out = []
+    for r in (1, 2, 3):
+        coeffs = tuple(rng.choice((0, rng.randrange(m.value))) for _ in range(r))
+        out.append(Relation(r, coeffs, rng.randrange(m.value)))
+        w = rng.randint(1, period)
+        rows = [[seq[(n + j) % period] for j in range(r)] + [1] for n in range(w)]
+        rhs = [seq[(n + r) % period] for n in range(w)]
+        solved = solve_mod_pk_fullscan(rows, rhs, m.p, m.k)
+        if solved is not None:
+            z = solved[0]
+            out.append(Relation(r, tuple(z[:r]), z[r]))
+    return out
+
+
+class TestKernelsAgainstOracles:
+    def test_kernels_match_per_index_oracles(self, monkeypatch):
+        rng = random.Random(43)
+        cases = list(kernel_corpus(seed=41, count=360))
+        seen, plane_ks, violations = set(), set(), set()
+        for kind, seq, m, r_max in cases:
+            seen.add((kind, m.p))
+            assert (analysis._prefix_lower_bound(seq, m, r_max)
+                    == prefix_lower_bound_scan(seq, m, r_max)), (kind, seq, m, r_max)
+            if m.p == 2:
+                plane_ks.add(m.k)
+                assert bit_plane_periods(seq, m) == bit_plane_periods_divisors(seq, m.k)
+            for rel in relations_to_check(rng, seq, m):
+                want = first_violation_scan(rel, seq, m)
+                assert rel.first_violation(seq, m) == want, (rel, seq, m)
+                assert rel.verify(seq, m) == (want is None)
+                violations.add(want if want is None else min(want, 3))
+        assert len(cases) >= 300
+        assert seen == {(kind, p) for kind in ("orbit", "random", "constant", "partial", "short")
+                        for p in (2, 3, 5)} | {("planes", 2)}
+        assert {1, 9, 70} <= plane_ks
+        assert violations == {None, 0, 1, 2, 3}
+        reports = [affine_linear_complexity(s, m, r).to_json() for _, s, m, r in cases]
+        monkeypatch.setattr(analysis, "_prefix_lower_bound", prefix_lower_bound_scan)
+        monkeypatch.setattr(Relation, "first_violation", first_violation_scan)
+        monkeypatch.setattr(analysis, "bit_plane_periods",
+                            lambda seq, m: bit_plane_periods_divisors(seq, m.k))
+        assert [affine_linear_complexity(s, m, r).to_json() for _, s, m, r in cases] == reports
+
+    def test_prefix_bound_solves_logarithmically(self, monkeypatch):
+        # no order up to 16 survives the prefix on this shift orbit, so the
+        # bound is r_max + 1 after galloping 1, 2, 4, ... up to r_max
+        m = Modulus(2, 8)
+        seq = analysis.orbit(compile_map(parse_dsl("1 + x + 2*delta(x xor (2*x + 1))"), m), m)
+        real = analysis._solve_mod_pk
+        calls = []
+
+        def counting(*args):
+            calls.append(len(args[0][0]))
+            return real(*args)
+
+        monkeypatch.setattr(analysis, "_solve_mod_pk", counting)
+        for r_max in (1, 2, 3, 5, 8, 13, 16):
+            calls.clear()
+            assert analysis._prefix_lower_bound(seq, m, r_max) == r_max + 1
+            assert len(calls) <= (r_max - 1).bit_length() + 1, (r_max, calls)
+            assert calls[-1] == r_max
+            calls.clear()
+            rep = affine_linear_complexity(seq, m, r_max)
+            assert rep.linear_complexity == NoneFoundUpTo(r_max)
+            assert len(calls) <= (r_max - 1).bit_length() + 1
 
 
 class TestGrowthProfile:

@@ -371,7 +371,7 @@ MALFORMED_SPECS = {
     "state_fn nested 5000 deep": {
         "state_fn": '{"kind": "NEG", "children": [' * 5000 + '{"kind": "VAR"}' + "]}" * 5000,
         "modulus": {"p": 2, "k": 8}, "seed": 0},
-    # loads, but its evaluation closures nest one frame per NEG
+    # more levels than the nesting cap: evaluation closures nest one frame per NEG
     "3000 NEG levels": {
         "state_fn": json.dumps([{"kind": "CONST", "value": [1, 1]}, {"kind": "VAR"},
                                 {"kind": "ADD"}, {"kind": "CONST", "value": [2, 1]},
@@ -399,6 +399,15 @@ class TestMalformedSpec:
         path.write_text("[" * 100000 + "]" * 100000)
         assert main([command, "--file", str(path)]) == 2
         assert capsysbinary.readouterr().err.startswith(b"error: ")
+
+    @pytest.mark.parametrize("command", ["gen", "analyze"])
+    def test_spec_nested_past_the_cap_names_it(self, capsysbinary, tmp_path, command):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(MALFORMED_SPECS["3000 NEG levels"]))
+        assert main([command, "--file", str(path)]) == 2
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err == f"error: expression nested deeper than {_MAX_NESTING} levels\n".encode()
 
     def test_valid_postfix_spec_runs(self, capsysbinary, tmp_path):
         path = tmp_path / "spec.json"

@@ -11,6 +11,7 @@ from padicforge import funcalg as fa
 from padicforge.certify import CLASS_B, GENERIC_COMPATIBLE, Z_POLY, infer_class
 from padicforge.core import BaseNotOneUnit, Modulus, NotAUnit, ResidueInt
 from padicforge.funcalg import (
+    _MAX_NESTING,
     BitwiseOddPrime,
     BoolTriangle,
     CDivisibleByP,
@@ -29,6 +30,7 @@ from padicforge.funcalg import (
     triangle_eval,
     triangle_is_transitive_form,
 )
+from padicforge.genlib import GeneratorSpec
 from padicforge.mahler import RationalPoly
 
 X = fa.var()
@@ -393,6 +395,68 @@ def test_3000_term_chains_need_no_recursion(kind, nesting):
     tag = {"ADD": Z_POLY, "SUB": Z_POLY, "MUL": CLASS_B}.get(kind, GENERIC_COMPATIBLE)
     assert infer_class(e, 2).tag == tag
     assert is_class_b(e, 2) == (kind in ("ADD", "SUB", "MUL"))
+
+
+def dataclass_key(e):
+    """The tuple a recursive dataclass would compare; small trees only."""
+    return (e.kind, tuple(map(dataclass_key, e.children)), e.value, e.poly, e.base_verified)
+
+
+def test_eq_hash_repr_are_structural():
+    rng = random.Random(5)
+    trees = [random_compatible_ast(rng, p, rng.randint(0, 4)) for p in (2, 3, 5) for _ in range(40)]
+    trees += [fa.one_unit_pow(X, X, 2), fa.neg(X), parse_dsl("ff(x, 3) + 1/3")]
+    rebuilt = lambda e: fa.FnExpr(e.kind, tuple(map(rebuilt, e.children)), e.value, e.poly,
+                                  e.base_verified)
+    equal_pairs = 0
+    for a in trees:
+        twin = rebuilt(a)
+        assert a == twin and hash(a) == hash(twin) and repr(a) == repr(twin)
+        for b in trees[:30]:
+            same = dataclass_key(a) == dataclass_key(b)
+            assert (a == b) == same and (repr(a) == repr(b)) == same
+            equal_pairs += same and a is not b
+    assert equal_pairs >= 10
+    assert fa.one_unit_pow(X, X, 2) != fa.FnExpr("POW", (X, X))
+    assert repr(fa.neg(X)) == ("FnExpr(postfix=[('VAR', 0, None, None, False), "
+                               "('NEG', 1, None, None, False)])")
+    assert X != "VAR" and X.__eq__("VAR") is NotImplemented
+
+
+def test_eq_hash_repr_of_3000_term_chain_need_no_recursion():
+    source = " xor ".join(["x"] * 3000)
+    a, b = parse_dsl(source), parse_dsl(source)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != parse_dsl(source + " xor 1") and a != parse_dsl("x or " + source)
+    text = repr(a)
+    assert text.startswith("FnExpr(postfix=[('VAR', 0, None, None, False), ('VAR', 0,")
+    assert text.count("'VAR'") == 3000 and text.count("'XOR'") == 2999
+    spec, twin = (GeneratorSpec(e, Modulus(2, 8), 0, unchecked=True) for e in (a, b))
+    assert spec == twin and hash(spec) == hash(twin)
+    assert spec != GeneratorSpec(parse_dsl(source + " xor 1"), Modulus(2, 8), 0, unchecked=True)
+    assert repr(spec).count("'XOR'") == 2999
+
+
+def test_spec_nesting_capped_at_max_nesting():
+    # chain links are no level: NEG levels are, each between two long sums
+    sum_of = lambda e: fa.add(fa.add(e, X), fa.sub(X, fa.add(X, X)))
+    for depth in (_MAX_NESTING, _MAX_NESTING + 1, 3000):
+        e = X
+        for _ in range(depth):
+            e = fa.neg(e)
+        mixed = X
+        for _ in range(depth // 2):
+            mixed = sum_of(fa.neg(mixed))
+        for tree, levels in ((e, depth), (mixed, 2 * (depth // 2))):
+            text = expr_to_json(tree)
+            if levels <= _MAX_NESTING:
+                assert expr_from_json(text) == tree
+            else:
+                with pytest.raises(ValueError, match=f"deeper than {_MAX_NESTING} levels"):
+                    expr_from_json(text)
+    nested = '{"kind": "NEG", "children": [' * 101 + '{"kind": "VAR"}' + "]}" * 101
+    with pytest.raises(ValueError, match=f"deeper than {_MAX_NESTING} levels"):
+        expr_from_json(nested)
 
 
 def test_three_machine_forms():
