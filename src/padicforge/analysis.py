@@ -20,11 +20,9 @@ is reported as NoneFoundUpTo(r_max) without scanning again.
 
 A cheap bound rules out low orders first.  An affine relation of order r
 gives dx_{n+r} = sum c_j dx_{n+j}, dx_n = x_{n+1} - x_n, on every window,
-so the scans skip the orders that fail on the first 2*r_max + 2
-differences: they would fail on the full period, so reports are the same.
-Solvability on the prefix is monotone in r: c solving order r makes
-(0, c_0, ..., c_{r-1}) solve order r+1, on windows shifted by one, so the
-least open order takes about log2(r_max) solves, galloping and bisecting.
+so orders failing on the windows of the first 2*r_max + 2 differences fail
+on the full period and are skipped.  One pass keeps the window columns'
+span in Howell form over Z/p^k and decides each order without a solve.
 """
 
 from __future__ import annotations
@@ -43,6 +41,7 @@ from .genlib import GeneratorSpec, GeneratorState, NotBinaryModulus, NotCertifie
 
 SOLVER_PERIOD_CAP = 1 << 20
 DEFAULT_R_MAX = 32
+R_MAX_CAP = 2 * DEFAULT_R_MAX
 
 
 class EmptySequence(Exception):
@@ -250,29 +249,54 @@ def _relation_at_order(seq: Sequence[int], m: Modulus, r: int,
         chosen.add(violated)
 
 
+def _absorb(basis: dict, v: List[int], q: int) -> bool:
+    """Add v to a span over Z/q, q = p^k, in Howell form; False if v is in it.
+    basis[t], stored from t on, leads with p^e.  Installing it also absorbs
+    p^(k-e) times it and the row it displaced, so the rows from t on span
+    all of the span that is zero before t, and reduction decides membership."""
+    todo, grew = [v], False
+    while todo:
+        v = todo.pop()
+        for t in range(len(v)):
+            x = v[t]
+            if not x:
+                continue
+            row = basis.get(t)
+            if row is not None and x % row[0] == 0:
+                c = x // row[0]
+                v[t:] = [(a - c * b) % q for a, b in zip(v[t:], row)]
+                continue
+            g = gcd(x, q)
+            u = pow(x // g, -1, q)
+            basis[t] = new = [a * u % q for a in v[t:]]
+            if row is not None:
+                c = row[0] // g
+                todo.append([0] * t + [(a - c * b) % q for a, b in zip(row, new)])
+            if g > 1:
+                todo.append([0] * t + [a * (q // g) % q for a in new])
+            grew = True
+            break
+    return grew
+
+
 def _prefix_lower_bound(seq: Sequence[int], m: Modulus, r_max: int) -> int:
     """Least order that a short prefix of differences leaves open.
 
-    With dx_n = x_{n+1} - x_n (cyclic), a full-period relation of order r
-    gives dx_{n+r} = sum c_j dx_{n+j} on every window, so an order whose
-    windows over the first min(period, 2*r_max + 2) differences have no
-    solution has no relation at all.  Returns r_max + 1 when every order
-    up to r_max is ruled out; an order with no more equations than
-    unknowns is not decided and ends the search as the bound.
+    With dx_n = x_{n+1} - x_n (cyclic) and n = min(period, 2*r_max + 2), a
+    full-period relation of order r puts column r of H[i][j] = dx_{i+j},
+    i < n - 1, in the span of columns 0..r-1.  The columns join one Howell
+    basis in turn; the first to reduce to zero is the bound.  Orders above
+    top = min(r_max, (n - 1) // 2) are not decided, so top + 1 ends it.
     """
     period = len(seq)
     n = min(period, 2 * r_max + 2)
-    diff = [(seq[(i + 1) % period] - seq[i]) % m.value for i in range(n)]
     top = min(r_max, (n - 1) // 2)
-    lo, hi, r = 0, top + 1, 1  # orders up to lo are ruled out, hi is open
-    while lo + 1 < hi:
-        rows = [diff[i:i + r] for i in range(n - r)]
-        if _solve_mod_pk(rows, diff[r:], m.p, m.k) is None:
-            lo = r
-        else:
-            hi = r
-        r = min(2 * r, top) if hi > top else (lo + hi) // 2
-    return hi
+    diff = [(seq[(i + 1) % period] - seq[i % period]) % m.value for i in range(n - 1 + top)]
+    basis = {}
+    for r in range(top + 1):
+        if not _absorb(basis, diff[r:r + n - 1], m.value) and r:
+            return r
+    return top + 1
 
 
 def _least_order(seq, m, r_max, unit_only, r_start=1):
@@ -281,6 +305,11 @@ def _least_order(seq, m, r_max, unit_only, r_start=1):
         if rel is not None:
             return rel
     return None
+
+
+def _check_r_max(r_max: int):
+    if r_max > R_MAX_CAP:
+        raise CapExceeded(f"r_max {r_max} exceeds the cap {R_MAX_CAP}")
 
 
 def _check_buffer(seq, m: Modulus):
@@ -306,6 +335,7 @@ def affine_linear_complexity(seq: Sequence[int], m: Modulus,
     prefix of the differences, hence on the full period, so the relation
     is the one a scan from order 1 finds; a bound past r_max is a miss.
     """
+    _check_r_max(r_max)
     seq = list(seq)
     _check_buffer(seq, m)
     any_rel = _least_order(seq, m, r_max, unit_only=False,
@@ -369,6 +399,7 @@ def complexity_growth_profile(state_fn: MapLike, p: int, k_range,
     nondecreasing in k (a relation mod p^k holds mod p^(k-1), units stay
     units), so each scan starts at max(previous order, prefix bound).
     """
+    _check_r_max(r_max)
     cert = ergodicity_certificate(state_fn, p, cls=cls)
     if cert.verdict != PROVEN:
         raise NotCertified(f"state map is {cert.verdict} at p={p}, profile needs PROVEN")

@@ -42,6 +42,7 @@ from .analysis import (
     orbit,
     sequence_from_bytes,
     sequence_from_generator,
+    _check_r_max,
 )
 from .certify import (
     PROVEN,
@@ -309,6 +310,7 @@ def cmd_analyze(args) -> Tuple[dict, int]:
     cap = _resolve_cap(args)
     if args.rmax <= 0:
         raise ValueError("--rmax must be positive")
+    _check_r_max(args.rmax)  # before the walk, so a refusal is quick
     if args.file is not None and args.source is not None:
         raise ValueError("give a sequence source inline or with --file, not both")
     if args.file is not None:
@@ -752,7 +754,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cap-states", type=int, metavar="N", dest="cap_states",
                         help="brute-force state cap (default from PADIC_FORGE_CAP)")
     common.add_argument("--rmax", type=int, default=32, metavar="R",
-                        help="largest recurrence order to search (default 32)")
+                        help="largest recurrence order to search (default 32, at most 64)")
     common.add_argument("--json", action="store_true", dest="json_out",
                         help="machine-readable report")
     common.add_argument("--file", metavar="PATH",

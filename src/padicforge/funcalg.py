@@ -249,7 +249,7 @@ _FUNCS = frozenset(("xor", "and", "or", "neg", "inv", "ff", "delta"))
 # Deepest nesting of parentheses, calls and unary minus the parser accepts.
 # A level costs up to six parser frames, well inside Python's default limit
 # of 1000.  Walks over the tree keep their own stacks; only evaluation
-# closures nest, one frame per non-chain level, which spec files cap too.
+# closures nest, one frame per non-chain level, which maps and specs cap too.
 _MAX_NESTING = 100
 _SYMBOLS = "+-*/^(),"
 
@@ -321,6 +321,8 @@ class _Parser:
         tok = self.take()
         if tok[0] != "EOF":
             raise DslSyntaxError(f"unexpected {tok[1]!r}", tok[2], tok[3])
+        if len(self.tokens) > _MAX_NESTING:  # at most one inner node per token
+            _depth_checked(e, lambda msg: DslSyntaxError(msg, 1, 1))
         return e
 
     def bitexpr(self):
@@ -428,13 +430,21 @@ class _Parser:
         return build[name](*args)
 
 
+def _depth_checked(e: FnExpr, error) -> FnExpr:
+    """e, unless its tree nests more than _MAX_NESTING levels, a chain counting
+    as one, when error(message) is raised: a map the parser accepts loads."""
+    if fold(e, lambda node, vals, signs: 1 + max(vals, default=-1)) > _MAX_NESTING:
+        raise error(f"expression nested deeper than {_MAX_NESTING} levels")
+    return e
+
+
 def parse_dsl(text: str) -> FnExpr:
     """Parse the generator DSL.
 
     Grammar: infix + - * ^ with function forms xor/and/or/neg/inv/delta
     and the falling-factorial atom ff(x, n); infix xor/and/or bind loosest.
-    Rational literals are written a/b.  Nesting deeper than _MAX_NESTING
-    and ff degrees above DEGREE_CAP are syntax errors.
+    Rational literals are written a/b.  Nesting deeper than _MAX_NESTING, in
+    source or tree, and ff degrees above DEGREE_CAP are syntax errors.
     """
     return _Parser(text).parse()
 
@@ -489,7 +499,4 @@ def expr_from_json(text: str) -> FnExpr:
     doc = json.loads(text)
     if isinstance(doc, dict):
         doc = nodes(doc, lambda d: d.get("children", ()))
-    e = _from_docs(doc)
-    if fold(e, lambda node, vals, signs: 1 + max(vals, default=-1)) > _MAX_NESTING:
-        raise ValueError(f"expression nested deeper than {_MAX_NESTING} levels")
-    return e
+    return _depth_checked(_from_docs(doc), ValueError)

@@ -350,3 +350,23 @@ def bit_plane_periods_divisors(seq, k):
         bits = [(x >> j) & 1 for x in seq]
         out.append(next(d for d in divisors if bits[d:] + bits[:d] == bits))
     return out
+
+
+def prefix_bound_fixed_windows(seq, m, r_max):
+    """The difference-prefix bound on fixed windows, one solve per order.
+
+    With n = min(period, 2*r_max + 2), every order r from 1 up to
+    top = min(r_max, (n - 1) // 2) is solved on the same n - 1 cyclic
+    windows dx_{i+r} = sum c_j dx_{i+j}, i < n - 1; the first solvable
+    order is the bound, and top + 1 means every order up to top is ruled
+    out.
+    """
+    period = len(seq)
+    n = min(period, 2 * r_max + 2)
+    top = min(r_max, (n - 1) // 2)
+    dx = [(seq[(i + 1) % period] - seq[i % period]) % m.value for i in range(n - 1 + top)]
+    for r in range(1, top + 1):
+        rows = [dx[i:i + r] for i in range(n - 1)]
+        if solve_mod_pk_fullscan(rows, dx[r:r + n - 1], m.p, m.k) is not None:
+            return r
+    return top + 1

@@ -31,11 +31,17 @@ from corpus import random_compatible_ast
 from oracles import (
     bit_plane_periods_divisors,
     first_violation_scan,
+    prefix_bound_fixed_windows,
     prefix_lower_bound_scan,
     relation_holds_at,
     solve_mod_pk_fullscan,
     value_table,
 )
+
+
+README_MAP = "1 + x + 2*delta(x xor (2*x + 1))"
+SQUARES_MASK_MAP = "7 + x + 2*delta((x*x) xor ((x + 32) and x))"
+AND_MAP = "3 + x + 2*delta(x and (4*x + 3))"
 
 
 def orbit_of_zero(step, m: Modulus):
@@ -348,6 +354,16 @@ class TestAffineComplexity:
         with pytest.raises(ValueError, match="element 9 is not a residue mod 8"):
             affine_linear_complexity([1, 9, -1, 12], Modulus(2, 3))
 
+    def test_r_max_capped(self):
+        m = Modulus(2, 6)
+        seq = orbit_of_zero(lambda x: 1 + 5 * x, m)
+        assert analysis.R_MAX_CAP == 64
+        assert affine_linear_complexity(seq, m, r_max=64).linear_complexity == 1
+        with pytest.raises(CapExceeded, match="r_max 65 exceeds the cap 64"):
+            affine_linear_complexity(seq, m, r_max=65)
+        with pytest.raises(CapExceeded, match="r_max 65 exceeds the cap 64"):
+            complexity_growth_profile(RationalPoly([1, 5]), 2, range(1, 4), r_max=65)
+
 
 def planted_recurrence(rng, m, r):
     """One full period of x_{n+r} = c + sum c_j x_{n+j} with c_0 a unit.
@@ -395,7 +411,7 @@ class TestPrefixBound:
         for kind, seq, m, r_max in bound_corpus(seed=31, per_kind=64):
             seen[(kind, m.p)] = seen.get((kind, m.p), 0) + 1
             bound = analysis._prefix_lower_bound(seq, m, r_max)
-            assert 1 <= bound <= r_max + 1
+            assert prefix_lower_bound_scan(seq, m, r_max) <= bound <= r_max + 1
             if m.value ** (r_max + 1) <= 4096:
                 want = brute_least_order(seq, m, r_max, unit_only=False)
             else:
@@ -495,10 +511,15 @@ class TestKernelsAgainstOracles:
         rng = random.Random(43)
         cases = list(kernel_corpus(seed=41, count=360))
         seen, plane_ks, violations = set(), set(), set()
+        raised = 0
         for kind, seq, m, r_max in cases:
             seen.add((kind, m.p))
-            assert (analysis._prefix_lower_bound(seq, m, r_max)
-                    == prefix_lower_bound_scan(seq, m, r_max)), (kind, seq, m, r_max)
+            bound = analysis._prefix_lower_bound(seq, m, r_max)
+            assert bound == prefix_bound_fixed_windows(seq, m, r_max), (kind, seq, m, r_max)
+            # the shorter per-order windows of the earlier bound are a subset
+            old = prefix_lower_bound_scan(seq, m, r_max)
+            assert bound >= old, (kind, seq, m, r_max)
+            raised += bound > old
             if m.p == 2:
                 plane_ks.add(m.k)
                 assert bit_plane_periods(seq, m) == bit_plane_periods_divisors(seq, m.k)
@@ -512,6 +533,7 @@ class TestKernelsAgainstOracles:
                         for p in (2, 3, 5)} | {("planes", 2)}
         assert {1, 9, 70} <= plane_ks
         assert violations == {None, 0, 1, 2, 3}
+        assert raised >= 1
         reports = [affine_linear_complexity(s, m, r).to_json() for _, s, m, r in cases]
         monkeypatch.setattr(analysis, "_prefix_lower_bound", prefix_lower_bound_scan)
         monkeypatch.setattr(Relation, "first_violation", first_violation_scan)
@@ -519,28 +541,80 @@ class TestKernelsAgainstOracles:
                             lambda seq, m: bit_plane_periods_divisors(seq, m.k))
         assert [affine_linear_complexity(s, m, r).to_json() for _, s, m, r in cases] == reports
 
-    def test_prefix_bound_solves_logarithmically(self, monkeypatch):
-        # no order up to 16 survives the prefix on this shift orbit, so the
-        # bound is r_max + 1 after galloping 1, 2, 4, ... up to r_max
+    def test_prefix_bound_makes_no_solves(self, monkeypatch):
+        # no order up to 16 survives the prefix on this shift orbit; the
+        # bound says so from one Howell pass, without the solver
         m = Modulus(2, 8)
-        seq = analysis.orbit(compile_map(parse_dsl("1 + x + 2*delta(x xor (2*x + 1))"), m), m)
-        real = analysis._solve_mod_pk
+        seq = analysis.orbit(compile_map(parse_dsl(README_MAP), m), m)
         calls = []
-
-        def counting(*args):
-            calls.append(len(args[0][0]))
-            return real(*args)
-
-        monkeypatch.setattr(analysis, "_solve_mod_pk", counting)
+        monkeypatch.setattr(analysis, "_solve_mod_pk", lambda *args: calls.append(args))
         for r_max in (1, 2, 3, 5, 8, 13, 16):
-            calls.clear()
             assert analysis._prefix_lower_bound(seq, m, r_max) == r_max + 1
-            assert len(calls) <= (r_max - 1).bit_length() + 1, (r_max, calls)
-            assert calls[-1] == r_max
-            calls.clear()
             rep = affine_linear_complexity(seq, m, r_max)
             assert rep.linear_complexity == NoneFoundUpTo(r_max)
-            assert len(calls) <= (r_max - 1).bit_length() + 1
+        assert calls == []
+
+    @pytest.mark.parametrize("source, k", [(README_MAP, 8), (README_MAP, 9),
+                                           (SQUARES_MASK_MAP, 8), (AND_MAP, 8)])
+    def test_shift_orbits_closed_from_every_start(self, source, k):
+        m = Modulus(2, k)
+        step = compile_map(parse_dsl(source), m)
+        bounds = {analysis._prefix_lower_bound(analysis.orbit(step, m, x0), m, 16)
+                  for x0 in range(m.value)}
+        assert bounds == {17}
+
+
+def howell_corpus(seed, count):
+    """(columns, b, p, k): up to 9 x 6 systems at p = 2, 3 and 5 whose
+    columns are random (mostly holding units), zero divisors (multiples of
+    p), all zero, or scaled copies of earlier columns, with b in the column
+    span about half the time."""
+    rng = random.Random(seed)
+    for i in range(count):
+        p, k = (2, 3, 5)[i % 3], rng.randint(1, 5)
+        q = p ** k
+        nr, nc = rng.randint(1, 9), rng.randint(1, 6)
+        cols = []
+        for _ in range(nc):
+            kind = rng.choice(("unit", "divisor", "zero", "repeat"))
+            if kind == "unit":
+                cols.append([rng.randrange(q) for _ in range(nr)])
+            elif kind == "divisor":
+                cols.append([p ** rng.randint(1, k) * rng.randrange(q) % q for _ in range(nr)])
+            elif kind == "zero" or not cols:
+                cols.append([0] * nr)
+            else:
+                scale = p ** rng.randint(0, k - 1) * rng.randrange(1, q)
+                cols.append([scale * v % q for v in rng.choice(cols)])
+        if rng.random() < 0.5:
+            z = [rng.randrange(q) for _ in range(nc)]
+            b = [sum(zj * col[i] for zj, col in zip(z, cols)) % q for i in range(nr)]
+        else:
+            b = [valuation_heavy_entry(rng, p, k) % q for _ in range(nr)]
+        yield cols, b, p, k
+
+
+class TestHowellBasis:
+    def test_membership_matches_solvability(self):
+        # every column and then b join one basis; each is a member exactly
+        # when the full-scan solver finds the system on the earlier columns
+        # solvable
+        outcomes = set()
+        count = 0
+        for cols, b, p, k in howell_corpus(seed=47, count=600):
+            basis = {}
+            for j, v in enumerate(cols + [b]):
+                if j == 0:
+                    want = not any(v)
+                else:
+                    rows = [list(row) for row in zip(*cols[:j])]
+                    want = solve_mod_pk_fullscan(rows, v, p, k) is not None
+                assert analysis._absorb(basis, list(v), p ** k) is not want, (cols, b, p, k, j)
+                outcomes.add((p, j == len(cols), want))
+            count += 1
+        assert count >= 500
+        assert outcomes == {(p, last, want) for p in (2, 3, 5)
+                            for last in (False, True) for want in (False, True)}
 
 
 class TestGrowthProfile:

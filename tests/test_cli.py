@@ -7,6 +7,7 @@ import time
 import pytest
 from jsonschema import Draft202012Validator
 
+from padicforge import cli
 from padicforge.cli import main, report_schema
 from padicforge.core import Modulus
 from padicforge.funcalg import _MAX_NESTING, parse_dsl
@@ -221,6 +222,15 @@ class TestAnalyze:
         assert blob["linear_complexity"] == {"none_found_up_to": 1}
         assert "relation" not in blob
 
+    def test_rmax_above_cap_exits_3_before_the_walk(self, capsys, monkeypatch):
+        walks = []
+        monkeypatch.setattr(cli, "orbit", lambda *args: walks.append(args))
+        assert main(["analyze", "-p", "2", "-k", "20", "--rmax", "65", XORGEN]) == 3
+        assert walks == []
+        assert capsys.readouterr().err == "error: r_max 65 exceeds the cap 64\n"
+        monkeypatch.undo()
+        assert main(["analyze", "-p", "2", "-k", "6", "--rmax", "64", XORGEN]) == 0
+
     def test_binary_file(self, capsys, tmp_path):
         spec = make_generator(parse_dsl(XORGEN), Modulus(2, 16), 3)
         path = tmp_path / "stream.bin"
@@ -427,6 +437,19 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["gen", "analyze"])
+    def test_map_too_deep_to_save_exits_2(self, capsysbinary, command):
+        # 60 source levels are within the parser's cap, but each POW adds
+        # a tree level, so the map could not replay from a saved spec
+        tower = "x"
+        for _ in range(60):
+            tower = f"neg({tower})^x"
+        assert main([command, "-p", "2", "-k", "8", f"1 + x + 2*delta({tower})"]) == 2
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err == (f"error: expression nested deeper than {_MAX_NESTING} levels"
+                                f" at line 1, column 1\n").encode()
 
     def test_text_rendering_smoke(self, capsys):
         assert main(["certify", "-p", "5", "1 + x + 201^x"]) == 0

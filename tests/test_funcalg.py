@@ -459,6 +459,26 @@ def test_spec_nesting_capped_at_max_nesting():
         expr_from_json(nested)
 
 
+def test_parser_and_spec_loader_agree_on_depth():
+    # neg(...)^x nested d deep is d source levels but 2d tree levels, and
+    # 1 + x + 2*delta(...) adds three more: 99 at d = 48, 101 at d = 49
+    for depth in (48, 49, 60):
+        text, tree = "x", X
+        for _ in range(depth):
+            text, tree = f"neg({text})^x", fa.pow_(fa.neg(tree), X)
+        text = f"1 + x + 2*delta({text})"
+        tree = fa.add(fa.add(fa.const(1), X), fa.mul(fa.const(2), fa.delta(tree)))
+        if 2 * depth + 3 <= _MAX_NESTING:
+            parsed = parse_dsl(text)
+            assert parsed == tree
+            assert expr_from_json(expr_to_json(parsed)) == parsed
+            continue
+        with pytest.raises(DslSyntaxError, match=f"deeper than {_MAX_NESTING} levels"):
+            parse_dsl(text)
+        with pytest.raises(ValueError, match=f"deeper than {_MAX_NESTING} levels"):
+            expr_from_json(expr_to_json(tree))
+
+
 def test_three_machine_forms():
     # reference f = 1 + x + 2*(v(x+1) - v(x)); the two NEG rewritings match it
     # exactly, the third classic display sits 2 lower since neg z = -1 - z
