@@ -128,21 +128,28 @@ def bijective_mod(f: MapLike, m: Modulus, cap: Optional[int] = None):
 def transitive_mod(f: MapLike, m: Modulus, cap: Optional[int] = None):
     """Does the orbit of 0 under f cover all of Z/m?  Returns (bool, orbit_length).
 
-    Walks at most m.value steps.  If the orbit re-enters itself anywhere
-    other than at 0 the map cannot be a permutation and NotBijective is
-    raised rather than reporting a misleading short cycle.
+    Walks until the orbit returns to 0 or first revisits another state,
+    so at most (distinct states + 1) evaluations.  A state other than 0
+    seen again means the map cannot be a permutation, and NotBijective,
+    naming that state and step, is raised rather than reporting a
+    misleading short cycle.
     """
     cap = cap if cap is not None else DEFAULT_STATE_CAP
     if m.value > cap:
         raise CapExceeded(f"{m.value} states exceeds cap {cap}")
     fn = compile_map(f, m)
+    seen = bytearray(m.value)
+    seen[0] = 1  # a return to 0 ends the walk as a re-entry does
     x = 0
-    for step in range(1, m.value + 1):
+    for step in range(1, m.value + 1):  # always breaks: m.value - 1 states unmarked
         x = fn(x)
-        if x == 0:
-            return step == m.value, step
-    # m.value steps without returning: some state repeated off the start
-    raise NotBijective("orbit of 0 never returned; map is not a permutation")
+        if seen[x]:
+            break
+        seen[x] = 1
+    if x:  # the orbit is stuck in a cycle that misses 0
+        raise NotBijective(f"orbit of 0 re-entered state {x} at step {step}; "
+                           "map is not a permutation")
+    return step == m.value, step
 
 
 class MultiPoly:
@@ -569,7 +576,10 @@ def compatibility_certificate(f: MapLike, p: int, cap: Optional[int] = None) -> 
     Polynomials and interpolation series are decided exactly by the
     coefficient criterion (T2_1).  ASTs whose polynomial leaves all pass
     the criterion are PROVEN by closure; otherwise a bounded probe either
-    finds a violated congruence (REFUTED) or reports UNKNOWN.
+    finds a violated congruence (REFUTED) or reports UNKNOWN.  The probe
+    checks level 1 as it evaluates, so a level-1 refutation at input x
+    evaluates only inputs 0..x: a map that would raise at a later input
+    is REFUTED rather than raising.  Deeper levels scan the full table.
     """
     t0 = time.perf_counter()
     elapsed = lambda: (time.perf_counter() - t0) * 1000.0
@@ -582,10 +592,17 @@ def compatibility_certificate(f: MapLike, p: int, cap: Optional[int] = None) -> 
         return Certificate(COMPATIBLE, PROVEN, "T2_1", Modulus(p, 1), None, elapsed())
     m = _probe_modulus(p, cap)
     fn = compile_map(f, m)
-    table = array("q", map(fn, range(m.value)))
-    for j in range(1, m.k):
+    table = array("q", map(fn, range(p)))
+    # level 1 while the table fills: x mod p is the first input of its
+    # class, so compare the rest with it; likewise mod p^j on the full table
+    for x in range(p, m.value):
+        v = fn(x)
+        if (v - table[x % p]) % p:
+            return Certificate(COMPATIBLE, REFUTED, "BRUTE_ONLY", m,
+                               {"level": 1, "input_residue": x % p}, elapsed())
+        table.append(v)
+    for j in range(2, m.k):
         q = p ** j
-        # x mod q is the first input of its class: compare the rest with it
         for x in range(q, m.value):
             if (table[x] - table[x % q]) % q:
                 return Certificate(COMPATIBLE, REFUTED, "BRUTE_ONLY", m,

@@ -341,7 +341,11 @@ def cmd_analyze(args) -> Tuple[dict, int]:
         seed = args.seed or 0
         if not 0 <= seed < m.value:
             raise ValueError(f"seed {seed} outside 0..{m.value - 1}")
-        seq = orbit(compile_map(fn, m), m, seed)
+        step = compile_map(fn, m)
+        seq = orbit(step, m, seed)
+        if len(seq) == m.value and step(seq[-1]) != seed:
+            raise ValueError(f"the orbit of seed {seed} never returns to it mod {m.p}^{m.k}: "
+                             "the map is not a permutation, so there is no period to analyze")
         source = source.strip()
     rep = affine_linear_complexity(seq, m, r_max=args.rmax)
     report = {"kind": "analyze", "source": source, "words": len(seq)}

@@ -64,6 +64,23 @@ def preserves_congruences(table, p, k):
     return True
 
 
+def compatibility_probe_full_table(fn, p, k):
+    """The bounded compatibility probe with no early exit.
+
+    Tabulates fn on all of Z/p^k first, then scans levels 1..k-1 in order,
+    inputs in increasing order.  Returns the first violation as
+    {"level": j, "input_residue": r}, or None when every level holds.
+    """
+    size = p**k
+    table = [fn(x) % size for x in range(size)]
+    for j in range(1, k):
+        q = p**j
+        for x in range(q, size):
+            if (table[x] - table[x % q]) % q:
+                return {"level": j, "input_residue": x % q}
+    return None
+
+
 def is_bijection(table):
     return len(set(table)) == len(table)
 

@@ -54,12 +54,15 @@ from padicforge.mahler import (
 )
 
 from oracles import (
+    compatibility_probe_full_table,
     eval_tree,
+    is_bijection,
     is_transitive,
     mahler_value,
     poly_eval_mod,
     random_integer_valued_poly,
     value_table,
+    zero_cycle_length,
 )
 
 
@@ -590,6 +593,156 @@ class TestCompatibilityCertificate:
         cancel = sub(poly_node(not_compatible_poly()), poly_node(not_compatible_poly()))
         cert = compatibility_certificate(cancel, 2)
         assert cert.verdict == UNKNOWN and cert.theorem == "BRUTE_ONLY"
+
+
+# Probe depths per prime: tables of at most 625 entries keep 360 maps fast.
+_PROBE_DEPTHS = {2: (4, 9), 3: (2, 5), 5: (2, 4)}
+
+
+def _random_table(rng, p, k):
+    """One map on Z/p^k as a value table, from a family chosen at random.
+
+    The families mix compatible maps (affine, integer polynomials, xor
+    T-functions) with maps that fail compatibility (random functions,
+    permutations and single cycles), and bijective maps with
+    non-bijective ones.  "bumped" adds p^j at one input of a transitive
+    affine map, which breaks compatibility first at level j + 1 (or not
+    within the probe when j = k - 1) and makes the map non-bijective.
+    """
+    n = p**k
+    family = rng.choice(("affine", "poly", "xor", "random_fn", "random_perm",
+                         "random_cycle", "bumped"))
+    if family == "affine":
+        a, b = rng.randrange(n), rng.randrange(n)
+        return [(a + b * x) % n for x in range(n)]
+    if family == "poly" or (family == "xor" and p != 2):
+        cs = [rng.randrange(n) for _ in range(rng.randint(3, 5))]
+        return [sum(c * x**i for i, c in enumerate(cs)) % n for x in range(n)]
+    if family == "xor":
+        a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        return [(a + b * (x ^ c)) % n for x in range(n)]
+    if family == "random_fn":
+        return [rng.randrange(n) for _ in range(n)]
+    if family == "random_perm":
+        table = list(range(n))
+        rng.shuffle(table)
+        return table
+    if family == "random_cycle":
+        order = list(range(n))
+        rng.shuffle(order)
+        table = [0] * n
+        for i, x in enumerate(order):
+            table[x] = order[(i + 1) % n]
+        return table
+    table = [(1 + x) % n for x in range(n)]
+    table[rng.randrange(n)] += p ** rng.randint(1, k - 1)
+    return [v % n for v in table]
+
+
+class _Counted:
+    """A table as a map that counts its evaluations."""
+
+    def __init__(self, table):
+        self.table = table
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.table[x]
+
+
+def _first_reentry(table):
+    """(state, step) where the orbit of 0 first revisits a state other than 0."""
+    seen, x, step = set(), table[0], 1
+    while x not in seen:
+        seen.add(x)
+        x, step = table[x], step + 1
+    return x, step
+
+
+class TestBruteProbeEarlyExits:
+    """The probes stop at their first witness with the full scans' outcomes."""
+
+    def test_differential_against_full_scans(self):
+        rng = random.Random(1010)
+        outcomes = {}
+        for p, (k_lo, k_hi) in _PROBE_DEPTHS.items():
+            for _ in range(120):
+                k = rng.randint(k_lo, k_hi)
+                m, table = Modulus(p, k), _random_table(rng, p, k)
+                n = m.value
+
+                want = compatibility_probe_full_table(table.__getitem__, p, k)
+                counted = _Counted(table)
+                cert = compatibility_certificate(counted, p, cap=n)
+                assert cert.checked_modulus == m
+                if want is None:
+                    assert (cert.verdict, cert.witness) == (UNKNOWN, {"compatible_up_to": k})
+                    assert counted.calls == n
+                else:
+                    assert (cert.verdict, cert.witness) == (REFUTED, want)
+                    if want["level"] == 1:
+                        x = next(x for x in range(p, n) if (table[x] - table[x % p]) % p)
+                        assert counted.calls <= x + 1
+                    else:
+                        assert counted.calls == n
+                outcomes[p, "compatible", want and want["level"] > 1] = True
+
+                counted = _Counted(table)
+                length = zero_cycle_length(table)
+                if length is None:
+                    state, step = _first_reentry(table)
+                    with pytest.raises(NotBijective,
+                                       match=f"re-entered state {state} at step {step};"):
+                        transitive_mod(counted, m)
+                    assert counted.calls <= step + 1  # step = distinct states seen
+                    assert not is_bijection(table)
+                else:
+                    assert transitive_mod(counted, m) == (is_transitive(table), length)
+                    assert counted.calls == length
+                outcomes[p, "transitive", {None: None, n: "full"}.get(length, "short")] = True
+
+                ok, pair = bijective_mod(table.__getitem__, m)
+                assert ok == is_bijection(table)
+                if not ok:
+                    y, x = pair
+                    assert y < x and table[y] == table[x]
+                    assert len(set(table[:x])) == x  # x is the first repeated value
+                outcomes[p, "bijective", ok] = True
+        for p in _PROBE_DEPTHS:
+            assert all(outcomes.get((p, "transitive", v)) for v in (None, "short", "full"))
+            assert all(outcomes.get((p, "bijective", v)) for v in (True, False))
+            assert all(outcomes.get((p, "compatible", v)) for v in (None, False, True))
+
+    def test_partial_map_refuted_before_its_undefined_input(self):
+        # x(x-1)/2 fails level 1 at x = 2 against x = 0, and is undefined
+        # at 5.  The full-table oracle raises there; the probe stops at the
+        # witness, having evaluated both of its points.
+        evaluated = []
+
+        def half_falling(x):
+            evaluated.append(x)
+            if x == 5:
+                raise ZeroDivisionError("undefined at 5")
+            return x * (x - 1) // 2
+
+        with pytest.raises(ZeroDivisionError, match="undefined at 5"):
+            compatibility_probe_full_table(half_falling, 2, 14)
+        evaluated.clear()
+        cert = compatibility_certificate(half_falling, 2)
+        assert (cert.verdict, cert.theorem) == (REFUTED, "BRUTE_ONLY")
+        assert cert.witness == {"level": 1, "input_residue": 0}
+        assert evaluated == [0, 1, 2]
+
+    def test_raise_before_reentry_still_raises(self):
+        # 0 -> 1 -> 2 -> 3, and 3 -> 1 would re-enter, but the map raises at 3
+        def partial(x):
+            if x == 3:
+                raise ZeroDivisionError("undefined at 3")
+            return {0: 1, 1: 2, 2: 3}.get(x, 1)
+
+        with pytest.raises(ZeroDivisionError, match="undefined at 3"):
+            transitive_mod(partial, Modulus(2, 3))
 
 
 class TestClassBMembership:

@@ -251,6 +251,18 @@ class TestAnalyze:
         assert blob["words"] == 64
         assert blob["census_ok"] is True
 
+    def test_orbit_that_never_returns_is_refused(self, capsys):
+        # x*x + 1 is not a permutation: the orbit of 0 falls into a cycle
+        # that misses 0, so its 1024 states hold repeats and are no period
+        assert main(["analyze", "-p", "2", "-k", "10", "--json", "x*x + 1"]) == 2
+        err = capsys.readouterr().err
+        assert "seed 0 never returns to it mod 2^10" in err
+        assert main(["analyze", "-p", "2", "-k", "10", "--seed", "3", "x*x + 1"]) == 2
+        assert "seed 3 never returns" in capsys.readouterr().err
+        # a short cycle through the seed is a period
+        rc, blob = run_json(capsys, ["analyze", "-p", "2", "-k", "6", "--json", "x xor 1"])
+        assert rc == 0 and blob["period"] == 2
+
     def test_composite_modulus_rejected(self, capsys):
         assert main(["analyze", "-m", "12", "1+x"]) == 2
 
