@@ -11,6 +11,7 @@ component is handled in its own Z/p^k.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -135,15 +136,17 @@ class CompositeModulus:
 
     factors: tuple
     value: int = field(init=False, compare=False)
+    # CRT basis: per factor, the value that is 1 mod it and 0 mod the others
+    basis: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         primes = [f.p for f in self.factors]
         if primes != sorted(set(primes)) or not primes:
             raise ValueError("factors must have strictly increasing distinct primes")
-        v = 1
-        for f in self.factors:
-            v *= f.value
+        v = math.prod(f.value for f in self.factors)
         object.__setattr__(self, "value", v)
+        object.__setattr__(self, "basis", tuple(
+            v // f.value * pow(v // f.value, -1, f.value) for f in self.factors))
 
     @classmethod
     def from_int(cls, m):
@@ -180,11 +183,7 @@ class CompositeModulus:
         """CRT: the unique value mod m matching each component residue."""
         if len(residues) != len(self.factors):
             raise ValueError("one residue per factor required")
-        x = 0
-        for r, f in zip(residues, self.factors):
-            other = self.value // f.value
-            x += r * other * pow(other, -1, f.value)
-        return x % self.value
+        return sum(map(operator.mul, residues, self.basis)) % self.value
 
     def __str__(self):
         return " * ".join(str(f) for f in self.factors)

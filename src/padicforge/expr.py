@@ -15,15 +15,20 @@ Every walk over a tree is one of two, each on an explicit stack, so no
 tree is too deep to walk: `nodes(e)` yields the nodes in post-order, and
 `fold(e, visit)` computes each node's value from its operands' values,
 handing every ADD/SUB, MUL, XOR, AND or OR chain to `visit` as one call.
+
+`compile_map(e, m)` evaluates through generated Python, compiled once per
+(tree, modulus) and cached: straight-line code that reduces mod p^k only
+where a value must lie in [0, p^k), and raises every evaluation error at
+the input, in the order and with the message of node-by-node evaluation.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import and_, or_, xor
+from functools import lru_cache, reduce
+from operator import and_, mul, or_, xor
 from typing import Callable
 
-from .core import BaseNotOneUnit, Modulus, NotAUnit, ResidueInt, mod_inverse
+from .core import Modulus, ResidueInt, mod_inverse, unit_pow
 from .mahler import MahlerSeries, RationalPoly
 
 KINDS = frozenset(
@@ -33,7 +38,6 @@ _BITWISE = frozenset(("XOR", "AND", "OR", "NEG"))
 # A node absorbs the operands of a child of its own group: ADD and SUB
 # chain together, each other chain kind with itself.
 _GROUP = {"ADD": "+", "SUB": "+", "MUL": "*", "XOR": "^", "AND": "&", "OR": "|"}
-_BITOPS = {"XOR": xor, "AND": and_, "OR": or_}
 
 
 class BitwiseOddPrime(ValueError):
@@ -57,8 +61,15 @@ class FnExpr:
             return NotImplemented
         return self is other or self._postfix() == other._postfix()
 
-    def __hash__(self):
-        return hash(self._postfix())
+    def __hash__(self):  # cached: compile_map's cache hashes every tree it gets
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(self._postfix())
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):  # the cached hash is of strs: it differs by process
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     def __repr__(self):
         return f"FnExpr(postfix={list(self._postfix())})"
@@ -125,223 +136,210 @@ def fold(e: FnExpr, visit):
     return values[0]
 
 
-# An expression compiles once per modulus, by one fold, into closures
-# nested one frame per level that is not a chain: every chain becomes one
-# n-ary closure, ADD/SUB/MUL with their constant operands folded.  A
-# compiled subtree is an int when it is a constant and cannot raise, an
-# open product (c, xpow, fns) for x and MUL chains, so that sums inline
-# their products, and else an int -> int closure.  A closure takes the
-# exact integer point: VAR reduces it, POLY consumes it, DELTA shifts it.
+# An expression compiles once per (tree, modulus) into a small generated
+# module, kept in a bounded cache.  It has one function per point the tree
+# is evaluated at: the root, each DELTA child (called at x + 1, then at x)
+# and each COMPOSE outer map (called at the inner value, computed in line).
+# A body is straight-line code: one statement per node that is not a leaf,
+# one local per distinct subterm, assigned at its first use left to right.
+# A chain is one statement with its constants folded, continued every
+# _CHUNK operands, since compile() recurses on long expressions.
 #
-# Errors keep their point of evaluation.  A subtree that fails whatever the
-# input (a bitwise node at odd p, a rational constant whose denominator is
-# divisible by p) compiles to a closure that raises when it is reached, so
-# an evaluation raises the same exception, with the same message, at the
-# same input and in the same left-to-right order as evaluating the tree
-# node by node.  Compiling raises nothing for a well-formed tree.
+# Values stay congruent mod p^k and are reduced into [0, p^k) only after a
+# product of non-constants (a constant times one operand is written into
+# the statement that uses it), before POW, INV, a COMPOSE outer map or an
+# error message sees them, and on return; at p = 2 by `& (2^k - 1)`, which
+# keeps bitwise nodes exact.  POLY consumes the point x as given and DELTA
+# shifts it.
+#
+# Errors keep their point of evaluation.  POW and INV test their operand in
+# line and hand a failing one to core.unit_pow and core.mod_inverse, and a
+# node that fails for every input (a bitwise node at odd p, a constant
+# whose denominator is divisible by p) is a statement that raises there.
+# So an evaluation raises the same exception, with the same message, at
+# the same input and in the same left-to-right order as evaluating the
+# tree node by node, and compiling raises nothing for a well-formed tree.
+
+_CHUNK = 32
+# chain kind -> operator, constant fold, identity and absorbing constant
+# (each constant mod p^k)
+_CHAINS = {"MUL": ("*", mul, 1, 0), "XOR": ("^", xor, 0, None),
+           "AND": ("&", and_, -1, 0), "OR": ("|", or_, 0, -1)}
 
 
-def _raising(exc):
-    """Closure raising a fresh copy of exc when it is evaluated."""
-    kind, args = type(exc), exc.args
+class _Module:
+    """The generated functions of one tree mod m: their source and names."""
 
-    def fail(x):
-        raise kind(*args)
+    def __init__(self, e: FnExpr, m: Modulus):
+        self.m, self.p, self.mv = m, m.p, m.value
+        self.mod = f" & {m.value - 1}" if m.p == 2 else f" % {m.value}"
+        self.env = {"m": m, "ResidueInt": ResidueInt, "unit_pow": unit_pow,
+                    "mod_inverse": mod_inverse, "BitwiseOddPrime": BitwiseOddPrime}
+        self.defs, self.funcs, self.key, keys = [], {}, {}, {}
+        for n in nodes(e):  # post-order: callees are defined before callers
+            k = (n.kind, n.value, n.poly, tuple([self.key[id(c)] for c in n.children]))
+            self.key[id(n)] = keys.setdefault(k, len(keys))  # equal subtrees, equal keys
+            if n.kind in ("DELTA", "COMPOSE"):
+                self.function(n.children[0])
+        self.root = self.function(e, named=True)
 
-    return fail
+    def function(self, root, named=False):
+        """The function computing root at x: its name or, when its body has
+        no statement and no name is asked for, its value ("x" or a literal)."""
+        k = self.key[id(root)]
+        if k not in self.funcs:
+            lines, value, exact = self.body(root)
+            if not lines and not named and (value.isdigit() or value == "x"):
+                self.funcs[k] = value
+                return value
+            if lines and lines[-1].startswith(value + " = "):  # return it directly
+                value = lines.pop()[len(value) + 3:]
+                value = value if exact else f"({value})"
+            ret = f"return {value}" if exact else f"return {value}{self.mod}"
+            self.funcs[k] = name = f"f{len(self.defs)}"
+            self.defs.append(f"def {name}(x):\n    " + "\n    ".join(lines + [ret]))
+        return self.funcs[k]
 
+    def operands(self, node):
+        """(signs, operands) evaluated in the body that holds node."""
+        if node.kind == "DELTA" or (node.kind in _BITWISE and self.p != 2):
+            return (), ()
+        if node.kind == "COMPOSE":
+            return (1,), node.children[1:]
+        return operands(node) if node.children else ((), ())
 
-def _lift(c):
-    """The closure form of a compiled subtree."""
-    return c if callable(c) else lambda x: c
+    def body(self, root):
+        """(statements, value, whether value is reduced) of root at x; a
+        value is a local, "x", a literal or a product "c * a" of those."""
+        p, mv, mod = self.p, self.mv, self.mod
+        lines, local, reduced = [], {}, set()
 
+        def exact(a):
+            return a.isdigit() or a in reduced
 
-def _close(v, mv):
-    """A compiled subtree as an int or a closure: open products close here."""
-    if not isinstance(v, tuple):
-        return v
-    c, xpow, fns = v
-    if not fns and not xpow:
-        return c
-    f = _monomial_fn(xpow, fns, mv)
-    return f if c == 1 else (lambda x: c * f(x) % mv)
-
-
-def _product(vals, mv):
-    """MUL chain as (constant factor, power of x, closures of other factors)."""
-    c, xpow, fns = 1, 0, []
-    for v in vals:
-        if isinstance(v, tuple):  # x: no operand of a chain is a product
-            xpow += 1
-        elif callable(v):
-            fns.append(v)
-        else:
-            c = c * v % mv
-    return c, xpow, tuple(fns)
-
-
-def _monomial_fn(xpow, fns, mv):
-    """x^xpow times the product of fns(x), mod mv; fns run left to right."""
-    if not fns:
-        return (lambda x: x % mv) if xpow == 1 else (lambda x: pow(x, xpow, mv))
-    if len(fns) == 1 and not xpow:
-        return fns[0]
-    if len(fns) == 1:
-        (f,) = fns
-        return lambda x: f(x) * pow(x, xpow, mv) % mv
-
-    def prod(x):
-        acc = pow(x, xpow, mv)
-        for f in fns:
-            acc = acc * f(x) % mv
-        return acc
-
-    return prod
-
-
-def _compile_sum(vals, signs, mv):
-    """ADD/SUB chain as offset + a*x + sum of c_i * term_i(x), mod p^k."""
-    offset, a, terms = 0, 0, []
-    for sign, v in zip(signs, vals):
-        if isinstance(v, tuple):
-            c, xpow, fns = v
-            if not fns and xpow <= 1:
-                if xpow:
-                    a += sign * c
+        def settled(a):
+            """a reduced: x into a new local, a local where it was assigned."""
+            if " " in a:  # a product c * b
+                return assign(a + mod, True)
+            b = "xr" if a == "x" else a
+            if not exact(b):
+                if b == a and lines[-1].startswith(a + " = "):
+                    lines[-1] = f"{a} = ({lines[-1][len(a) + 3:]}){mod}"
                 else:
-                    offset += sign * c
-                continue
-            terms.append((sign * c % mv, _monomial_fn(xpow, fns, mv)))
-        elif callable(v):
-            terms.append((sign % mv, v))
-        else:
-            offset += sign * v
-    offset, a = offset % mv, a % mv
-    if not terms:
-        if not a:
-            return offset
-        return lambda x: (offset + a * x) % mv
-    if len(terms) == 1:
-        ((c, f),) = terms
-        if c == 1:
-            return lambda x: (offset + a * x + f(x)) % mv
-        return lambda x: (offset + a * x + c * f(x)) % mv
-    terms = tuple(terms)
+                    lines.append(f"{b} = {a}{mod}")
+                reduced.add(b)
+            return b
 
-    def total(x):
-        acc = offset + a * x
-        for c, f in terms:
-            acc += c * f(x)
-        return acc % mv
+        def chain(terms, tail="", is_exact=False):
+            """A new local for (operator, operand) terms, _CHUNK a statement;
+            the first operator is dropped unless it is a minus."""
+            name = f"t{len(lines)}"
+            for i in range(0, len(terms), _CHUNK):
+                text = "".join(f" {op} {a}" for op, a in terms[i:i + _CHUNK])
+                text = name + text if i else ("-" if text[1] == "-" else "") + text[3:]
+                lines.append(f"{name} = {text}{tail}")
+            if is_exact:
+                reduced.add(name)
+            return name
 
-    return total
+        def assign(text, is_exact=False):
+            return chain([("+", text)], "", is_exact)
+
+        def visit(node, args, signs):
+            kind = node.kind
+            if kind == "VAR":
+                return "x"
+            if kind == "CONST":
+                den = node.value.denominator % mv
+                if den % p:
+                    return str(node.value.numerator * pow(den, -1, mv) % mv)
+                lines.append(f"mod_inverse(ResidueInt({den}, m))")  # raises
+                return "0"
+            if kind == "POLY":
+                self.env[f"P{len(self.env)}"] = node.poly.compile_mod(self.m)
+                return assign(f"P{len(self.env) - 1}(x)", True)
+            if kind in _BITWISE and p != 2:
+                msg = f"{kind} needs p = 2, modulus is {self.m}"
+                lines.append(f"raise BitwiseOddPrime({msg!r})")
+                return "0"
+            if kind in ("ADD", "SUB"):
+                count = {"1": 0}  # operand -> its coefficient, constants as 1s
+                for s, a in zip(signs, args):
+                    s, a = (s * int(a), "1") if a.isdigit() else (s, a)
+                    count[a] = count.get(a, 0) + s
+                c = count.pop("1") % mv
+                terms = [("-", a) if n == mv - 1 else ("+", a if n == 1 else f"{n} * {a}")
+                         for a, n in ((a, n % mv) for a, n in count.items()) if n]
+                if c or not terms:
+                    terms.insert(0, ("+", str(c)))
+                if len(terms) == 1 and terms[0][0] == "+":
+                    return terms[0][1]
+                return chain(terms)
+            if kind in _CHAINS:
+                op, fold_op, unit, zero = _CHAINS[kind]
+                terms = [(op, a) for a in args if not a.isdigit()]
+                consts = [int(a) for a in args if a.isdigit()]
+                if consts:
+                    c = reduce(fold_op, consts) % mv
+                    if not terms or (zero is not None and c == zero % mv):
+                        return str(c)
+                    if c != unit % mv:
+                        terms.insert(0, (op, str(c)))
+                if len(terms) == 1:
+                    return terms[0][1]
+                if kind == "MUL" and len(terms) == 2 and terms[0][1].isdigit():
+                    return f"{terms[0][1]} * {terms[1][1]}"  # c * a: left to its user
+                return chain(terms, mod, True) if kind == "MUL" else chain(terms)
+            if kind == "NEG":
+                (a,) = args
+                return str(mv - 1 - int(a)) if a.isdigit() else assign(f"-1 - {a}")
+            if kind == "POW":
+                a, n = settled(args[0]), args[1]
+                test = f"{a} & 1" if p == 2 else f"{a} % {p} == 1"
+                return assign(f"pow({a}, {n}, {mv}) if {test} else"
+                              f" unit_pow(ResidueInt({a}, m), {n}).residue", True)
+            if kind == "INV":
+                a = settled(args[0])
+                test = f"{a} & 1" if p == 2 else f"{a} % {p}"
+                return assign(f"pow({a}, -1, {mv}) if {test} else"
+                              f" mod_inverse(ResidueInt({a}, m)).residue", True)
+            f = self.funcs[self.key[id(node.children[0])]]
+            if kind == "DELTA":
+                return "0" if f.isdigit() else "1" if f == "x" else assign(f"{f}(x + 1) - {f}(x)")
+            if f.isdigit() or f == "x":  # COMPOSE
+                return f if f.isdigit() else args[0]
+            return assign(f"{f}({settled(args[0])})", True)
+
+        order, todo = [], [root]
+        while todo:  # as in fold, over the operands evaluated here
+            node = todo.pop()
+            signs, ops = self.operands(node)
+            order.append((node, signs, len(ops)))
+            todo += ops
+        values = []
+        for node, signs, n in reversed(order):
+            cut = len(values) - n
+            args = values[cut:]
+            del values[cut:]
+            k = self.key[id(node)]
+            if k not in local:  # a repeated subterm reuses its first local
+                local[k] = visit(node, args, signs)
+            values.append(local[k])
+        return lines, values[0], exact(values[0])
 
 
-def _compile_bitwise(kind, fs, m: Modulus):
-    if m.p != 2:
-        return _raising(BitwiseOddPrime(f"{kind} needs p = 2, modulus is {m}"))
-    top = m.value - 1
-    if kind == "NEG":
-        (f,) = fs
-        return (lambda x: top - f(x)) if callable(f) else top - f
-    op = _BITOPS[kind]
-    if not any(map(callable, fs)):
-        return reduce(op, fs)
-    if len(fs) == 2:
-        f, g = map(_lift, fs)
-        return {"XOR": lambda x: f(x) ^ g(x), "AND": lambda x: f(x) & g(x),
-                "OR": lambda x: f(x) | g(x)}[kind]
-    first, *rest = map(_lift, fs)
-
-    def chain(x):
-        acc = first(x)
-        for f in rest:
-            acc = op(acc, f(x))
-        return acc
-
-    return chain
-
-
-def _compile_pow(base, expo, m: Modulus):
-    """1-unit power, with the check and messages of core.unit_pow.  The base
-    and the exponent are both evaluated before the base is checked."""
-    p, mv = m.p, m.value
-    why = "is even, not a unit mod" if p == 2 else "is not a 1-unit mod"
-    if not callable(base) and base % p == 1:
-        if not callable(expo):
-            return pow(base, expo, mv)
-        return lambda x: pow(base, expo(x), mv)
-    base, expo = _lift(base), _lift(expo)
-
-    def power(x):
-        a = base(x)
-        n = expo(x)
-        if a % p != 1:
-            raise BaseNotOneUnit(f"{a} {why} {m}")
-        return pow(a, n, mv)
-
-    return power
-
-
-def _compile_inv(f, m: Modulus):
-    """Unit inverse, with the check and message of core.mod_inverse."""
-    p, mv = m.p, m.value
-    if not callable(f):
-        if f % p:
-            return pow(f, -1, mv)
-        return _raising(NotAUnit(f"{f} is divisible by {p}"))
-
-    def inverse(x):
-        a = f(x)
-        if a % p == 0:
-            raise NotAUnit(f"{a} is divisible by {p}")
-        return pow(a, -1, mv)
-
-    return inverse
-
-
-def _compile(e: FnExpr, m: Modulus):
-    """e compiled mod m, as an int or an int -> int closure."""
-    mv = m.value
-
-    def visit(node, vals, signs):
-        kind = node.kind
-        if kind == "VAR":
-            return (1, 1, ())
-        if kind == "CONST":
-            q = node.value
-            if q.denominator == 1:
-                return q.numerator % mv
-            try:
-                return q.numerator * mod_inverse(ResidueInt(q.denominator % mv, m)).residue % mv
-            except NotAUnit as exc:
-                return _raising(exc)
-        if kind == "POLY":
-            return node.poly.compile_mod(m)
-        if kind in ("ADD", "SUB"):
-            return _compile_sum(vals, signs, mv)
-        if kind == "MUL":
-            return _product(vals, mv)
-        vals = [_close(v, mv) for v in vals]
-        if kind in _BITWISE:
-            return _compile_bitwise(kind, vals, m)
-        if kind == "POW":
-            return _compile_pow(*vals, m)
-        if kind == "INV":
-            return _compile_inv(*vals, m)
-        if kind == "DELTA":
-            # the child runs at the exact point x + 1, so a POLY leaf that is
-            # not 1-Lipschitz sees p^k rather than 0 at the wrap point
-            (f,) = vals
-            return (lambda x: (f(x + 1) - f(x)) % mv) if callable(f) else 0
-        outer, inner = map(_lift, vals)  # COMPOSE
-        return lambda x: outer(inner(x))
-
-    return _close(fold(e, visit), mv)
+@lru_cache(maxsize=128)
+def _generated(e: FnExpr, m: Modulus):
+    """e's root function, generated and compiled once per (tree, modulus)."""
+    module = _Module(e, m)
+    code = compile("\n".join(module.defs), f"<{m}: {module.root}>", "exec")
+    exec(code, module.env)
+    return module.env[module.root]
 
 
 def compile_map(f, m: Modulus) -> Callable[[int], int]:
-    """f as a plain int -> int closure mod m, built once for this modulus.
+    """f as a plain int -> int function mod m; an expression's is generated
+    once per (tree, modulus) and cached.
 
     Takes an FnExpr, a RationalPoly, a MahlerSeries or a Python callable
     (whose values are reduced mod m).  Expressions and polynomials take the
@@ -350,7 +348,7 @@ def compile_map(f, m: Modulus) -> Callable[[int], int]:
     exactly as node-by-node evaluation raises them.
     """
     if isinstance(f, FnExpr):
-        return _lift(_compile(f, m))
+        return _generated(f, m)
     if isinstance(f, RationalPoly):
         return f.compile_mod(m)
     if isinstance(f, MahlerSeries):
@@ -364,5 +362,5 @@ def compile_map(f, m: Modulus) -> Callable[[int], int]:
 
 
 def evaluator(e: FnExpr, m: Modulus):
-    """Plain int -> int closure for bulk evaluation loops; see compile_map."""
+    """Plain int -> int function for bulk evaluation loops; see compile_map."""
     return compile_map(e, m)

@@ -10,6 +10,7 @@ CRT components in lockstep and recombined on output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Union
 
 from .certify import (
@@ -101,30 +102,29 @@ class GeneratorState:
     def __init__(self, spec: GeneratorSpec):
         self.spec = spec
         self.steps_taken = 0
-        self._factors = _factors(spec.modulus)
-        self._maps = [compile_map(spec.state_fn, f) for f in self._factors]
-        if isinstance(spec.modulus, CompositeModulus):
-            self._parts = list(spec.modulus.decompose(spec.seed))
+        m = spec.modulus
+        self._maps = [compile_map(spec.state_fn, f) for f in _factors(m)]
+        if isinstance(m, CompositeModulus):
+            self._parts, self._word = m.decompose(spec.seed), m.combine
         else:
-            self._parts = [spec.seed]
+            self._parts, self._word = [spec.seed], itemgetter(0)
+        self._out = None
         if spec.out_fn is not None:
             self._out = compile_map(spec.out_fn, spec.out_modulus)
-        else:
-            self._out = None
+            self._out_value = spec.out_modulus.value
 
     @property
     def current(self) -> int:
-        if isinstance(self.spec.modulus, CompositeModulus):
-            return self.spec.modulus.combine(self._parts)
-        return self._parts[0]
+        return self._word(self._parts)
 
     def next(self) -> int:
-        self._parts = [step(x) for step, x in zip(self._maps, self._parts)]
+        parts = self._parts
+        for i, step in enumerate(self._maps):
+            parts[i] = step(parts[i])
         self.steps_taken += 1
-        word = self.current
         if self._out is not None:
-            return self._out(word % self.spec.out_modulus.value)
-        return word
+            return self._out(self._word(parts) % self._out_value)
+        return self._word(parts)
 
     def take(self, count: int) -> list:
         return [self.next() for _ in range(count)]

@@ -90,6 +90,13 @@ class TestCheck:
         assert main(["check", "-p", "2", "-k", "3", "1 +"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_neg_is_the_complement_and_not_is_no_operator(self, capsys):
+        rc, blob = run_json(capsys, ["check", "-p", "2", "-k", "3", "--json", "neg(x)"])
+        (entry,) = blob["results"]
+        assert rc == 0 and entry["bijective"] is True and entry["orbit_length"] == 2
+        assert main(["check", "-p", "2", "-k", "3", "not(x)"]) == 2
+        assert "unknown identifier 'not'" in capsys.readouterr().err
+
     def test_cap_exceeded(self, capsys):
         rc = main(["check", "-p", "2", "-k", "20", "--cap-states", "1000", "1+x"])
         assert rc == 3

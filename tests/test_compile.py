@@ -5,14 +5,19 @@ expressions with before it compiled them.  Every compiled value, and every
 evaluation error (type and message), must match it point for point.
 """
 
+import contextlib
+import functools
 import math
 import random
+import sys
 from fractions import Fraction
 
+import oracles
 import pytest
 from corpus import random_compatible_ast
 from oracles import eval_tree, poly_eval_mod, random_integer_valued_poly
 
+from padicforge import expr
 from padicforge import funcalg as fa
 from padicforge.certify import MultiPoly
 from padicforge.core import BaseNotOneUnit, Modulus, NotAUnit
@@ -155,3 +160,94 @@ def test_multipoly_compile_matches_plain_sum():
             want = sum(c * math.prod(x ** e for x, e in zip(point, exps))
                        for exps, c in terms.items()) % modulus
             assert fn(point) == poly.eval_mod(point, modulus) == want
+
+
+@contextlib.contextmanager
+def deep_recursion():
+    """oracles.eval_tree recurses once per level, so deep trees need room.
+    Compile outside it: compile() itself recurses within the normal limit."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 20000))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def assert_deep_matches_tree(e, m, points):
+    compiled = compile_map(e, m)
+    with deep_recursion():
+        for x in points:
+            assert outcome(compiled, x) == outcome(lambda y: eval_tree(e, y, m), x), (m, x)
+
+
+CHAIN_OPS = {"+": fa.add, "-": fa.sub, "*": fa.mul, "xor": fa.xor, "and": fa.and_, "or": fa.or_}
+
+
+@pytest.mark.parametrize("op", list(CHAIN_OPS))
+def test_chain_of_3000_terms_matches_tree(op):
+    # left and right nesting alternate, so one flat chain of 3000 operands,
+    # nearly all distinct subterms that need a local each: written as one
+    # expression, it is too deep for compile()
+    build, e = CHAIN_OPS[op], X
+    for i in range(1, 3000):
+        term = fa.add(X, fa.const(i))
+        if op in "+-":
+            term = fa.mul(term, X)
+        term = fa.const(i) if i % 1000 == 0 else X if i == 1500 else term
+        e = build(e, term) if i % 2 else build(term, e)
+    for m in (Modulus(2, 16), Modulus(3, 5)):
+        assert_deep_matches_tree(e, m, [0, 1, 2, 77, m.value - 2, m.value - 1, m.value])
+
+
+def nest(kind, depth):
+    """depth levels of one kind; POW and INV take x at the bottom, so points
+    where it is not a (1-)unit raise from the innermost node."""
+    e = X
+    for i in range(depth):
+        if kind == "NEG":
+            e = fa.neg(e)
+        elif kind == "INV":
+            e = fa.inv(e)
+        elif kind == "POW":
+            e = fa.pow_(e, X)
+        elif kind == "COMPOSE":  # each outer map is its own generated function
+            e = fa.compose(e, fa.add(fa.mul(fa.const(i % 5 + 1), X), fa.const(i)))
+        else:
+            e = fa.delta(e)
+    return e
+
+
+@pytest.mark.parametrize("kind", ["DELTA", "COMPOSE", "POW", "INV", "NEG"])
+def test_100_levels_of_nesting_match_tree(kind, monkeypatch):
+    e = nest(kind, 100)
+    # the tree interpreter evaluates a DELTA child twice per level, so
+    # memoize it: 2^100 evaluations otherwise
+    monkeypatch.setattr(oracles, "eval_tree", functools.lru_cache(maxsize=None)(eval_tree))
+    for m in (Modulus(2, 12), Modulus(3, 5)):
+        assert_deep_matches_tree(e, m, [0, 1, 2, 3, 4, 6, 7, 100, m.value - 1, m.value])
+
+
+def test_cache_keys_on_tree_and_modulus():
+    e = parse_dsl("1 + x + 2*(x xor 3) + x*x")
+    for m in (Modulus(2, 3), Modulus(2, 14), Modulus(3, 4)):
+        assert_matches_tree(e, m, range(0, m.value, max(1, m.value // 64)))
+    with pytest.raises(BitwiseOddPrime, match=r"^XOR needs p = 2, modulus is 3\^4$"):
+        compile_map(e, Modulus(3, 4))(1)
+    # equal trees built apart share one compiled function
+    a, b = parse_dsl("x*x + 5*x + 1"), parse_dsl("x*x + 5*x + 1")
+    m = Modulus(5, 3)
+    assert a is not b and compile_map(a, m) is compile_map(b, m)
+    assert_matches_tree(b, m, range(m.value))
+    # a denominator divisible by p raises where it is evaluated, and only at that p
+    half = parse_dsl("x*x + 1/2")
+    for m in (Modulus(2, 4), Modulus(3, 3)):
+        assert_matches_tree(half, m, range(m.value))
+    with pytest.raises(NotAUnit, match="^2 is divisible by 2$"):
+        compile_map(half, Modulus(2, 4))(3)
+    size = expr._generated.cache_info().maxsize
+    for c in range(size + 5):
+        compile_map(fa.add(X, fa.const(c)), Modulus(2, 8))
+    info = expr._generated.cache_info()
+    assert info.currsize <= size == info.maxsize
+    assert compile_map(fa.add(X, fa.const(size + 4)), Modulus(2, 8))(1) == size + 5
