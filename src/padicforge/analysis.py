@@ -9,14 +9,18 @@ rules out relations that degenerate mod p to a statement about the constant
 term alone.  A relation proved on a row sample is always re-verified against
 the entire period before it is reported.
 
-Z/p^k is not a field, so the solver is not Berlekamp-Massey.  It eliminates
-with full pivoting on the entry of least p-valuation, which keeps every
-frozen row solvable independently of the free choices and makes both the
-particular solution and the kernel generators exact.  The least valuation
-of the remaining block comes from one gcd with p^k, and ties go to the
-first such entry in row-major order.  A UNIT relation is also an ANY
-relation, so when the ANY scan finds nothing up to r_max the UNIT flavor
-is reported as NoneFoundUpTo(r_max) without scanning again.
+Z/p^k is not a field, so the solver is not Berlekamp-Massey.  One
+elimination, _absorb, serves both the relation and the prefix bound below.
+It keeps a span over Z/p^k in Howell form, whose rows from any position t
+on span every span vector that is zero before t.  The sampled system of
+order r goes into one such basis, each column tagged with its unknown and
+the target column with a tag of its own.  The row at the target's tag
+gives a particular solution, and the rows after it generate the kernel,
+which the UNIT flavor draws a unit coefficient from when the particular
+solution has none.  The reported relation is the member of its solution
+coset that the basis gives.  A UNIT relation is also an ANY relation, so
+when the ANY scan finds nothing up to r_max the UNIT flavor is reported as
+NoneFoundUpTo(r_max) without scanning again.
 
 A cheap bound rules out low orders first.  An affine relation of order r
 gives dx_{n+r} = sum c_j dx_{n+j}, dx_n = x_{n+1} - x_n, on every window,
@@ -119,100 +123,6 @@ class SequenceReport:
         return blob
 
 
-def _solve_mod_pk(rows: List[List[int]], rhs: List[int], p: int, k: int):
-    """General solution of A z = b over Z/p^k.
-
-    Returns (particular, kernel_gens) or None when the system has no
-    solution.  Full pivoting picks the remaining entry of least
-    p-valuation, so once a row is frozen every entry to the right of its
-    pivot has valuation >= the pivot's and the row can be solved by one
-    exact division whatever the later variables are.  The least valuation
-    e comes from one gcd of p^k with the remaining block, taken row by row
-    and stopped at 1; p^k itself means the block is all zero.  The pivot is
-    the first entry in row-major order not divisible by p^(e+1).  Rows are
-    updated from the pivot column on; the columns left of it are zero.
-    Kernel generators come in two kinds: one per free column, and one per
-    pivot whose valuation e leaves p^(k-e) of slack.
-    """
-    m = p ** k
-    a = [[v % m for v in row] for row in rows]
-    b = [v % m for v in rhs]
-    nrows, ncols = len(a), len(a[0])
-    col_of = list(range(ncols))
-    piv_val = []
-    t = 0
-    while t < nrows and t < ncols:
-        g = m
-        for i in range(t, nrows):
-            g = gcd(g, *a[i][t:])
-            if g == 1:
-                break
-        if g == m:
-            break
-        e = 0
-        pe = 1
-        while pe != g:
-            pe *= p
-            e += 1
-        above = pe * p
-        bi, bj = next((i, j) for i in range(t, nrows) for j in range(t, ncols)
-                      if a[i][j] % above)
-        a[t], a[bi] = a[bi], a[t]
-        b[t], b[bi] = b[bi], b[t]
-        if bj != t:
-            for row in a:
-                row[t], row[bj] = row[bj], row[t]
-            col_of[t], col_of[bj] = col_of[bj], col_of[t]
-        inv_unit = pow(a[t][t] // pe, -1, m)
-        a[t][t:] = pivot_row = [v * inv_unit % m for v in a[t][t:]]
-        b[t] = b[t] * inv_unit % m
-        for i in range(t + 1, nrows):
-            if a[i][t]:
-                q = a[i][t] // pe
-                a[i][t:] = [(vi - q * vt) % m for vi, vt in zip(a[i][t:], pivot_row)]
-                b[i] = (b[i] - q * b[t]) % m
-        piv_val.append(e)
-        t += 1
-    rank = len(piv_val)
-    if any(b[i] % m for i in range(rank, nrows)):
-        return None
-
-    def back_substitute(target, start, preset):
-        z = list(preset)
-        for i in range(start, -1, -1):
-            s = (target[i] - sum(a[i][j] * z[j] for j in range(i + 1, ncols))) % m
-            pe = p ** piv_val[i]
-            if s % pe:
-                return None
-            z[i] = (s // pe) % (m // pe)
-        return z
-
-    particular = back_substitute(b, rank - 1, [0] * ncols)
-    if particular is None:
-        return None
-    zeros = [0] * nrows
-    gens = []
-    for free in range(rank, ncols):
-        preset = [0] * ncols
-        preset[free] = 1
-        gens.append(back_substitute(zeros, rank - 1, preset))
-    for t in range(rank):
-        slack = p ** (k - piv_val[t])
-        if slack % m == 0:
-            continue
-        preset = [0] * ncols
-        preset[t] = slack
-        gens.append(back_substitute(zeros, t - 1, preset))
-
-    def unpermute(z):
-        out = [0] * ncols
-        for pos, orig in enumerate(col_of):
-            out[orig] = z[pos]
-        return out
-
-    return unpermute(particular), [unpermute(g) for g in gens]
-
-
 def _relation_at_order(seq: Sequence[int], m: Modulus, r: int,
                        unit_only: bool) -> Optional[Relation]:
     """Least-order search step: decide order r and return a verified relation.
@@ -229,7 +139,7 @@ def _relation_at_order(seq: Sequence[int], m: Modulus, r: int,
     while True:
         rows = [[seq[(n + j) % period] for j in range(r)] + [1] for n in picked]
         rhs = [seq[(n + r) % period] for n in picked]
-        solved = _solve_mod_pk(rows, rhs, m.p, m.k)
+        solved = _solve_howell(rows, rhs, m.value)
         if solved is None:
             return None
         particular, gens = solved
@@ -247,6 +157,29 @@ def _relation_at_order(seq: Sequence[int], m: Modulus, r: int,
         if violated in chosen:
             raise AssertionError("row re-added; the solver returned a non-solution")
         chosen.add(violated)
+
+
+def _solve_howell(rows: List[List[int]], rhs: List[int], q: int):
+    """General solution of A z = b over Z/q, q = p^k, from one Howell basis.
+
+    Column j of A joins the basis tagged with the unit vector e_(j+1), and
+    b tagged with e_0, so the span is every (c*b + A z, c, z).  From
+    position len(rows) on, the rows span the vectors with c*b + A z = 0.
+    So the system is solvable iff the row there leads with 1, and then
+    z = -(the rest of it); the rows after it generate the kernel.
+    Returns (particular, kernel_gens) or None.
+    """
+    n, width = len(rows), len(rows[0]) + 1
+    tag = lambda j: [0] * j + [1] + [0] * (width - j - 1)
+    basis = {}
+    for j, col in enumerate(zip(*rows)):
+        _absorb(basis, [v % q for v in col] + tag(j + 1), q)
+    _absorb(basis, [v % q for v in rhs] + tag(0), q)
+    lead = basis.get(n)
+    if lead is None or lead[0] != 1:
+        return None
+    gens = [[0] * (t - n - 1) + basis[t] for t in sorted(basis) if t > n]
+    return [-v % q for v in lead[1:]], gens
 
 
 def _absorb(basis: dict, v: List[int], q: int) -> bool:

@@ -111,7 +111,7 @@ def bijective_mod(f: MapLike, m: Modulus, cap: Optional[int] = None):
     """
     cap = cap if cap is not None else DEFAULT_STATE_CAP
     if m.value > cap:
-        raise CapExceeded(f"{m.value} states exceeds cap {cap}")
+        raise CapExceeded(f"{m} states exceeds cap {cap}")
     fn = compile_map(f, m)
     seen = bytearray(m.value)
     for x in range(m.value):
@@ -136,7 +136,7 @@ def transitive_mod(f: MapLike, m: Modulus, cap: Optional[int] = None):
     """
     cap = cap if cap is not None else DEFAULT_STATE_CAP
     if m.value > cap:
-        raise CapExceeded(f"{m.value} states exceeds cap {cap}")
+        raise CapExceeded(f"{m} states exceeds cap {cap}")
     fn = compile_map(f, m)
     seen = bytearray(m.value)
     seen[0] = 1  # a return to 0 ends the walk as a re-entry does
@@ -215,7 +215,7 @@ def equiprobable_mod(F: Sequence[MultiPoly], n_in: int, m: Modulus, cap: Optiona
         raise ValueError("more output components than inputs cannot be equiprobable")
     total = m.value ** n_in
     if total > cap:
-        raise CapExceeded(f"{total} input tuples exceeds cap {cap}")
+        raise CapExceeded(f"({m})^{n_in} input tuples exceeds cap {cap}")
     fns = [g.compile_mod(m.value) for g in F]
     counts: dict = {}
     point = [0] * n_in

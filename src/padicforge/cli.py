@@ -337,7 +337,7 @@ def cmd_analyze(args) -> Tuple[dict, int]:
             raise ValueError("affine analysis needs a prime-power modulus")
         walk_cap = cap if cap is not None else 1 << 20
         if m.value > walk_cap:
-            raise CapExceeded(f"{m.value} states exceeds cap {walk_cap}")
+            raise CapExceeded(f"{m} states exceeds cap {walk_cap}")
         seed = args.seed or 0
         if not 0 <= seed < m.value:
             raise ValueError(f"seed {seed} outside 0..{m.value - 1}")

@@ -69,10 +69,9 @@ class Modulus:
 
 @dataclass(frozen=True)
 class ResidueInt:
-    """An element of Z/p^k carrying its modulus.
+    """An element of Z/p^k carrying its modulus, range-checked when built.
 
-    Arithmetic between two ResidueInts requires identical moduli; mixing
-    them is a bug in the caller, not something to coerce silently.
+    It has no arithmetic: callers compute on .residue and wrap the result.
     """
 
     residue: int
@@ -83,48 +82,6 @@ class ResidueInt:
             raise ValueError(
                 f"residue {self.residue} out of range for modulus {self.modulus}"
             )
-
-    def _coerce(self, other):
-        if isinstance(other, ResidueInt):
-            if other.modulus != self.modulus:
-                raise ValueError(
-                    f"mixed moduli: {self.modulus} vs {other.modulus}"
-                )
-            return other.residue
-        if isinstance(other, int):
-            return other % self.modulus.value
-        return NotImplemented
-
-    def __add__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return ResidueInt((self.residue + r) % self.modulus.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return ResidueInt((self.residue - r) % self.modulus.value, self.modulus)
-
-    def __rsub__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return ResidueInt((r - self.residue) % self.modulus.value, self.modulus)
-
-    def __mul__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return ResidueInt((self.residue * r) % self.modulus.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ResidueInt((-self.residue) % self.modulus.value, self.modulus)
 
     def __int__(self):
         return self.residue

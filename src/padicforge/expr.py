@@ -172,9 +172,11 @@ class _Module:
 
     def __init__(self, e: FnExpr, m: Modulus):
         self.m, self.p, self.mv = m, m.p, m.value
-        self.mod = f" & {m.value - 1}" if m.p == 2 else f" % {m.value}"
         self.env = {"m": m, "ResidueInt": ResidueInt, "unit_pow": unit_pow,
                     "mod_inverse": mod_inverse, "BitwiseOddPrime": BitwiseOddPrime}
+        self.big = {}  # name -> a constant too long to write in decimal
+        self.mvs = self.literal(m.value)
+        self.mod = f" & {self.literal(m.value - 1)}" if m.p == 2 else f" % {self.mvs}"
         self.defs, self.funcs, self.key, keys = [], {}, {}, {}
         for n in nodes(e):  # post-order: callees are defined before callers
             k = (n.kind, n.value, n.poly, tuple([self.key[id(c)] for c in n.children]))
@@ -183,13 +185,27 @@ class _Module:
                 self.function(n.children[0])
         self.root = self.function(e, named=True)
 
+    def literal(self, v: int) -> str:
+        """The constant v >= 0 as source: its decimal digits or, where they
+        pass the int-to-str digit limit, a name bound to v in the env."""
+        try:
+            return str(v)
+        except ValueError:
+            name = f"K{len(self.big)}"
+            self.big[name] = self.env[name] = v
+            return name
+
+    def constant(self, a: str):
+        """The value of a if it is a constant (a literal or a bound name), else None."""
+        return int(a) if a.isdigit() else self.big.get(a)
+
     def function(self, root, named=False):
         """The function computing root at x: its name or, when its body has
         no statement and no name is asked for, its value ("x" or a literal)."""
         k = self.key[id(root)]
         if k not in self.funcs:
             lines, value, exact = self.body(root)
-            if not lines and not named and (value.isdigit() or value == "x"):
+            if not lines and not named and (self.constant(value) is not None or value == "x"):
                 self.funcs[k] = value
                 return value
             if lines and lines[-1].startswith(value + " = "):  # return it directly
@@ -211,11 +227,12 @@ class _Module:
     def body(self, root):
         """(statements, value, whether value is reduced) of root at x; a
         value is a local, "x", a literal or a product "c * a" of those."""
-        p, mv, mod = self.p, self.mv, self.mod
+        p, mv, mvs, mod = self.p, self.mv, self.mvs, self.mod
+        lit, const = self.literal, self.constant
         lines, local, reduced = [], {}, set()
 
         def exact(a):
-            return a.isdigit() or a in reduced
+            return const(a) is not None or a in reduced
 
         def settled(a):
             """a reduced: x into a new local, a local where it was assigned."""
@@ -252,8 +269,8 @@ class _Module:
             if kind == "CONST":
                 den = node.value.denominator % mv
                 if den % p:
-                    return str(node.value.numerator * pow(den, -1, mv) % mv)
-                lines.append(f"mod_inverse(ResidueInt({den}, m))")  # raises
+                    return lit(node.value.numerator * pow(den, -1, mv) % mv)
+                lines.append(f"mod_inverse(ResidueInt({lit(den)}, m))")  # raises
                 return "0"
             if kind == "POLY":
                 self.env[f"P{len(self.env)}"] = node.poly.compile_mod(self.m)
@@ -265,49 +282,53 @@ class _Module:
             if kind in ("ADD", "SUB"):
                 count = {"1": 0}  # operand -> its coefficient, constants as 1s
                 for s, a in zip(signs, args):
-                    s, a = (s * int(a), "1") if a.isdigit() else (s, a)
+                    v = const(a)
+                    s, a = (s * v, "1") if v is not None else (s, a)
                     count[a] = count.get(a, 0) + s
                 c = count.pop("1") % mv
-                terms = [("-", a) if n == mv - 1 else ("+", a if n == 1 else f"{n} * {a}")
+                terms = [("-", a) if n == mv - 1 else ("+", a if n == 1 else f"{lit(n)} * {a}")
                          for a, n in ((a, n % mv) for a, n in count.items()) if n]
                 if c or not terms:
-                    terms.insert(0, ("+", str(c)))
+                    terms.insert(0, ("+", lit(c)))
                 if len(terms) == 1 and terms[0][0] == "+":
                     return terms[0][1]
                 return chain(terms)
             if kind in _CHAINS:
                 op, fold_op, unit, zero = _CHAINS[kind]
-                terms = [(op, a) for a in args if not a.isdigit()]
-                consts = [int(a) for a in args if a.isdigit()]
+                values = [const(a) for a in args]
+                terms = [(op, a) for a, v in zip(args, values) if v is None]
+                consts = [v for v in values if v is not None]
                 if consts:
                     c = reduce(fold_op, consts) % mv
                     if not terms or (zero is not None and c == zero % mv):
-                        return str(c)
+                        return lit(c)
                     if c != unit % mv:
-                        terms.insert(0, (op, str(c)))
+                        terms.insert(0, (op, lit(c)))
                 if len(terms) == 1:
                     return terms[0][1]
-                if kind == "MUL" and len(terms) == 2 and terms[0][1].isdigit():
+                if kind == "MUL" and len(terms) == 2 and const(terms[0][1]) is not None:
                     return f"{terms[0][1]} * {terms[1][1]}"  # c * a: left to its user
                 return chain(terms, mod, True) if kind == "MUL" else chain(terms)
             if kind == "NEG":
                 (a,) = args
-                return str(mv - 1 - int(a)) if a.isdigit() else assign(f"-1 - {a}")
+                v = const(a)
+                return lit(mv - 1 - v) if v is not None else assign(f"-1 - {a}")
             if kind == "POW":
                 a, n = settled(args[0]), args[1]
                 test = f"{a} & 1" if p == 2 else f"{a} % {p} == 1"
-                return assign(f"pow({a}, {n}, {mv}) if {test} else"
+                return assign(f"pow({a}, {n}, {mvs}) if {test} else"
                               f" unit_pow(ResidueInt({a}, m), {n}).residue", True)
             if kind == "INV":
                 a = settled(args[0])
                 test = f"{a} & 1" if p == 2 else f"{a} % {p}"
-                return assign(f"pow({a}, -1, {mv}) if {test} else"
+                return assign(f"pow({a}, -1, {mvs}) if {test} else"
                               f" mod_inverse(ResidueInt({a}, m)).residue", True)
             f = self.funcs[self.key[id(node.children[0])]]
+            folded = const(f) is not None
             if kind == "DELTA":
-                return "0" if f.isdigit() else "1" if f == "x" else assign(f"{f}(x + 1) - {f}(x)")
-            if f.isdigit() or f == "x":  # COMPOSE
-                return f if f.isdigit() else args[0]
+                return "0" if folded else "1" if f == "x" else assign(f"{f}(x + 1) - {f}(x)")
+            if folded or f == "x":  # COMPOSE
+                return f if folded else args[0]
             return assign(f"{f}({settled(args[0])})", True)
 
         order, todo = [], [root]

@@ -161,7 +161,7 @@ def full_period_census(spec: GeneratorSpec, cap: Optional[int] = None) -> dict:
     cap = cap if cap is not None else DEFAULT_STATE_CAP
     total = spec.modulus.value
     if total > cap:
-        raise CapExceeded(f"{total} states exceeds cap {cap}")
+        raise CapExceeded(f"{spec.modulus} states exceeds cap {cap}")
     state = GeneratorState(spec)
     counts: dict = {}
     period = None

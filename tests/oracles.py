@@ -1,7 +1,7 @@
 """Brute-force reference implementations shared by the test modules.
 
 Everything here recomputes from first principles (exact rational
-arithmetic, exhaustive walks, the solver's full-scan pivot search, and
+arithmetic, exhaustive walks, a full-pivot elimination solver, and
 per-index or per-order scans in place of the full-period passes of the
 sequence diagnostics) and deliberately avoids the library code under test.  The one exception is
 eval_tree, the node-by-node expression interpreter the library used
@@ -186,13 +186,14 @@ def _valuation(n, p):
 
 
 def solve_mod_pk_fullscan(rows, rhs, p, k):
-    """General solution of A z = b over Z/p^k by the full-scan pivot search.
+    """General solution of A z = b over Z/p^k by full-pivot elimination.
 
-    The solver as it was before its pivot search used a gcd: every nonzero
-    entry of the remaining block gets its own valuation, and the first one
-    of least valuation in row-major order is the pivot.  Returns
-    (particular, kernel_gens) or None, with the same pivots, generators
-    and order as the library solver must produce.
+    An elimination independent of the library's Howell basis: every
+    nonzero entry of the remaining block gets its own valuation, the first
+    one of least valuation in row-major order is the pivot, and back-
+    substitution gives the solutions.  Returns (particular, kernel_gens)
+    or None.  The library must agree on which systems are solvable; its
+    particular solution may be another member of the same coset.
     """
     m = p ** k
     a = [[v % m for v in row] for row in rows]

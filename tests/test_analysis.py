@@ -18,7 +18,7 @@ from padicforge.analysis import (
     sequence_from_bytes,
     sequence_from_generator,
     _relation_at_order,
-    _solve_mod_pk,
+    _solve_howell,
 )
 from padicforge.certify import CapExceeded
 from padicforge.core import Modulus
@@ -143,7 +143,7 @@ class TestSolver:
                     if all(sum(a[i][j] * z[j] for j in range(nc)) % m == b[i]
                            for i in range(nr))
                 }
-                got = _solve_mod_pk(a, b, p, k)
+                got = _solve_howell(a, b, m)
                 if not brute:
                     assert got is None
                     continue
@@ -161,8 +161,9 @@ class TestSolver:
                 assert coset == brute
 
     def test_coset_matches_exhaustive_enumeration_non_unit_pivots(self):
-        # p^e * u entries make pivots of valuation >= 1 and their slack
-        # kernel generators common; uniform entries almost always give units
+        # p^e * u entries make basis rows that lead with p^e, e >= 1, and
+        # the p^(k-e) multiples they add common; uniform entries almost
+        # always give units
         rng = random.Random(23)
         non_unit_first_pivot = 0
         for p, k, dim in ((2, 2, 4), (2, 3, 4), (3, 2, 4), (5, 1, 4), (5, 2, 3)):
@@ -179,7 +180,7 @@ class TestSolver:
                     if all((sum(a[i][j] * z[j] for j in range(nc)) - b[i]) % m == 0
                            for i in range(nr))
                 }
-                got = _solve_mod_pk(a, b, p, k)
+                got = _solve_howell(a, b, m)
                 if not brute:
                     assert got is None
                     continue
@@ -187,27 +188,35 @@ class TestSolver:
                 assert coset_of(part, gens, m) == brute
         assert non_unit_first_pivot >= 20
 
-    def test_pivot_order_matches_full_scan_oracle(self):
+    def test_solvability_matches_full_scan_oracle(self):
+        # the same systems are solvable; the particular solution solves the
+        # system and every kernel generator solves the homogeneous one
         solvable = unsolvable = 0
         for a, b, p, k in solver_corpus(seed=4, count=3000):
+            m = p ** k
             want = solve_mod_pk_fullscan(a, b, p, k)
-            assert _solve_mod_pk(a, b, p, k) == want, (a, b, p, k)
-            if want is None:
+            got = _solve_howell(a, b, m)
+            assert (got is None) == (want is None), (a, b, p, k)
+            if got is None:
                 unsolvable += 1
-            else:
-                solvable += 1
+                continue
+            solvable += 1
+            part, gens = got
+            for z, target in [(part, b)] + [(g, [0] * len(b)) for g in gens]:
+                assert all((sum(u * v for u, v in zip(row, z)) - t) % m == 0
+                           for row, t in zip(a, target)), (a, b, p, k, z)
         assert solvable >= 1000 and unsolvable >= 500
 
     def test_non_square_and_zero_pivot_shapes(self):
         # underdetermined: one row, three unknowns mod 8
-        part, gens = _solve_mod_pk([[2, 4, 1]], [5], 2, 3)
+        part, gens = _solve_howell([[2, 4, 1]], [5], 8)
         assert (2 * part[0] + 4 * part[1] + part[2]) % 8 == 5
         assert len(gens) >= 2
         # inconsistent zero row
-        assert _solve_mod_pk([[0, 0], [1, 1]], [3, 0], 2, 3) is None
+        assert _solve_howell([[0, 0], [1, 1]], [3, 0], 8) is None
         # divisibility failure: 2z = 1 mod 4
-        assert _solve_mod_pk([[2]], [1], 2, 2) is None
-        assert _solve_mod_pk([[2]], [2], 2, 2) is not None
+        assert _solve_howell([[2]], [1], 4) is None
+        assert _solve_howell([[2]], [2], 4) is not None
 
 
 class TestBruteAgreement:
@@ -547,7 +556,7 @@ class TestKernelsAgainstOracles:
         m = Modulus(2, 8)
         seq = analysis.orbit(compile_map(parse_dsl(README_MAP), m), m)
         calls = []
-        monkeypatch.setattr(analysis, "_solve_mod_pk", lambda *args: calls.append(args))
+        monkeypatch.setattr(analysis, "_solve_howell", lambda *args: calls.append(args))
         for r_max in (1, 2, 3, 5, 8, 13, 16):
             assert analysis._prefix_lower_bound(seq, m, r_max) == r_max + 1
             rep = affine_linear_complexity(seq, m, r_max)

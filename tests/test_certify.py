@@ -113,6 +113,9 @@ class TestBijectiveMod:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             bijective_mod(RationalPoly([0, 1]), Modulus(2, 4), cap=8)
+        # named as p^k: 2^20000 has too many digits to write in decimal
+        with pytest.raises(CapExceeded, match=r"^2\^20000 states exceeds cap 8$"):
+            bijective_mod(RationalPoly([0, 1]), Modulus(2, 20000), cap=8)
 
 
 class TestTransitiveMod:
@@ -174,6 +177,8 @@ class TestTransitiveMod:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             transitive_mod(RationalPoly([1, 1]), Modulus(2, 10), cap=512)
+        with pytest.raises(CapExceeded, match=r"^2\^20000 states exceeds cap 512$"):
+            transitive_mod(RationalPoly([1, 1]), Modulus(2, 20000), cap=512)
 
 
 def two_x_plus_y_cubed():
@@ -206,6 +211,8 @@ class TestEquiprobableMod:
             equiprobable_mod([MultiPoly(1, {(1,): 1}), MultiPoly(1, {(2,): 1})], 1, Modulus(2, 1))
         with pytest.raises(CapExceeded):
             equiprobable_mod([two_x_plus_y_cubed()], 2, Modulus(2, 6), cap=1000)
+        with pytest.raises(CapExceeded, match=r"^\(2\^20000\)\^2 input tuples exceeds cap 1000$"):
+            equiprobable_mod([two_x_plus_y_cubed()], 2, Modulus(2, 20000), cap=1000)
 
 
 class TestJacobianCertificate:

@@ -410,6 +410,24 @@ MALFORMED_SPECS = {
 }
 
 
+class TestPastTheDigitLimit:
+    """2^20000 has 6021 decimal digits, past the default int-to-str limit
+    of 4300: no message or generated line may write it in decimal."""
+
+    def test_gen_emits_words(self, capsysbinary):
+        rc = main(["gen", "1 + x", "-p", "2", "-k", "20000", "--count", "2"])
+        assert rc == 0
+        out = capsysbinary.readouterr().out
+        assert len(out) == 5000
+        assert [int.from_bytes(out[i:i + 2500], "little") for i in (0, 2500)] == [1, 2]
+
+    @pytest.mark.parametrize("command, source, cap", [("check", "1 + x", 16777216),
+                                                      ("analyze", "1 + 5*x", 1048576)])
+    def test_cap_exits_3(self, capsys, command, source, cap):
+        assert main([command, source, "-p", "2", "-k", "20000"]) == 3
+        assert capsys.readouterr().err == f"error: 2^20000 states exceeds cap {cap}\n"
+
+
 class TestMalformedSpec:
     """A spec file that is JSON but no generator spec exits 2, never a traceback."""
 

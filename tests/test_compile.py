@@ -251,3 +251,19 @@ def test_cache_keys_on_tree_and_modulus():
     info = expr._generated.cache_info()
     assert info.currsize <= size == info.maxsize
     assert compile_map(fa.add(X, fa.const(size + 4)), Modulus(2, 8))(1) == size + 5
+
+
+def test_constants_past_the_digit_limit_are_bound_as_names():
+    # 2^20000, 3^9100 and 5^6200 have more decimal digits than the default
+    # int-to-str limit (4300), so their long constants are names, not literals
+    for p, k in ((2, 20000), (3, 9100), (5, 6200)):
+        m = Modulus(p, k)
+        source = (f"1 - 127*x - 152*x*x*x + 1/3*x + (1 + {p}*x)^7 + inv(1 + {p}*x)"
+                  " + delta(x*x - 5*x)")
+        if p == 2:
+            source += " + neg(x) - ((x and -2) or -7) + (x xor (x*x - 5))"
+        e = fa.add(parse_dsl(source), fa.compose(parse_dsl("x*x - 1"), parse_dsl("3 - x")))
+        assert expr._Module(e, m).big
+        assert_matches_tree(e, m, [0, 1, 2, 3, 12345, m.value - 1, m.value, 2 * m.value + 1])
+    # below the limit every constant stays a decimal literal
+    assert not expr._Module(parse_dsl("1 - 127*x + 1/3"), Modulus(2, 64)).big

@@ -166,6 +166,9 @@ class TestCensus:
         spec = make_generator(parse_dsl("1+x"), Modulus(2, 12), 0)
         with pytest.raises(CapExceeded):
             full_period_census(spec, cap=1000)
+        spec = make_generator(parse_dsl("1+x"), Modulus(2, 20000), 0)
+        with pytest.raises(CapExceeded, match=r"^2\^20000 states exceeds cap 1000$"):
+            full_period_census(spec, cap=1000)
 
 
 class TestCompositeModuli:
