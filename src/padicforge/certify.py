@@ -378,10 +378,12 @@ def _split_scale(node: FnExpr):
 
 
 def _compatible_leaves(e: FnExpr, p: int) -> bool:
-    """Polynomial leaves must pass the coefficient test; every other node
-    kind respects congruences by construction."""
-    return all(is_compatible(series_from_poly(node.poly, p))
-               for node in nodes(e) if node.kind == "POLY")
+    """Polynomial leaves must pass the coefficient test and constants must
+    be p-integral; every other node kind respects congruences by
+    construction."""
+    return all(is_compatible(series_from_poly(node.poly, p)) if node.kind == "POLY"
+               else node.value.denominator % p != 0
+               for node in nodes(e) if node.kind in ("POLY", "CONST"))
 
 
 def _shift_family(e: FnExpr, p: int) -> Optional[str]:

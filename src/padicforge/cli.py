@@ -35,6 +35,7 @@ from importlib import resources
 from typing import Callable, List, Optional, Tuple
 
 from .analysis import (
+    SOLVER_PERIOD_CAP,
     EmptySequence,
     Relation,
     affine_linear_complexity,
@@ -78,6 +79,7 @@ from .funcalg import (
 from .genlib import (
     NotBinaryModulus,
     NotCertified,
+    _factors,
     emit_bytes,
     full_period_census,
     make_generator,
@@ -141,7 +143,7 @@ def _resolve_modulus(args):
 
 
 def _resolve_primes(args) -> List[int]:
-    """Primes to certify at; -k is irrelevant for threshold certificates."""
+    """Primes to certify at; certify takes no -k, as a certificate holds at every k."""
     if args.m is not None:
         if args.p is not None:
             raise ValueError("give either -m or -p, not both")
@@ -149,12 +151,6 @@ def _resolve_primes(args) -> List[int]:
     if args.p is None:
         raise ValueError("a prime is required: -p P, or composite -m M")
     return [args.p]
-
-
-def _factor_list(modulus) -> List[Modulus]:
-    if isinstance(modulus, CompositeModulus):
-        return list(modulus.factors)
-    return [modulus]
 
 
 def _load_source(args) -> str:
@@ -201,7 +197,7 @@ def cmd_check(args) -> Tuple[dict, int]:
     source = _load_source(args)
     fn = parse_dsl(source)
     results = []
-    for fac in _factor_list(modulus):
+    for fac in _factors(modulus):
         entry = {"modulus": {"p": fac.p, "k": fac.k}}
         entry["compatibility"] = compatibility_certificate(fn, fac.p, cap).to_json()
         ok, witness = bijective_mod(fn, fac, cap)
@@ -335,7 +331,7 @@ def cmd_analyze(args) -> Tuple[dict, int]:
         m = _resolve_modulus(args)
         if isinstance(m, CompositeModulus):
             raise ValueError("affine analysis needs a prime-power modulus")
-        walk_cap = cap if cap is not None else 1 << 20
+        walk_cap = cap if cap is not None else SOLVER_PERIOD_CAP
         if m.value > walk_cap:
             raise CapExceeded(f"{m} states exceeds cap {walk_cap}")
         seed = args.seed or 0
@@ -748,60 +744,54 @@ def _emit(report: dict, args) -> None:
 # ------------------------------------------------------------------ entry
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-p", type=int, metavar="P", help="prime of the modulus")
-    common.add_argument("-k", type=int, metavar="K", help="exponent of the modulus")
-    common.add_argument("-m", type=int, metavar="M",
-                        help="composite modulus, factored by trial division")
-    common.add_argument("--seed", type=int, metavar="N", help="starting state (default 0)")
-    common.add_argument("--cap-states", type=int, metavar="N", dest="cap_states",
-                        help="brute-force state cap (default from PADIC_FORGE_CAP)")
-    common.add_argument("--rmax", type=int, default=32, metavar="R",
-                        help="largest recurrence order to search (default 32, at most 64)")
-    common.add_argument("--json", action="store_true", dest="json_out",
-                        help="machine-readable report")
-    common.add_argument("--file", metavar="PATH",
-                        help="read the function, spec, or data from a file")
+# Every option, defined once; each subcommand takes only the ones it reads,
+# so any other is an argparse error (exit 2) rather than silently ignored.
+_FLAGS = {
+    "-p": dict(type=int, metavar="P", help="prime of the modulus"),
+    "-k": dict(type=int, metavar="K", help="exponent of the modulus"),
+    "-m": dict(type=int, metavar="M", help="composite modulus, factored by trial division"),
+    "--seed": dict(type=int, metavar="N", help="starting state (default 0)"),
+    "--cap-states": dict(type=int, metavar="N", dest="cap_states",
+                         help="brute-force state cap (default from PADIC_FORGE_CAP)"),
+    "--rmax": dict(type=int, default=32, metavar="R",
+                   help="largest recurrence order to search (default 32, at most 64)"),
+    "--json": dict(action="store_true", dest="json_out", help="machine-readable report"),
+    "--file": dict(metavar="PATH", help="read the function, spec, or data from a file"),
+    "--count": dict(type=int, default=DEFAULT_GEN_WORDS, metavar="N",
+                    help=f"output words to emit (default {DEFAULT_GEN_WORDS})"),
+    "--only": dict(metavar="GROUP", help="run a single row group"),
+}
 
+# name: (run, help, help of the source argument or None, flags)
+_COMMANDS = {
+    "check": (cmd_check, "direct diagnostics at a concrete modulus",
+              "function in the expression language", "-p -k -m --cap-states --json --file"),
+    "certify": (cmd_certify, "theorem-backed certificates; exit code tracks the verdict",
+                "function in the expression language", "-p -m --cap-states --json --file"),
+    "gen": (cmd_gen, "emit generator bytes on stdout, report on stderr",
+            "state map in the expression language",
+            "-p -k -m --seed --cap-states --json --file --count"),
+    "analyze": (cmd_analyze, "affine-complexity report for a sequence",
+                "state map in the expression language",
+                "-p -k -m --seed --cap-states --rmax --json --file"),
+    "repro": (cmd_repro, "replay the worked-example regression table", None, "--json --only"),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="padic-forge",
         description="construct, certify, and analyze congruential generators"
                     " on p-adic state spaces")
     sub = top.add_subparsers(dest="command", required=True, metavar="command")
-
-    sp = sub.add_parser("check", parents=[common],
-                        help="direct diagnostics at a concrete modulus")
-    sp.add_argument("source", nargs="?", help="function in the expression language")
-
-    sp = sub.add_parser("certify", parents=[common],
-                        help="theorem-backed certificates; exit code tracks the verdict")
-    sp.add_argument("source", nargs="?", help="function in the expression language")
-
-    sp = sub.add_parser("gen", parents=[common],
-                        help="emit generator bytes on stdout, report on stderr")
-    sp.add_argument("source", nargs="?", help="state map in the expression language")
-    sp.add_argument("--count", type=int, default=DEFAULT_GEN_WORDS, metavar="N",
-                    help=f"output words to emit (default {DEFAULT_GEN_WORDS})")
-
-    sp = sub.add_parser("analyze", parents=[common],
-                        help="affine-complexity report for a sequence")
-    sp.add_argument("source", nargs="?", help="state map in the expression language")
-
-    sp = sub.add_parser("repro", parents=[common],
-                        help="replay the worked-example regression table")
-    sp.add_argument("--only", metavar="GROUP", help="run a single row group")
-
+    for name, (run, help_, source_help, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_)
+        sp.set_defaults(run=run)
+        if source_help is not None:
+            sp.add_argument("source", nargs="?", help=source_help)
+        for flag in flags.split():
+            sp.add_argument(flag, **_FLAGS[flag])
     return top
-
-
-_DISPATCH = {
-    "check": cmd_check,
-    "certify": cmd_certify,
-    "gen": cmd_gen,
-    "analyze": cmd_analyze,
-    "repro": cmd_repro,
-}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -809,7 +799,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     args = _build_parser().parse_args(argv)
     try:
-        report, code = _DISPATCH[args.command](args)
+        report, code = args.run(args)
     except DslError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

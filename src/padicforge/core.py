@@ -28,6 +28,15 @@ class BaseNotOneUnit(ValueError):
     """Exponentiation base is not congruent to 1 modulo p (odd modulo 2)."""
 
 
+def _show(n):
+    """n in decimal or, past the int-to-str digit limit, in hex, which has
+    no limit: an error message must not raise an error of its own."""
+    try:
+        return str(n)
+    except ValueError:
+        return hex(n)
+
+
 def is_prime(n):
     """Deterministic trial-division primality test."""
     if n < 2:
@@ -80,7 +89,7 @@ class ResidueInt:
     def __post_init__(self):
         if not 0 <= self.residue < self.modulus.value:
             raise ValueError(
-                f"residue {self.residue} out of range for modulus {self.modulus}"
+                f"residue {_show(self.residue)} out of range for modulus {self.modulus}"
             )
 
     def __int__(self):
@@ -180,7 +189,7 @@ def digits(x: ResidueInt):
 def mod_inverse(u: ResidueInt):
     """Multiplicative inverse of a unit mod p^k."""
     if u.residue % u.modulus.p == 0:
-        raise NotAUnit(f"{u.residue} is divisible by {u.modulus.p}")
+        raise NotAUnit(f"{_show(u.residue)} is divisible by {u.modulus.p}")
     return ResidueInt(pow(u.residue, -1, u.modulus.value), u.modulus)
 
 
@@ -212,8 +221,8 @@ def unit_pow(u: ResidueInt, e):
     m = u.modulus
     if m.p == 2:
         if u.residue % 2 == 0:
-            raise BaseNotOneUnit(f"{u.residue} is even, not a unit mod {m}")
+            raise BaseNotOneUnit(f"{_show(u.residue)} is even, not a unit mod {m}")
     elif u.residue % m.p != 1:
-        raise BaseNotOneUnit(f"{u.residue} is not a 1-unit mod {m}")
+        raise BaseNotOneUnit(f"{_show(u.residue)} is not a 1-unit mod {m}")
     exp = reduce_exponent(e, m)
     return ResidueInt(pow(u.residue, exp, m.value), m)

@@ -50,7 +50,6 @@ class FnExpr:
     children: tuple = ()
     value: Fraction = None
     poly: RationalPoly = None
-    base_verified: bool = False
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -75,9 +74,8 @@ class FnExpr:
         return f"FnExpr(postfix={list(self._postfix())})"
 
     def _postfix(self):
-        """Each node's (kind, child count, value, poly, base_verified), post-order."""
-        return tuple((n.kind, len(n.children), n.value, n.poly, n.base_verified)
-                     for n in nodes(self))
+        """Each node's (kind, child count, value, poly), post-order."""
+        return tuple((n.kind, len(n.children), n.value, n.poly) for n in nodes(self))
 
 
 def nodes(root, children=None):

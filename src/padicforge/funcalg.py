@@ -1,9 +1,9 @@
 """Expression algebra for generator construction: builders, DSL, constructors.
 
 The node type FnExpr and its compile-once evaluation live in `expr` and
-are re-exported here.  POW bases must be 1-units; builders that create
-the shape 1 + p*(subexpr) mark the node verified, parsed or deserialized
-POW nodes stay unverified until a certification-time residue check.
+are re-exported here.  POW bases must be 1-units: evaluation checks the
+base at every point, and `is_class_b` checks it on Z/p at the prime asked
+about, since 1 + p*g is a 1-unit at p and need not be at another prime.
 """
 
 from dataclasses import dataclass
@@ -75,14 +75,13 @@ def neg(a):
     return FnExpr("NEG", (a,))
 
 
-def pow_(base, exponent, base_verified=False):
-    return FnExpr("POW", (base, exponent), base_verified=base_verified)
+def pow_(base, exponent):
+    return FnExpr("POW", (base, exponent))
 
 
 def one_unit_pow(subexpr, exponent, p):
-    """(1 + p*subexpr) ^ exponent, base marked verified by its shape."""
-    base = add(const(1), mul(const(p), subexpr))
-    return pow_(base, exponent, base_verified=True)
+    """(1 + p*subexpr) ^ exponent, whose base is a 1-unit at p."""
+    return pow_(add(const(1), mul(const(p), subexpr)), exponent)
 
 
 def inv(a):
@@ -128,7 +127,7 @@ def is_class_b(e: FnExpr, p: int) -> bool:
             return False
         if kind == "POLY" and any(c.denominator % p == 0 for c in node.poly.coeffs):
             return False
-        if kind == "POW" and not node.base_verified:
+        if kind == "POW":
             semantic.append((node.children[0], lambda v: v == 1))
         elif kind == "INV":
             semantic.append((node.children[0], lambda v: v != 0))
@@ -164,7 +163,7 @@ def build_composite_generator(
             raise ValueError(f"{name} must have integer coefficients")
     rad = m.radical()
     base = add(const(1), mul(const(rad), poly_node(v)))
-    power = pow_(base, poly_node(w), base_verified=True)
+    power = pow_(base, poly_node(w))
     return add(
         add(const(1), var()),
         mul(mul(const(rad * rad), poly_node(u)), power),

@@ -101,7 +101,6 @@ class GeneratorState:
 
     def __init__(self, spec: GeneratorSpec):
         self.spec = spec
-        self.steps_taken = 0
         m = spec.modulus
         self._maps = [compile_map(spec.state_fn, f) for f in _factors(m)]
         if isinstance(m, CompositeModulus):
@@ -121,7 +120,6 @@ class GeneratorState:
         parts = self._parts
         for i, step in enumerate(self._maps):
             parts[i] = step(parts[i])
-        self.steps_taken += 1
         if self._out is not None:
             return self._out(self._word(parts) % self._out_value)
         return self._word(parts)

@@ -225,16 +225,10 @@ class RationalPoly:
 
 @dataclass(frozen=True)
 class MahlerSeries:
-    """Truncated interpolation-series coefficients a_0 ... a_d of a function.
-
-    precision_note records the working modulus the coefficients were
-    extracted at, when they came from sampled values rather than a closed
-    form; it is documentation, not arithmetic state.
-    """
+    """Truncated interpolation-series coefficients a_0 ... a_d of a function."""
 
     coeffs: tuple
     p: int
-    precision_note: str = ""
 
     def __post_init__(self):
         object.__setattr__(
@@ -281,7 +275,7 @@ class MahlerSeries:
         return ResidueInt(acc, m)
 
 
-def coeffs_from_values(values, p, precision_note=""):
+def coeffs_from_values(values, p):
     """Interpolation coefficients from the values f(0), ..., f(d).
 
     a_i is the i-th forward difference at 0, computed exactly on the
@@ -292,7 +286,7 @@ def coeffs_from_values(values, p, precision_note=""):
     while row:
         coeffs.append(row[0])
         row = [row[j + 1] - row[j] for j in range(len(row) - 1)]
-    return MahlerSeries(tuple(coeffs), p, precision_note)
+    return MahlerSeries(tuple(coeffs), p)
 
 
 def series_from_poly(poly: RationalPoly, p):

@@ -30,7 +30,7 @@ from padicforge.certify import (
     transitive_mod,
     triangle_ergodicity_certificate,
 )
-from padicforge.core import Modulus
+from padicforge.core import Modulus, NotAUnit
 from padicforge.funcalg import (
     BoolTriangle,
     add,
@@ -600,6 +600,15 @@ class TestCompatibilityCertificate:
         cancel = sub(poly_node(not_compatible_poly()), poly_node(not_compatible_poly()))
         cert = compatibility_certificate(cancel, 2)
         assert cert.verdict == UNKNOWN and cert.theorem == "BRUTE_ONLY"
+
+    def test_constant_with_p_in_its_denominator_is_probed(self):
+        # (1/2)*(x*x - x) is integer-valued, but its tree holds 1/2, which
+        # has no value mod 2^k: closure proves nothing, and the probe raises
+        half = parse_dsl("(1/2)*(x*x - x)")
+        with pytest.raises(NotAUnit, match="^2 is divisible by 2$"):
+            compatibility_certificate(half, 2)
+        cert = compatibility_certificate(half, 3)
+        assert cert.verdict == PROVEN and cert.theorem == "T2_1"
 
 
 # Probe depths per prime: tables of at most 625 entries keep 360 maps fast.

@@ -145,6 +145,11 @@ class TestCertify:
     def test_prime_required(self, capsys):
         assert main(["certify", "1+x"]) == 2
 
+    def test_constant_with_p_in_its_denominator_exits_2(self, capsys):
+        # the polynomial is integer-valued, but the constant 1/2 has no value mod 2^k
+        assert main(["certify", "(1/2)*(x*x - x)", "-p", "2"]) == 2
+        assert capsys.readouterr().err == "error: 2 is divisible by 2\n"
+
 
 class TestGen:
     def test_bytes_on_stdout_report_on_stderr(self, capsysbinary):
@@ -469,6 +474,21 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["check", "--bogus"])
         assert exc.value.code == 2
+
+    # every (subcommand, flag) pair the subcommand does not read
+    @pytest.mark.parametrize("command, flag", [
+        ("check", "--seed"), ("check", "--rmax"),
+        ("certify", "-k"), ("certify", "--seed"), ("certify", "--rmax"),
+        ("gen", "--rmax"),
+        ("repro", "-p"), ("repro", "-k"), ("repro", "-m"), ("repro", "--seed"),
+        ("repro", "--cap-states"), ("repro", "--rmax"), ("repro", "--file"),
+    ])
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, command, flag):
+        argv = [command] if command == "repro" else [command, "1 + x", "-p", "2"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, "3"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

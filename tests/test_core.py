@@ -33,6 +33,23 @@ def test_residue_range_checked():
     assert m.residue(10).residue == 1
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda m, r: mod_inverse(ResidueInt(r, m)), NotAUnit, "{r} is divisible by 2"),
+    (lambda m, r: unit_pow(ResidueInt(r, m), 3), BaseNotOneUnit,
+     "{r} is even, not a unit mod 2^20000"),
+    (lambda m, r: ResidueInt(2 * r, m), ValueError,
+     "residue {2r} out of range for modulus 2^20000"),
+])
+def test_errors_past_the_digit_limit(build, error, message):
+    # r = 2^19999 has 6021 decimal digits, past the default int-to-str
+    # limit of 4300: each message names the residue in hex instead of raising
+    r = 2 ** 19999
+    with pytest.raises(error) as exc:
+        build(Modulus(2, 20000), r)
+    assert exc.type is error
+    assert str(exc.value) == message.format(r=hex(r), **{"2r": hex(2 * r)})
+
+
 def test_ord_p():
     assert ord_p(12, 2) == 2
     assert ord_p(0, 5) == INFINITE

@@ -210,6 +210,9 @@ def test_is_class_b():
     assert is_class_b(fa.inv(fa.add(fa.const(1), fa.mul(fa.const(5), X))), 5)
     assert not is_class_b(fa.inv(X), 5)  # hits 0 mod 5
     assert is_class_b(fa.one_unit_pow(X, X, 5), 5)
+    # its base 1 + 5x is no 1-unit elsewhere: 6 = 0 mod 2, 11 = 2 mod 3
+    assert not is_class_b(fa.one_unit_pow(X, X, 5), 2)
+    assert not is_class_b(fa.one_unit_pow(X, X, 5), 3)
     assert is_class_b(fa.pow_(fa.const(201), X), 5)  # 201 = 1 mod 5, found semantically
     assert not is_class_b(fa.pow_(fa.add(fa.const(2), X), X), 5)
     assert not is_class_b(fa.xor(X, X), 2)
@@ -308,7 +311,7 @@ def test_parse_examples():
     assert two_g.kind == "MUL" and two_g.children[1].kind == "XOR"
 
     p = parse_dsl("(1 + 2*x)^(-1)")
-    assert p.kind == "POW" and not p.base_verified
+    assert p.kind == "POW"
     assert p.children[1].kind == "CONST" and p.children[1].value == -1
 
     q = parse_dsl("1 + x + (5/18)*ff(x,6)")
@@ -364,9 +367,6 @@ def test_json_roundtrip():
             back = expr_from_json(expr_to_json(e))
             for x in range(20):
                 assert ev(back, x, p, 3) == ev(e, x, p, 3)
-    flagged = fa.one_unit_pow(X, X, 2)
-    assert flagged.base_verified
-    assert not expr_from_json(expr_to_json(flagged)).base_verified
 
 
 CHAINS = {"ADD": (fa.add, operator.add), "SUB": (fa.sub, operator.sub),
@@ -399,15 +399,14 @@ def test_3000_term_chains_need_no_recursion(kind, nesting):
 
 def dataclass_key(e):
     """The tuple a recursive dataclass would compare; small trees only."""
-    return (e.kind, tuple(map(dataclass_key, e.children)), e.value, e.poly, e.base_verified)
+    return (e.kind, tuple(map(dataclass_key, e.children)), e.value, e.poly)
 
 
 def test_eq_hash_repr_are_structural():
     rng = random.Random(5)
     trees = [random_compatible_ast(rng, p, rng.randint(0, 4)) for p in (2, 3, 5) for _ in range(40)]
     trees += [fa.one_unit_pow(X, X, 2), fa.neg(X), parse_dsl("ff(x, 3) + 1/3")]
-    rebuilt = lambda e: fa.FnExpr(e.kind, tuple(map(rebuilt, e.children)), e.value, e.poly,
-                                  e.base_verified)
+    rebuilt = lambda e: fa.FnExpr(e.kind, tuple(map(rebuilt, e.children)), e.value, e.poly)
     equal_pairs = 0
     for a in trees:
         twin = rebuilt(a)
@@ -418,8 +417,7 @@ def test_eq_hash_repr_are_structural():
             equal_pairs += same and a is not b
     assert equal_pairs >= 10
     assert fa.one_unit_pow(X, X, 2) != fa.FnExpr("POW", (X, X))
-    assert repr(fa.neg(X)) == ("FnExpr(postfix=[('VAR', 0, None, None, False), "
-                               "('NEG', 1, None, None, False)])")
+    assert repr(fa.neg(X)) == "FnExpr(postfix=[('VAR', 0, None, None), ('NEG', 1, None, None)])"
     assert X != "VAR" and X.__eq__("VAR") is NotImplemented
 
 
@@ -429,7 +427,7 @@ def test_eq_hash_repr_of_3000_term_chain_need_no_recursion():
     assert a == b and hash(a) == hash(b) and a is not b
     assert a != parse_dsl(source + " xor 1") and a != parse_dsl("x or " + source)
     text = repr(a)
-    assert text.startswith("FnExpr(postfix=[('VAR', 0, None, None, False), ('VAR', 0,")
+    assert text.startswith("FnExpr(postfix=[('VAR', 0, None, None), ('VAR', 0,")
     assert text.count("'VAR'") == 3000 and text.count("'XOR'") == 2999
     spec, twin = (GeneratorSpec(e, Modulus(2, 8), 0, unchecked=True) for e in (a, b))
     assert spec == twin and hash(spec) == hash(twin)

@@ -86,7 +86,6 @@ class TestIteration:
         assert state.next() == 1 ^ 15
         assert state.next() == 2 ^ 15
         assert state.current == 2
-        assert state.steps_taken == 2
 
     def test_determinism(self):
         spec = make_generator(xor_gen(), Modulus(2, 10), 77)
