@@ -7,7 +7,9 @@ congruence system, zero-divisor coefficients included.  UNIT additionally
 demands a solution with at least one x-coefficient invertible mod p, which
 rules out relations that degenerate mod p to a statement about the constant
 term alone.  A relation proved on a row sample is always re-verified against
-the entire period before it is reported.
+the entire period before it is reported.  That check and the bit planes
+read the sequence from one byte image of 64*s-bit slots, so a block of
+indices costs a few big-integer operations, not a step per index and term.
 
 Z/p^k is not a field, so the solver is not Berlekamp-Massey.  One
 elimination, _absorb, serves both the relation and the prefix bound below.
@@ -31,11 +33,11 @@ span in Howell form over Z/p^k and decides each order without a solve.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice, repeat
 from math import gcd
-from operator import add, mod, mul, sub
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .certify import PROVEN, CapExceeded, MapLike, ergodicity_certificate
@@ -68,14 +70,53 @@ class Relation:
     constant: int
 
     def first_violation(self, seq: Sequence[int], m: Modulus) -> Optional[int]:
-        """Least cyclic n where the relation fails, or None; stops at n."""
-        period = len(seq) or 1
-        rot = lambda j: chain(islice(seq, j % period, None), islice(seq, j % period))
-        acc = map(sub, repeat(self.constant), rot(self.order))
-        for j, cj in enumerate(self.coeffs):
-            if cj:
-                acc = map(add, acc, map(mul, repeat(cj), rot(j)))
-        return next(compress(count(), map(mod, acc, repeat(m.value))), None)
+        """Least cyclic n where the relation fails, or None.
+
+        Slot n (64*s bits) of X_j holds element n + j, so slot n of c +
+        sum c_j*X_j + (q - 1)*X_r, q = p^k, is 0 mod q where the relation
+        holds at n.  Coefficients are reduced into [0, q) and elements kept
+        below 2^b, b = bitlen(q - 1), so slots stay below 2^w0 and never
+        carry.  p = 2 masks the low k bits.  Odd p multiplies by q^-1 mod
+        2^w0 in slots of 2*w0 bits, which maps the multiples of q onto
+        [0, (2^w0 - 1)//q] (Granlund and Montgomery), and an offset carries
+        every other slot into bit w0.  Blocks grow fourfold from 64 indices
+        up to 2^16, which bounds the memory a long period takes.
+        """
+        period, q = len(seq), m.value
+        terms = [(j, c % q) for j, c in enumerate(self.coeffs) if c % q] + [(self.order, q - 1)]
+        reach = max(j for j, _ in terms)
+        const = self.constant % q
+        b = (q - 1).bit_length()
+        w0 = (const + sum(c for _, c in terms) * ((1 << b) - 1)).bit_length()
+        s = -(-(w0 if m.p == 2 else 2 * w0) // 64)
+        slot, low = 64 * s, (1 << w0) - 1
+        start, size = 0, 64
+        while start < period:
+            size = min(size, period - start)
+            window = seq[start:start + size + reach]
+            while len(window) < size + reach:  # wraps more than once when reach > period
+                window += seq[:size + reach - len(window)]
+            ones = int.from_bytes(b"\1".ljust(8 * s, b"\0") * (size + reach), "little")
+            below = ((1 << b) - 1) * ones
+            try:
+                xs = int.from_bytes(_slot_image(window, s), "little")
+                wide = xs & below != xs
+            except OverflowError:
+                wide = True
+            if wide:  # an element is negative or at least 2^b
+                xs = int.from_bytes(_slot_image([x % q for x in window], s), "little")
+            acc = const * ones
+            for j, c in terms:
+                acc += c * (xs >> slot * j)
+            acc &= (1 << slot * size) - 1
+            if m.p != 2:  # bit w0 of slot n: its multiple of q^-1 exceeds (2^w0 - 1)//q
+                acc = ((acc * pow(q, -1, low + 1) & low * ones) + (low - low // q) * ones) >> w0
+            bad = acc & (below if m.p == 2 else ones)
+            if bad:
+                return start + ((bad & -bad).bit_length() - 1) // slot
+            start += size
+            size = min(4 * size, 1 << 16)
+        return None
 
     def verify(self, seq: Sequence[int], m: Modulus) -> bool:
         return self.first_violation(seq, m) is None
@@ -299,16 +340,27 @@ def bit_plane_periods(seq: Sequence[int], m: Modulus) -> List[int]:
     """Minimal period of each bit sequence delta_j(x_n), j = 0..k-1.
 
     The buffer is one full period, so a plane's least period is the first
-    d >= 1 where it recurs in itself written twice.  Each byte of the words
-    is packed once, and plane j is read from byte j//8 by bytes.translate.
+    d >= 1 where it recurs in itself written twice.  Plane j is read from
+    byte j//8 of every slot of one _slot_image by bytes.translate.
     """
     if m.p != 2:
         raise NotBinaryModulus(f"bit planes need p = 2, modulus is {m}")
     seq = list(seq)
     _check_buffer(seq, m)
-    octets = [bytes([x >> s & 255 for x in seq]) for s in range(0, m.k, 8)]
-    planes = (octets[j // 8].translate(_BIT_OF_BYTE[j % 8]) for j in range(m.k))
+    s = -(-m.k // 64)
+    image = _slot_image(seq, s)
+    planes = (image[j // 8::8 * s].translate(_BIT_OF_BYTE[j % 8]) for j in range(m.k))
     return [(plane + plane).find(plane, 1) for plane in planes]
+
+
+def _slot_image(values: List[int], s: int) -> bytes:
+    """values[n], each in [0, 2^(64*s)), in little-endian bytes 8*s*n on."""
+    if s > 1:
+        return b"".join(x.to_bytes(8 * s, "little") for x in values)
+    words = array("Q", values)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words.tobytes()
 
 
 def orbit(step: Callable[[int], int], m: Modulus, seed: int = 0) -> List[int]:

@@ -786,7 +786,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True, metavar="command")
     for name, (run, help_, source_help, flags) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_)
-        sp.set_defaults(run=run)
+        sp.set_defaults(run=run, usage_error=sp.error)
         if source_help is not None:
             sp.add_argument("source", nargs="?", help=source_help)
         for flag in flags.split():
@@ -797,7 +797,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    args = _build_parser().parse_args(argv)
+    args, extra = _build_parser().parse_known_args(argv)
+    if extra:  # with the subcommand's usage, which lists the flags it takes
+        args.usage_error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         report, code = args.run(args)
     except DslError as exc:

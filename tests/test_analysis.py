@@ -603,6 +603,139 @@ def howell_corpus(seed, count):
         yield cols, b, p, k
 
 
+def recurrence(rel, m, head, period):
+    """head, then each element from the order elements before it by rel,
+    mod p^k: rel holds at every index whose window does not wrap."""
+    seq = list(head)
+    while len(seq) < period:
+        window = seq[len(seq) - rel.order:]
+        seq.append((rel.constant + sum(c * x for c, x in zip(rel.coeffs, window))) % m.value)
+    return seq
+
+
+class TestPackedRelationCheck:
+    """Relation.first_violation packs the sequence into 64*s-bit slots and
+    checks blocks [0, 64), [64, 320), [320, 1344), ... of at most 2^16
+    indices; these cases sit on its edges and are checked against the
+    per-index oracle."""
+
+    # 2^12, 3^7: one-word array slots; 2^32, 3^20 and up: to_bytes slots
+    # of 2 words and more, 2^64 and 3^41 (> 2^64) included
+    MODULI = [Modulus(2, 12), Modulus(2, 32), Modulus(2, 64), Modulus(2, 65), Modulus(2, 72),
+              Modulus(3, 7), Modulus(3, 20), Modulus(3, 41), Modulus(5, 30)]
+
+    @pytest.mark.parametrize("m", MODULI, ids=str)
+    def test_violation_on_each_side_of_every_block_boundary(self, m):
+        rng = random.Random(1000 * m.p + m.k)
+        q, period = m.value, 700
+        for order in (1, 2, 3):
+            # negative and unreduced coefficients, reduced by the check
+            rel = Relation(order, tuple(rng.randrange(-q, 2 * q) for _ in range(order)),
+                           rng.randrange(-q, 2 * q))
+            clean = recurrence(rel, m, [rng.randrange(q) for _ in range(order)], period)
+            # the first window that wraps fails; for order 1 it is the last index
+            assert first_violation_scan(rel, clean, m) == period - order
+            assert rel.first_violation(clean, m) == period - order
+            for v in (0, 1, 63, 64, 65, 319, 320, 321, period - order - 1):
+                seq = list(clean)
+                seq[v + order] = (seq[v + order] + 1) % q
+                assert first_violation_scan(rel, seq, m) == v
+                assert rel.first_violation(seq, m) == v, (m, rel, v)
+
+    def test_blocks_stop_growing_at_2_16_indices(self):
+        # [87360, 152896) and [152896, 218432) are the first blocks held at
+        # 2^16 indices; growing fourfold, the first would end at 349504
+        m = Modulus(2, 12)
+        rel = Relation(1, (5,), 1)
+        clean = recurrence(rel, m, [0], m.value) * 60
+        assert rel.first_violation(clean, m) is None
+        for v in (87359, 87360, 152895, 152896, 218431, 218432):
+            seq = list(clean)
+            seq[v + 1] ^= 1
+            assert rel.first_violation(seq, m) == first_violation_scan(rel, seq, m) == v
+
+    @pytest.mark.parametrize("m", MODULI, ids=str)
+    def test_relation_that_holds_on_the_whole_period(self, m):
+        # x_{n+1} = c - x_n repeats with period 2 and x_{n+3} = x_n with
+        # period 3, so both hold at every cyclic index of 1998 elements
+        rng = random.Random(m.k)
+        q = m.value
+        a, c = rng.randrange(q), rng.randrange(q)
+        alternating = [a, (c - a) % q] * 999
+        assert Relation(1, (-1 - 2 * q,), c + q).first_violation(alternating, m) is None
+        triple = [rng.randrange(q) for _ in range(3)] * 666
+        assert Relation(3, (1 + q, -q, 0), -5 * q).first_violation(triple, m) is None
+
+    def test_slots_wider_than_a_word_at_p2(self):
+        # x_{n+1} = c - x_n with large elements: a slot reaches 2^65 - 2^34,
+        # so a 64-bit slot would carry into the next one
+        m = Modulus(2, 32)
+        q = m.value
+        rel = Relation(1, (-1,), q - 5)
+        seq = recurrence(rel, m, [q - 2], 800)
+        assert rel.first_violation(seq, m) is None
+        seq[401] = (seq[401] + (1 << 31)) % q
+        assert rel.first_violation(seq, m) == first_violation_scan(rel, seq, m) == 400
+
+    @pytest.mark.parametrize("m", [Modulus(2, 12), Modulus(2, 72), Modulus(3, 7), Modulus(3, 41)],
+                             ids=str)
+    def test_unreduced_elements_give_the_reduced_answer(self, m):
+        rng = random.Random(m.k)
+        q = m.value
+        rel = Relation(2, (rng.randrange(q), rng.randrange(q)), rng.randrange(q))
+        clean = recurrence(rel, m, [1, 2], 500)
+        for v in (10, 70, 400, None):
+            seq = list(clean)
+            if v is not None:
+                seq[v + 2] = (seq[v + 2] + 1) % q
+            want = first_violation_scan(rel, seq, m)
+            assert want == (498 if v is None else v)
+            # other representatives: negative ones in the first block, and
+            # later blocks with none, where large ones would overflow a slot
+            for i, t in ((0, 1), (5, -1), (10, -(2 ** 66)), (100, 2 ** 48), (200, 3),
+                         (450, 2 ** 70), (499, 7)):
+                seq[i] += t * q
+            assert first_violation_scan(rel, seq, m) == want
+            assert rel.first_violation(seq, m) == want
+
+    def test_order_beyond_the_period(self):
+        rng = random.Random(7)
+        answers = set()
+        for m in (Modulus(2, 12), Modulus(2, 72), Modulus(3, 41)):
+            q = m.value
+            for period in (1, 2, 3, 5):
+                seq = [rng.randrange(q) for _ in range(period)]
+                for order in (period + 1, period + 2, 2 * period + 3, 70):
+                    # x_{n+order} = x_{n+j} with j = order mod period holds;
+                    # a constant breaks it at 0, and extra*(x_{n+i} - x_i),
+                    # i = j + 1, keeps it at 0 and breaks it further on
+                    j, extra = order % period, rng.randrange(1, q)
+                    i = (j + 1) % order
+                    for const, coef in ((0, 0), (1, 0), (-extra * seq[i % period], extra)):
+                        coeffs = [0] * order
+                        coeffs[j] = 1
+                        coeffs[i] += coef
+                        rel = Relation(order, tuple(coeffs), const)
+                        want = first_violation_scan(rel, seq, m)
+                        assert rel.first_violation(seq, m) == want, (m, seq, rel)
+                        answers.add(want if want is None else min(want, 1))
+        assert answers == {None, 0, 1}
+
+    def test_empty_sequence_has_no_violation(self):
+        assert Relation(1, (3,), 1).first_violation([], Modulus(3, 2)) is None
+
+    @pytest.mark.parametrize("k", [63, 64, 65, 72])
+    def test_bit_planes_at_word_edges(self, k):
+        rng = random.Random(k)
+        m = Modulus(2, k)
+        for length in (1, 6, 64, 96):
+            seq = planes_buffer(rng, k, length)
+            assert bit_plane_periods(seq, m) == bit_plane_periods_divisors(seq, k)
+        # planes 0..63 of 12345 + n*2^64 are constant, plane 64 + i has period 2^(i+1)
+        seq = [(12345 + n * 2 ** 64) % m.value for n in range(1 << max(k - 64, 0))]
+        assert bit_plane_periods(seq, m) == bit_plane_periods_divisors(seq, k)
+
+
 class TestHowellBasis:
     def test_membership_matches_solvability(self):
         # every column and then b join one basis; each is a member exactly

@@ -488,7 +488,12 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(argv + [flag, "3"])
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+        # the usage is the subcommand's own, so it lists the flags it takes
+        usage, _, error = capsys.readouterr().err.partition(f"padic-forge {command}: error: ")
+        assert error == f"unrecognized arguments: {flag} 3\n"
+        assert usage.startswith(f"usage: padic-forge {command} [-h]")
+        assert all(f"[{own}" in usage for own in cli._COMMANDS[command][3].split())
+        assert f"[{flag}" not in usage
 
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
