@@ -328,7 +328,7 @@ def affine_linear_complexity(seq: Sequence[int], m: Modulus,
         relation=any_rel,
         unit_complexity=unit_rel.order if unit_rel else NoneFoundUpTo(r_max),
         unit_relation=unit_rel,
-        bit_periods=tuple(bit_plane_periods(seq, m)) if m.p == 2 else (),
+        bit_periods=tuple(_bit_plane_periods(seq, m.k)) if m.p == 2 else (),
         census_ok=census_ok,
     )
 
@@ -347,9 +347,14 @@ def bit_plane_periods(seq: Sequence[int], m: Modulus) -> List[int]:
         raise NotBinaryModulus(f"bit planes need p = 2, modulus is {m}")
     seq = list(seq)
     _check_buffer(seq, m)
-    s = -(-m.k // 64)
+    return _bit_plane_periods(seq, m.k)
+
+
+def _bit_plane_periods(seq: List[int], k: int) -> List[int]:
+    """bit_plane_periods of a list that _check_buffer has passed mod 2^k."""
+    s = -(-k // 64)
     image = _slot_image(seq, s)
-    planes = (image[j // 8::8 * s].translate(_BIT_OF_BYTE[j % 8]) for j in range(m.k))
+    planes = (image[j // 8::8 * s].translate(_BIT_OF_BYTE[j % 8]) for j in range(k))
     return [(plane + plane).find(plane, 1) for plane in planes]
 
 
@@ -376,7 +381,7 @@ def orbit(step: Callable[[int], int], m: Modulus, seed: int = 0) -> List[int]:
 
 
 def complexity_growth_profile(state_fn: MapLike, p: int, k_range,
-                              r_max: int = 16, cls=None) -> List[Tuple[int, Complexity]]:
+                              r_max: int = 16) -> List[Tuple[int, Complexity]]:
     """UNIT-flavor complexity of the orbit of 0 at each precision in k_range.
 
     The state map must carry a PROVEN ergodicity certificate, which also
@@ -385,7 +390,7 @@ def complexity_growth_profile(state_fn: MapLike, p: int, k_range,
     units), so each scan starts at max(previous order, prefix bound).
     """
     _check_r_max(r_max)
-    cert = ergodicity_certificate(state_fn, p, cls=cls)
+    cert = ergodicity_certificate(state_fn, p)
     if cert.verdict != PROVEN:
         raise NotCertified(f"state map is {cert.verdict} at p={p}, profile needs PROVEN")
     out = []

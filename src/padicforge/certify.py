@@ -19,6 +19,7 @@ import time
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Optional, Sequence, Union
 
 from .core import Modulus, ord_p
@@ -182,9 +183,6 @@ class MultiPoly:
 
         return value
 
-    def eval_mod(self, point: Sequence[int], modulus: int) -> int:
-        return self.compile_mod(modulus)(point)
-
     def partial(self, i: int) -> "MultiPoly":
         out: dict = {}
         for exps, c in self.terms.items():
@@ -218,12 +216,7 @@ def equiprobable_mod(F: Sequence[MultiPoly], n_in: int, m: Modulus, cap: Optiona
         raise CapExceeded(f"({m})^{n_in} input tuples exceeds cap {cap}")
     fns = [g.compile_mod(m.value) for g in F]
     counts: dict = {}
-    point = [0] * n_in
-    for idx in range(total):
-        r = idx
-        for i in range(n_in):
-            point[i] = r % m.value
-            r //= m.value
+    for point in product(range(m.value), repeat=n_in):
         out = tuple(f(point) for f in fns)
         counts[out] = counts.get(out, 0) + 1
     expected = m.value ** (n_in - n_out)
@@ -255,12 +248,7 @@ def jacobian_equiprobable_certificate(F: Sequence[MultiPoly], p: int) -> Certifi
         return Certificate(EQUIPROBABLE, UNKNOWN, "C3_8", m1,
                            {"reason": "not equiprobable mod p", "census": census}, elapsed())
     partials = [g.partial(i).compile_mod(p) for g in F for i in range(n_in)]
-    point = [0] * n_in
-    for idx in range(p ** n_in):
-        r = idx
-        for i in range(n_in):
-            point[i] = r % p
-            r //= p
+    for point in (t[::-1] for t in product(range(p), repeat=n_in)):  # point[0] fastest
         if all(d(point) == 0 for d in partials):
             return Certificate(EQUIPROBABLE, UNKNOWN, "C3_8", m1,
                                {"reason": "all partials vanish", "point": list(point)}, elapsed())

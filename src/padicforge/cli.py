@@ -66,7 +66,6 @@ from .certify import (
 from .core import CompositeModulus, Modulus, ResidueInt, mod_inverse
 from .expr import compile_map
 from .funcalg import (
-    DslError,
     add,
     build_composite_generator,
     build_ergodic,
@@ -802,9 +801,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.usage_error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         report, code = args.run(args)
-    except DslError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -361,19 +361,17 @@ def compile_map(f, m: Modulus) -> Callable[[int], int]:
     once per (tree, modulus) and cached.
 
     Takes an FnExpr, a RationalPoly, a MahlerSeries or a Python callable
-    (whose values are reduced mod m).  Expressions and polynomials take the
-    exact integer point: pass residues in 0..m-1 for values of the map on
-    Z/m.  Evaluation errors raise when the failing node is evaluated,
-    exactly as node-by-node evaluation raises them.
+    (whose values are reduced mod m).  Expressions, polynomials and series
+    take the exact integer point: pass residues in 0..m-1 for values of the
+    map on Z/m.  A series compiles as its falling-factorial polynomial and
+    raises WrongPrime or NotIntegerValued here.  Evaluation errors raise
+    when the failing node is evaluated, exactly as node-by-node evaluation
+    raises them.
     """
     if isinstance(f, FnExpr):
         return _generated(f, m)
-    if isinstance(f, RationalPoly):
+    if isinstance(f, (RationalPoly, MahlerSeries)):
         return f.compile_mod(m)
-    if isinstance(f, MahlerSeries):
-        if f.p != m.p:
-            raise ValueError(f"series is {f.p}-adic, modulus is {m.p}-adic")
-        return lambda x: f.eval(ResidueInt(x, m)).residue
     if callable(f):
         mv = m.value
         return lambda x: f(x) % mv

