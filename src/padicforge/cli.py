@@ -330,7 +330,7 @@ def cmd_analyze(args) -> Tuple[dict, int]:
         m = _resolve_modulus(args)
         if isinstance(m, CompositeModulus):
             raise ValueError("affine analysis needs a prime-power modulus")
-        walk_cap = cap if cap is not None else SOLVER_PERIOD_CAP
+        walk_cap = SOLVER_PERIOD_CAP if cap is None else min(cap, SOLVER_PERIOD_CAP)
         if m.value > walk_cap:
             raise CapExceeded(f"{m} states exceeds cap {walk_cap}")
         seed = args.seed or 0

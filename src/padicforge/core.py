@@ -37,19 +37,28 @@ def _show(n):
         return hex(n)
 
 
+# Miller-Rabin with the first 13 primes as bases decides every n below this
+# bound (Sorenson and Webster, Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_BASES_PRODUCT = math.prod(_PRIME_BASES)
+_PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+_TRIAL_BOUND = 2**16  # CompositeModulus.from_int divides out the primes below it
+
+
 def is_prime(n):
-    """Deterministic trial-division primality test."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
+    """Deterministic Miller-Rabin test for n < _PRIME_TEST_BOUND; ValueError above."""
+    if math.gcd(n, _BASES_PRODUCT) != 1 or n < 2:
+        return n in _PRIME_BASES
+    if n >= _PRIME_TEST_BOUND:
+        raise ValueError(f"cannot decide whether {_show(n)} is prime: primes must be"
+                         f" below {_PRIME_TEST_BOUND}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    # n passes base a if a^d = 1 or a^(d * 2^r) = -1 for some r < s; below
+    # 1373653 bases 2 and 3 decide (Jaeschke, Math. Comp. 61, 1993)
+    for a in _PRIME_BASES if n >= 1_373_653 else (2, 3):
+        if pow(a, d, n) != 1 and all(pow(a, d << r, n) != n - 1 for r in range(s)):
             return False
-        f += 6
     return True
 
 
@@ -116,30 +125,29 @@ class CompositeModulus:
 
     @classmethod
     def from_int(cls, m):
-        """Factor m by trial division into prime-power components."""
+        """Factor m into prime-power components: trial division by the primes
+        below _TRIAL_BOUND, then what is left must be 1 or a prime."""
         if m < 2:
             raise ValueError("composite modulus must be at least 2")
         factors = []
         n = m
-        p = 2
-        while p * p <= n:
-            if n % p == 0:
-                k = 0
-                while n % p == 0:
-                    n //= p
-                    k += 1
+        for p in range(2, min(math.isqrt(m) + 1, _TRIAL_BOUND)):
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            if k:  # p is prime: its prime factors are divided out
                 factors.append(Modulus(p, k))
-            p += 1 if p == 2 else 2
         if n > 1:
+            if not is_prime(n):
+                raise ValueError(f"cannot factor {_show(m)}: {_show(n)} has no prime factor"
+                                 f" below {_TRIAL_BOUND} and is not prime")
             factors.append(Modulus(n, 1))
         return cls(tuple(factors))
 
     def radical(self):
         """Product of the distinct prime divisors of m."""
-        r = 1
-        for f in self.factors:
-            r *= f.p
-        return r
+        return math.prod(f.p for f in self.factors)
 
     def decompose(self, x):
         """Residues of x modulo each prime-power component."""

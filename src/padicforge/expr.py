@@ -111,12 +111,13 @@ def operands(node: FnExpr):
     return signs, ops
 
 
-def fold(e: FnExpr, visit):
+def fold(e: FnExpr, visit, operands=operands):
     """visit(node, values, signs) computed bottom-up over e; returns e's.
 
     values are the operands' results, left to right.  A chain is one call
     on its top node: a + (b - c) - d calls visit once, with the values of
-    a, b, c, d and signs [1, 1, -1, -1].  Outside ADD/SUB signs are all 1.
+    a, b, c, d and signs [1, 1, -1, -1].  Outside ADD/SUB signs are all 1;
+    `operands(node)` gives the (signs, operands) to fold over, as above.
     """
     order, todo = [], [e]
     while todo:  # as in nodes, but over operands
@@ -220,7 +221,7 @@ class _Module:
             return (), ()
         if node.kind == "COMPOSE":
             return (1,), node.children[1:]
-        return operands(node) if node.children else ((), ())
+        return operands(node)
 
     def body(self, root):
         """(statements, value, whether value is reduced) of root at x; a
@@ -329,22 +330,14 @@ class _Module:
                 return f if folded else args[0]
             return assign(f"{f}({settled(args[0])})", True)
 
-        order, todo = [], [root]
-        while todo:  # as in fold, over the operands evaluated here
-            node = todo.pop()
-            signs, ops = self.operands(node)
-            order.append((node, signs, len(ops)))
-            todo += ops
-        values = []
-        for node, signs, n in reversed(order):
-            cut = len(values) - n
-            args = values[cut:]
-            del values[cut:]
+        def memo(node, args, signs):  # a repeated subterm reuses its first local
             k = self.key[id(node)]
-            if k not in local:  # a repeated subterm reuses its first local
+            if k not in local:
                 local[k] = visit(node, args, signs)
-            values.append(local[k])
-        return lines, values[0], exact(values[0])
+            return local[k]
+
+        value = fold(root, memo, self.operands)
+        return lines, value, exact(value)
 
 
 @lru_cache(maxsize=128)

@@ -6,10 +6,10 @@ base at every point, and `is_class_b` checks it on Z/p at the prime asked
 about, since 1 + p*g is a 1-unit at p and need not be at another prime.
 """
 
+import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-
-import json
 
 from .core import Modulus, ResidueInt, digits, ord_p
 from .expr import _BITWISE, KINDS, BitwiseOddPrime, FnExpr, compile_map, evaluator, fold, nodes
@@ -77,11 +77,6 @@ def neg(a):
 
 def pow_(base, exponent):
     return FnExpr("POW", (base, exponent))
-
-
-def one_unit_pow(subexpr, exponent, p):
-    """(1 + p*subexpr) ^ exponent, whose base is a 1-unit at p."""
-    return pow_(add(const(1), mul(const(p), subexpr)), exponent)
 
 
 def inv(a):
@@ -244,70 +239,74 @@ def triangle_is_transitive_form(t: BoolTriangle) -> bool:
 
 # --- DSL ---------------------------------------------------------------------
 
-_FUNCS = frozenset(("xor", "and", "or", "neg", "inv", "ff", "delta"))
+# DSL function name -> the node kind it builds; ff(x, n) builds a POLY leaf.
+_FUNCTIONS = {"xor": "XOR", "and": "AND", "or": "OR", "neg": "NEG", "inv": "INV",
+              "delta": "DELTA", "ff": "POLY"}
+# Operand count of each node kind in the postfix form.
+_ARITY = dict.fromkeys(KINDS, 2) | {"VAR": 0, "CONST": 0, "POLY": 0,
+                                    "NEG": 1, "INV": 1, "DELTA": 1}
 # Deepest nesting of parentheses, calls and unary minus the parser accepts.
 # A level costs up to six parser frames, well inside Python's default limit
 # of 1000.  Walks over the tree keep their own stacks; only generated code
 # nests, one function call per DELTA or COMPOSE level.
 _MAX_NESTING = 100
-_SYMBOLS = "+-*/^(),"
+# \d is a decimal digit, which int() reads, and an identifier a run of \w
+# (letters, other digits, "_"); blanks, tabs and carriage returns match
+# nothing and are skipped, and any other character matches alone.
+_TOKEN = re.compile(r"(?P<NL>\n)|(?P<INT>\d+)|(?P<IDENT>\w+)|[^ \t\r]")
 
 
 def _tokenize(text):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("INT", int(text[i:j]), line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("IDENT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            tokens.append((ch, ch, line, start_col))
-            col += 1
-            i += 1
-            continue
-        raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(("EOF", None, line, col))
+    """(kind, value, line, column) per token, a symbol its own kind, then EOF's."""
+    tokens, line, line_start = [], 1, 0
+    for match in _TOKEN.finditer(text):
+        value, col = match.group(), match.start() - line_start + 1
+        kind = match.lastgroup or value
+        if kind == "NL":
+            line, line_start = line + 1, match.end()
+        elif kind == "INT":
+            try:
+                tokens.append((kind, int(value), line, col))
+            except ValueError:  # past the int-to-str digit limit
+                raise DslSyntaxError(f"integer literal of {len(value)} digits is too long",
+                                     line, col) from None
+        elif kind == "IDENT" or kind in "+-*/^(),":
+            tokens.append((kind, value, line, col))
+        else:
+            raise DslSyntaxError(f"unexpected character {value!r}", line, col)
+    tokens.append(("EOF", "end of input", line, len(text) - line_start + 1))
     return tokens
 
 
+def _negated(e):
+    """-e, folded into the constant when e is one."""
+    return const(-e.value) if e.kind == "CONST" else sub(const(0), e)
+
+
+def _product(a, b):
+    """a*b, a constant folded into a POLY operand."""
+    if a.kind == "CONST" and b.kind == "POLY":
+        return poly_node(b.poly.scale(a.value))
+    if a.kind == "POLY" and b.kind == "CONST":
+        return poly_node(a.poly.scale(b.value))
+    return mul(a, b)
+
+
 class _Parser:
+    """Recursive descent, one method per level from loosest to tightest."""
+
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
+    def take(self, kind=None):
+        """The next token; given a kind, the next token only if of that kind."""
         tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+        if kind is None or tok[0] == kind:
+            self.pos += 1
+            return tok
+        return None
 
     def expect(self, kind):
         tok = self.take()
@@ -315,72 +314,40 @@ class _Parser:
             raise DslSyntaxError(f"expected {kind!r}, found {tok[1]!r}", tok[2], tok[3])
         return tok
 
-    def parse(self):
-        e = self.bitexpr()
-        tok = self.take()
-        if tok[0] != "EOF":
-            raise DslSyntaxError(f"unexpected {tok[1]!r}", tok[2], tok[3])
-        if len(self.tokens) > _MAX_NESTING:  # at most one inner node per token
-            _depth_checked(e, lambda msg: DslSyntaxError(msg, 1, 1))
-        return e
-
     def bitexpr(self):
+        """Infix xor/and/or, the two-operand bitwise functions."""
         e = self.expr()
-        build = {"xor": xor, "and": and_, "or": or_}
-        while self.peek()[0] == "IDENT" and self.peek()[1] in build:
-            op = self.take()[1]
-            e = build[op](e, self.expr())
+        while (kind := _FUNCTIONS.get(self.tokens[self.pos][1])) in _BITWISE and _ARITY[kind] == 2:
+            self.take()
+            e = FnExpr(kind, (e, self.expr()))
         return e
 
     def expr(self):
-        if self.peek()[0] == "-":
-            self.take()
-            first = self.term()
-            e = const(-first.value) if first.kind == "CONST" else sub(const(0), first)
-        else:
-            e = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.term()
-            e = add(e, rhs) if op == "+" else sub(e, rhs)
+        e = _negated(self.term()) if self.take("-") else self.term()
+        while tok := self.take("+") or self.take("-"):
+            e = (add if tok[0] == "+" else sub)(e, self.term())
         return e
 
     def term(self):
         e = self.factor()
-        while self.peek()[0] == "*":
-            self.take()
-            e = self._fold_mul(e, self.factor())
+        while self.take("*"):
+            e = _product(e, self.factor())
         return e
-
-    @staticmethod
-    def _fold_mul(a, b):
-        if a.kind == "CONST" and b.kind == "POLY":
-            return poly_node(b.poly.scale(a.value))
-        if a.kind == "POLY" and b.kind == "CONST":
-            return poly_node(a.poly.scale(b.value))
-        return mul(a, b)
 
     def factor(self):
         e = self.atom()
-        if self.peek()[0] == "^":
-            self.take()
-            e = pow_(e, self.atom())
-        return e
+        return pow_(e, self.atom()) if self.take("^") else e
 
     def atom(self):
-        tok = self.take()
-        kind, value, line, col = tok
+        kind, value, line, col = self.take()
         if kind == "INT":
-            if self.peek()[0] == "/":
-                self.take()
-                den = self.expect("INT")[1]
-                if den == 0:
-                    raise DslSyntaxError("zero denominator", line, col)
-                return const(Fraction(value, den))
-            return const(value)
+            den = self.expect("INT")[1] if self.take("/") else 1
+            if den == 0:
+                raise DslSyntaxError("zero denominator", line, col)
+            return const(Fraction(value, den))
         if kind == "IDENT" and value == "x":
             return var()
-        if kind == "IDENT" and value not in _FUNCS:
+        if kind == "IDENT" and value not in _FUNCTIONS:
             raise UnknownIdentifier(f"unknown identifier {value!r}", line, col)
         if kind not in ("(", "-", "IDENT"):
             raise DslSyntaxError(f"unexpected {value!r}", line, col)
@@ -390,43 +357,31 @@ class _Parser:
         if kind == "(":
             e = self.bitexpr()
             self.expect(")")
-        elif kind == "-":
-            inner = self.atom()
-            e = const(-inner.value) if inner.kind == "CONST" else sub(const(0), inner)
         else:
-            e = self.call(value, line, col)
+            e = _negated(self.atom()) if kind == "-" else self.call(value, line, col)
         self.depth -= 1
         return e
 
     def call(self, name, line, col):
         self.expect("(")
         args = [self.bitexpr()]
-        while self.peek()[0] == ",":
-            self.take()
+        while self.take(","):
             args.append(self.bitexpr())
         self.expect(")")
-        arity = {"xor": 2, "and": 2, "or": 2, "neg": 1, "inv": 1, "delta": 1, "ff": 2}
-        if len(args) != arity[name]:
-            raise DslSyntaxError(
-                f"{name} takes {arity[name]} argument(s), got {len(args)}", line, col
-            )
-        if name == "ff":
-            arg, deg = args
-            if arg.kind != "VAR":
-                raise DslSyntaxError("ff needs x as its first argument", line, col)
-            if deg.kind != "CONST" or deg.value.denominator != 1 or deg.value < 0:
-                raise DslSyntaxError(
-                    "ff needs a nonnegative integer degree", line, col
-                )
-            n = int(deg.value)
-            if n > DEGREE_CAP:
-                raise DslSyntaxError(f"ff degree {n} is above the cap {DEGREE_CAP}", line, col)
-            return poly_node(RationalPoly([0] * n + [1], "falling"))
-        build = {
-            "xor": xor, "and": and_, "or": or_,
-            "neg": neg, "inv": inv, "delta": delta,
-        }
-        return build[name](*args)
+        kind = _FUNCTIONS[name]
+        count = 2 if kind == "POLY" else _ARITY[kind]
+        if len(args) != count:
+            raise DslSyntaxError(f"{name} takes {count} argument(s), got {len(args)}", line, col)
+        if kind != "POLY":
+            return FnExpr(kind, tuple(args))
+        arg, deg = args
+        if arg.kind != "VAR":
+            raise DslSyntaxError("ff needs x as its first argument", line, col)
+        if deg.kind != "CONST" or deg.value.denominator != 1 or deg.value < 0:
+            raise DslSyntaxError("ff needs a nonnegative integer degree", line, col)
+        if deg.value > DEGREE_CAP:
+            raise DslSyntaxError(f"ff degree {deg.value} is above the cap {DEGREE_CAP}", line, col)
+        return poly_node(RationalPoly([0] * deg.value.numerator + [1], "falling"))
 
 
 def _depth_checked(e: FnExpr, error) -> FnExpr:
@@ -443,16 +398,20 @@ def parse_dsl(text: str) -> FnExpr:
     Grammar: infix + - * ^ with function forms xor/and/or/neg/inv/delta
     and the falling-factorial atom ff(x, n); infix xor/and/or bind loosest.
     Rational literals are written a/b.  Nesting deeper than _MAX_NESTING, in
-    source or tree, and ff degrees above DEGREE_CAP are syntax errors.
+    source or tree, ff degrees above DEGREE_CAP and integer literals past the
+    int-to-str digit limit are syntax errors; each DslError names its place.
     """
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    e = parser.bitexpr()
+    kind, value, line, col = parser.take()
+    if kind != "EOF":
+        raise DslSyntaxError(f"unexpected {value!r}", line, col)
+    if len(parser.tokens) > _MAX_NESTING:  # at most one inner node per token
+        _depth_checked(e, lambda msg: DslSyntaxError(msg, 1, 1))
+    return e
 
 
 # --- serialization -----------------------------------------------------------
-
-# Operand count of each node kind in the postfix form.
-_ARITY = dict.fromkeys(KINDS, 2) | {"VAR": 0, "CONST": 0, "POLY": 0,
-                                    "NEG": 1, "INV": 1, "DELTA": 1}
 
 
 def _doc(e: FnExpr) -> dict:

@@ -396,3 +396,20 @@ def prefix_bound_fixed_windows(seq, m, r_max):
         if solve_mod_pk_fullscan(rows, dx[r:r + n - 1], m.p, m.k) is not None:
             return r
     return top + 1
+
+
+def primes_below(limit):
+    """The primes below limit, by trial division of each n by the primes up
+    to its square root."""
+    primes = []
+    for n in range(2, limit):
+        root = math.isqrt(n)
+        for p in primes:
+            if p > root:
+                primes.append(n)
+                break
+            if n % p == 0:
+                break
+        else:
+            primes.append(n)  # 2, before any prime is known
+    return primes

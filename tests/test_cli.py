@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import statistics
 import time
 
 import pytest
@@ -9,7 +10,7 @@ from jsonschema import Draft202012Validator
 
 from padicforge import cli
 from padicforge.cli import main, report_schema
-from padicforge.core import Modulus
+from padicforge.core import CompositeModulus, Modulus
 from padicforge.funcalg import _MAX_NESTING, parse_dsl
 from padicforge.genlib import emit_bytes, make_generator, spec_to_json
 
@@ -310,6 +311,35 @@ class TestRepro:
         assert "ok  " in out and "0 failed" in out
 
 
+# perfbench/run.py's calibration loop and its time on the benchmark's
+# reference host: a wall-clock bound holds at that host's speed
+CAL_REFERENCE_S = 0.23e-3
+
+
+def calibration_loop() -> float:
+    """Seconds a fixed pure-Python loop takes now: the host's current speed."""
+    t0 = time.perf_counter()
+    x, acc = 0x9E3779B9, []
+    for i in range(1200):
+        x = (x * 6364136223846793005 + i) % 1_000_000_007
+        acc.append(x ^ (x >> 3))
+    acc.sort()
+    return time.perf_counter() - t0
+
+
+def reference_seconds(run):
+    """(run()'s result, its wall time scaled to the reference host's speed):
+    by CAL_REFERENCE_S over the median of calibration loops timed just before
+    and just after it, as perfbench/run.py scales op times, so that host load
+    moves the loop and the run alike."""
+    samples = [calibration_loop() for _ in range(7)]
+    t0 = time.perf_counter()
+    result = run()
+    elapsed = time.perf_counter() - t0
+    samples += [calibration_loop() for _ in range(7)]
+    return result, elapsed * CAL_REFERENCE_S / statistics.median(samples)
+
+
 def timed_certify(source):
     t0 = time.perf_counter()
     rc = main(["certify", "-p", "2", source])
@@ -358,15 +388,18 @@ class TestHostileInput:
 
     def test_alternating_chain_spec_replays_byte_identically(self, capsysbinary, tmp_path):
         source = "1 + x" + " - x + x" * 1499  # 3000 terms
-        t0 = time.perf_counter()
-        assert main(["gen", source, "-p", "2", "-k", "16", "--count", "64", "--json"]) == 0
-        first = capsysbinary.readouterr()
-        spec = json.loads(first.err)["spec"]
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec))
-        assert main(["gen", "--file", str(path), "--count", "64", "--json"]) == 0
-        again = capsysbinary.readouterr()
-        assert time.perf_counter() - t0 < 1.0
+
+        def gen_twice():
+            assert main(["gen", source, "-p", "2", "-k", "16", "--count", "64", "--json"]) == 0
+            first = capsysbinary.readouterr()
+            path.write_text(json.dumps(json.loads(first.err)["spec"]))
+            assert main(["gen", "--file", str(path), "--count", "64", "--json"]) == 0
+            return first, capsysbinary.readouterr()
+
+        (first, again), seconds = reference_seconds(gen_twice)
+        assert seconds < 1.0
+        spec = json.loads(first.err)["spec"]
         assert again.out == first.out and len(first.out) == 128
         assert json.loads(again.err)["spec"] == spec
 
@@ -375,6 +408,76 @@ class TestHostileInput:
         assert main(["check", "ff(x, 100000)", "-p", "2", "-k", "3"]) == 2
         assert time.perf_counter() - t0 < 1.0
         assert "cap 64" in capsys.readouterr().err
+
+
+class TestInputBoundary:
+    """Inputs that once hung, walked far past a cap, or named no position."""
+
+    def test_large_prime_answers_at_once(self, capsys):
+        prime = "100000000000000000039"  # trial division to its root never ends
+        for argv in (["check", "1+x", "-p", prime, "-k", "1"], ["certify", "1+x", "-m", prime]):
+            rc, seconds = reference_seconds(lambda: main(argv))
+            assert rc == 3 and seconds < 1.0
+            assert "states exceeds cap" in capsys.readouterr().err
+
+    def test_prime_past_the_test_bound_exits_2(self, capsys):
+        assert main(["check", "1+x", "-p", str(2**89 - 1), "-k", "1"]) == 2
+        assert "cannot decide whether" in capsys.readouterr().err
+
+    def test_analyze_walk_stops_at_the_solver_cap(self, capsys, monkeypatch):
+        walks = []
+        monkeypatch.setattr(cli, "orbit", lambda *args: walks.append(args))
+        assert main(["analyze", "1 + x", "-p", "2", "-k", "22", "--cap-states", "5000000"]) == 3
+        assert walks == []
+        assert capsys.readouterr().err == "error: 2^22 states exceeds cap 1048576\n"
+
+    @pytest.mark.parametrize("source, message", [
+        ("", "unexpected 'end of input' at line 1, column 1"),
+        ("1 + " + "9" * 5000, "integer literal of 5000 digits is too long at line 1, column 5"),
+    ])
+    def test_dsl_errors_name_their_position(self, capsys, source, message):
+        assert main(["certify", source, "-p", "2"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def composite_spec(tmp_path):
+    path = tmp_path / "spec.json"
+    spec = make_generator(parse_dsl("1+x"), CompositeModulus.from_int(72), 5)
+    path.write_text(json.dumps(spec_to_json(spec)))
+    return str(path)
+
+
+def data_file(tmp_path):
+    path = tmp_path / "data.bin"
+    path.write_bytes(bytes(16))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, cap_env, message", [
+    (["check", "1+x", "-p", "2", "-k", "3", "--cap-states", "0"], None,
+     "--cap-states must be positive"),
+    (["check", "1+x", "-p", "2", "-k", "3"], "0", "PADIC_FORGE_CAP must be positive"),
+    (["certify", "1+x", "-m", "12", "-p", "3"], None, "give either -m or -p, not both"),
+    (["check", "1+x", "-p", "2", "-k", "3", "--file", data_file], None,
+     "give the function inline or with --file, not both"),
+    (["check", "-p", "2", "-k", "3"], None, "a function is required, inline or with --file"),
+    (["analyze", "1+x", "-p", "2", "-k", "3", "--rmax", "0"], None, "--rmax must be positive"),
+    (["analyze", "1+x", "-p", "2", "-k", "3", "--file", data_file], None,
+     "give a sequence source inline or with --file, not both"),
+    (["analyze", "--file", composite_spec], None, "affine analysis needs a prime-power modulus"),
+    (["analyze", "--file", data_file, "-m", "12"], None,
+     "binary input needs -p 2 -k with k a multiple of 8"),
+    (["analyze", "1+x", "-p", "2", "-k", "4", "--seed", "16"], None, "seed 16 outside 0..15"),
+])
+def test_argument_check_exits_2_with_its_message(capsys, monkeypatch, tmp_path,
+                                                 argv, cap_env, message):
+    if cap_env is None:
+        monkeypatch.delenv("PADIC_FORGE_CAP", raising=False)
+    else:
+        monkeypatch.setenv("PADIC_FORGE_CAP", cap_env)
+    argv = [a(tmp_path) if callable(a) else a for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 VALID_STATE_FN = json.dumps([{"kind": "CONST", "value": [1, 1]}, {"kind": "VAR"}, {"kind": "ADD"}])

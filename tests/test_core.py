@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from oracles import primes_below
 
 from padicforge.core import (
     INFINITE,
@@ -10,6 +11,7 @@ from padicforge.core import (
     NotAUnit,
     ResidueInt,
     digits,
+    is_prime,
     mod_inverse,
     ord_p,
     unit_pow,
@@ -160,6 +162,27 @@ def test_composite_modulus():
         CompositeModulus((Modulus(5, 1), Modulus(2, 1)))  # wrong order
     with pytest.raises(ValueError):
         CompositeModulus.from_int(1)
+
+
+def test_is_prime_agrees_with_trial_division_below_a_million():
+    assert [n for n in range(-3, 10**6) if is_prime(n)] == primes_below(10**6)
+
+
+def test_is_prime_decides_large_n_up_to_its_bound_and_refuses_above():
+    # 2^61 - 1 is a Mersenne prime, far beyond trial division; 3215031751 is
+    # the least strong pseudoprime to bases 2, 3, 5 and 7, and
+    # 3317044064679887385961981 the least to every base up to 41
+    assert is_prime(2**61 - 1) and is_prime(100000000000000000039)
+    assert not is_prime(3215031751) and not is_prime((2**61 - 1) * (2**19 - 1))
+    with pytest.raises(ValueError, match="cannot decide whether"):
+        is_prime(3317044064679887385961981)
+
+
+def test_composite_modulus_factors_past_trial_division():
+    big = 100000000000000000039
+    assert CompositeModulus.from_int(8 * big).factors == (Modulus(2, 3), Modulus(big, 1))
+    with pytest.raises(ValueError, match="cannot factor 4295098369"):
+        CompositeModulus.from_int(65537**2)  # no factor below 2^16, and not prime
 
 
 def test_composite_crt_roundtrip():

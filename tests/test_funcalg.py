@@ -1,10 +1,12 @@
+import hashlib
 import math
 import operator
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from corpus import random_compatible_ast
+from corpus import dsl_cases, random_compatible_ast
 from oracles import is_bijection, is_transitive, preserves_congruences, value_table
 
 from padicforge import funcalg as fa
@@ -15,6 +17,7 @@ from padicforge.funcalg import (
     BitwiseOddPrime,
     BoolTriangle,
     CDivisibleByP,
+    DslError,
     DslSyntaxError,
     LengthMismatch,
     UnknownIdentifier,
@@ -209,10 +212,11 @@ def test_is_class_b():
     assert not is_class_b(fa.const(Fraction(5, 18)), 3)
     assert is_class_b(fa.inv(fa.add(fa.const(1), fa.mul(fa.const(5), X))), 5)
     assert not is_class_b(fa.inv(X), 5)  # hits 0 mod 5
-    assert is_class_b(fa.one_unit_pow(X, X, 5), 5)
+    one_unit_pow = fa.pow_(fa.add(fa.const(1), fa.mul(fa.const(5), X)), X)
+    assert is_class_b(one_unit_pow, 5)
     # its base 1 + 5x is no 1-unit elsewhere: 6 = 0 mod 2, 11 = 2 mod 3
-    assert not is_class_b(fa.one_unit_pow(X, X, 5), 2)
-    assert not is_class_b(fa.one_unit_pow(X, X, 5), 3)
+    assert not is_class_b(one_unit_pow, 2)
+    assert not is_class_b(one_unit_pow, 3)
     assert is_class_b(fa.pow_(fa.const(201), X), 5)  # 201 = 1 mod 5, found semantically
     assert not is_class_b(fa.pow_(fa.add(fa.const(2), X), X), 5)
     assert not is_class_b(fa.xor(X, X), 2)
@@ -324,6 +328,8 @@ def test_parse_examples():
     assert r.children[1].kind == "POW"
     assert ev(r, 0, 5, 2) == 1 + 0 + 1
 
+    assert parse_dsl("\u0663*x") == fa.mul(fa.const(3), X)  # a decimal digit in another script
+
 
 def test_parse_matches_built_ast():
     text = "7 + x + 2*(((x*x + 2*x + 1) xor ((x+1) + (32 and (x+1)))) + neg((x*x) xor (x + (32 and x))))"
@@ -357,6 +363,47 @@ def test_parse_errors():
         parse_dsl("ff(3, x)")
     with pytest.raises(DslSyntaxError):
         parse_dsl("1/0")
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("", "unexpected 'end of input'", (1, 1)),
+    ("(x +\n 1", "expected ')', found 'end of input'", (2, 3)),
+    ("1 + " + "7" * 5000, "integer literal of 5000 digits", (1, 5)),
+    ("x + 2\u00b2", "unexpected '\u00b2'", (1, 6)),  # a digit int() refuses
+    ("x\t+ \u00bd", "unknown identifier '\u00bd'", (1, 5)),
+    ("x + $", "unexpected character '$'", (1, 5)),
+])
+def test_parse_errors_name_their_position(text, message, position):
+    with pytest.raises(DslError) as err:
+        parse_dsl(text)
+    assert (err.value.line, err.value.col) == position
+    assert str(err.value).startswith(message)
+    assert str(err.value).endswith(f" at line {position[0]}, column {position[1]}")
+
+
+DSL_FUZZ_CASES = 50_000
+# sha256 of every case's tree or error type and position, as the parser gave
+# them before its tokenizer became one regular expression
+DSL_FUZZ_DIGEST = "01e6f0ecfaeb78f73070d21240b02499829609fa9eea25841198308b90c07482"
+
+
+def test_dsl_fuzz_parses_or_names_a_position():
+    """Each seeded DSL string, valid or mutated, parses or raises a DslError
+    that names its line and column, in well under a second."""
+    digest, parsed, slowest = hashlib.sha256(), 0, 0.0
+    for text in dsl_cases(16, DSL_FUZZ_CASES):
+        t0 = time.perf_counter()
+        try:
+            outcome = expr_to_json(parse_dsl(text))
+            parsed += 1
+        except DslError as exc:
+            outcome = f"{type(exc).__name__} {exc.line} {exc.col}"
+            assert str(exc).endswith(f" at line {exc.line}, column {exc.col}")
+        slowest = max(slowest, time.perf_counter() - t0)
+        digest.update(outcome.encode() + b"\n")
+    assert slowest < 0.5
+    assert DSL_FUZZ_CASES // 4 < parsed < DSL_FUZZ_CASES * 3 // 4
+    assert digest.hexdigest() == DSL_FUZZ_DIGEST
 
 
 def test_json_roundtrip():
@@ -405,7 +452,8 @@ def dataclass_key(e):
 def test_eq_hash_repr_are_structural():
     rng = random.Random(5)
     trees = [random_compatible_ast(rng, p, rng.randint(0, 4)) for p in (2, 3, 5) for _ in range(40)]
-    trees += [fa.one_unit_pow(X, X, 2), fa.neg(X), parse_dsl("ff(x, 3) + 1/3")]
+    one_unit_pow = fa.pow_(fa.add(fa.const(1), fa.mul(fa.const(2), X)), X)
+    trees += [one_unit_pow, fa.neg(X), parse_dsl("ff(x, 3) + 1/3")]
     rebuilt = lambda e: fa.FnExpr(e.kind, tuple(map(rebuilt, e.children)), e.value, e.poly)
     equal_pairs = 0
     for a in trees:
@@ -416,7 +464,7 @@ def test_eq_hash_repr_are_structural():
             assert (a == b) == same and (repr(a) == repr(b)) == same
             equal_pairs += same and a is not b
     assert equal_pairs >= 10
-    assert fa.one_unit_pow(X, X, 2) != fa.FnExpr("POW", (X, X))
+    assert one_unit_pow != fa.FnExpr("POW", (X, X))
     assert repr(fa.neg(X)) == "FnExpr(postfix=[('VAR', 0, None, None), ('NEG', 1, None, None)])"
     assert X != "VAR" and X.__eq__("VAR") is NotImplemented
 
