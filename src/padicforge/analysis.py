@@ -14,7 +14,9 @@ indices costs a few big-integer operations, not a step per index and term.
 Z/p^k is not a field, so the solver is not Berlekamp-Massey.  One
 elimination, _absorb, serves both the relation and the prefix bound below.
 It keeps a span over Z/p^k in Howell form, whose rows from any position t
-on span every span vector that is zero before t.  The sampled system of
+on span every span vector that is zero before t.  Its vectors are packed
+one entry to a slot like the sequence, so a row operation is a multiply-add
+and one reduction of all slots mod p^k (a mask at p = 2, Barrett at odd p).  The sampled system of
 order r goes into one such basis, each column tagged with its unknown and
 the target column with a tag of its own.  The row at the target's tag
 gives a particular solution, and the rows after it generate the kernel,
@@ -99,12 +101,12 @@ class Relation:
             ones = int.from_bytes(b"\1".ljust(8 * s, b"\0") * (size + reach), "little")
             below = ((1 << b) - 1) * ones
             try:
-                xs = int.from_bytes(_slot_image(window, s), "little")
+                xs = _packed(window, slot)
                 wide = xs & below != xs
             except OverflowError:
                 wide = True
             if wide:  # an element is negative or at least 2^b
-                xs = int.from_bytes(_slot_image([x % q for x in window], s), "little")
+                xs = _packed([x % q for x in window], slot)
             acc = const * ones
             for j, c in terms:
                 acc += c * (xs >> slot * j)
@@ -207,50 +209,73 @@ def _solve_howell(rows: List[List[int]], rhs: List[int], q: int):
     b tagged with e_0, so the span is every (c*b + A z, c, z).  From
     position len(rows) on, the rows span the vectors with c*b + A z = 0.
     So the system is solvable iff the row there leads with 1, and then
-    z = -(the rest of it); the rows after it generate the kernel.
-    Returns (particular, kernel_gens) or None.
+    z = -(the rest of it); the rows after it generate the kernel.  A column
+    is packed with its tag as one set bit.  Returns (particular, gens) or None.
     """
     n, width = len(rows), len(rows[0]) + 1
-    tag = lambda j: [0] * j + [1] + [0] * (width - j - 1)
+    slot, reduce = _slot_ring(q, n + width)
     basis = {}
-    for j, col in enumerate(zip(*rows)):
-        _absorb(basis, [v % q for v in col] + tag(j + 1), q)
-    _absorb(basis, [v % q for v in rhs] + tag(0), q)
-    lead = basis.get(n)
-    if lead is None or lead[0] != 1:
+    for j, col in enumerate([*zip(*rows), rhs]):  # tags e_1, ..., e_(width-1), then e_0
+        tagged = _packed([v % q for v in col], slot) | 1 << slot * (n + (j + 1) % width)
+        _absorb(basis, tagged, q, slot, reduce)
+    lead, row = basis.get(n, (0, 0))
+    if lead != 1:
         return None
-    gens = [[0] * (t - n - 1) + basis[t] for t in sorted(basis) if t > n]
-    return [-v % q for v in lead[1:]], gens
+    unpack = lambda x: [x >> slot * j & (1 << slot) - 1 for j in range(n + 1, n + width)]
+    gens = [unpack(basis[t][1]) for t in sorted(basis) if t > n]
+    return [-v % q for v in unpack(row)], gens
 
 
-def _absorb(basis: dict, v: List[int], q: int) -> bool:
+def _slot_ring(q: int, length: int) -> Tuple[int, Callable[[int], int]]:
+    """(slot width, reduce) for length entries mod q packed one to a 64*s-bit
+    slot: reduce takes every slot below q^2 + q into [0, q).  At p = 2 it
+    masks.  At odd p it subtracts q times floor(x*mu / 2^w), mu = 2^w // q,
+    2^w > q^2 + q (Barrett), leaving slots below 2q, then q where bit g of
+    x + 2^g - q is set, 2^g > q.  Slots are wide enough for x*mu."""
+    w, g, odd = (q * q + q).bit_length(), q.bit_length(), q & (q - 1)
+    slot = 64 * -(-(w + g if odd else w) // 64)
+    ones = int.from_bytes(b"\1".ljust(slot // 8, b"\0") * length, "little")
+    mask, low, off = (q - 1) * ones, ((1 << slot - w) - 1) * ones, ((1 << g) - q) * ones
+    mu = (1 << w) // q
+
+    def reduce(x: int) -> int:
+        x -= (x * mu >> w & low) * q
+        return x - ((x + off) >> g & ones) * q
+    return slot, reduce if odd else lambda x: x & mask
+
+
+def _absorb(basis: dict, v: int, q: int, slot: int, reduce: Callable[[int], int]) -> bool:
     """Add v to a span over Z/q, q = p^k, in Howell form; False if v is in it.
-    basis[t], stored from t on, leads with p^e.  Installing it also absorbs
-    p^(k-e) times it and the row it displaced, so the rows from t on span
-    all of the span that is zero before t, and reduction decides membership."""
+    v is packed in _slot_ring's slots.  basis[t] = (p^e, row), row zero before
+    t and leading with p^e.  Installing it also absorbs p^(k-e) times it and
+    the row it displaced, so the rows from t on span all of the span that is
+    zero before t, and reduction decides membership.  The pivot is the lowest
+    nonzero slot, and a row operation is reduce(v + (q - c)*row)."""
     todo, grew = [v], False
     while todo:
         v = todo.pop()
-        for t in range(len(v)):
-            x = v[t]
-            if not x:
-                continue
-            row = basis.get(t)
-            if row is not None and x % row[0] == 0:
-                c = x // row[0]
-                v[t:] = [(a - c * b) % q for a, b in zip(v[t:], row)]
+        while v:
+            t = ((v & -v).bit_length() - 1) // slot
+            x = v >> slot * t & (1 << slot) - 1
+            lead, row = basis.get(t, (q, 0))  # no row yet: x % q is x, not 0
+            if x % lead == 0:
+                v = reduce(v + (q - x // lead) * row)
                 continue
             g = gcd(x, q)
-            u = pow(x // g, -1, q)
-            basis[t] = new = [a * u % q for a in v[t:]]
-            if row is not None:
-                c = row[0] // g
-                todo.append([0] * t + [(a - c * b) % q for a, b in zip(row, new)])
+            new = reduce(v * pow(x // g, -1, q))
+            basis[t] = (g, new)
+            if row:
+                todo.append(reduce(row + (q - lead // g) * new))
             if g > 1:
-                todo.append([0] * t + [a * (q // g) % q for a in new])
+                todo.append(reduce(new * (q // g)))
             grew = True
             break
     return grew
+
+
+def _packed(values: List[int], slot: int) -> int:
+    """values, each in [0, 2^slot), as one int with values[n] at bit slot*n."""
+    return int.from_bytes(_slot_image(values, slot // 64), "little")
 
 
 def _prefix_lower_bound(seq: Sequence[int], m: Modulus, r_max: int) -> int:
@@ -266,9 +291,11 @@ def _prefix_lower_bound(seq: Sequence[int], m: Modulus, r_max: int) -> int:
     n = min(period, 2 * r_max + 2)
     top = min(r_max, (n - 1) // 2)
     diff = [(seq[(i + 1) % period] - seq[i % period]) % m.value for i in range(n - 1 + top)]
+    slot, reduce = _slot_ring(m.value, n - 1)
+    diffs, window = _packed(diff, slot), (1 << slot * (n - 1)) - 1
     basis = {}
     for r in range(top + 1):
-        if not _absorb(basis, diff[r:r + n - 1], m.value) and r:
+        if not _absorb(basis, diffs >> slot * r & window, m.value, slot, reduce) and r:
             return r
     return top + 1
 

@@ -287,13 +287,17 @@ def cmd_gen(args) -> Tuple[dict, int]:
         fn = parse_dsl(source)
         modulus = _resolve_modulus(args)
         spec = make_generator(fn, modulus, args.seed or 0, cap=cap)
+    try:  # before the stream: a spec that cannot be saved writes no byte
+        spec_json = spec_to_json(spec)
+    except ValueError as exc:  # a constant past the int-to-str digit limit
+        raise ValueError(f"the generator spec cannot be written as JSON: {exc}") from None
     data = emit_bytes(spec, args.count)
     sys.stdout.buffer.write(data)
     sys.stdout.buffer.flush()
     report = {
         "kind": "gen",
         "source": source.strip(),
-        "spec": spec_to_json(spec),
+        "spec": spec_json,
         "words": args.count,
         "bytes_written": len(data),
         "certificates": [c.to_json() for c in spec.certificates],

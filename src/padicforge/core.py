@@ -37,6 +37,13 @@ def _show(n):
         return hex(n)
 
 
+def _brief(n):
+    """n >= 0 in decimal or, past 30 digits, its first 12 and its digit count."""
+    d = int(n.bit_length() * math.log10(2)) + 1  # the digit count or one more
+    d -= n < 10 ** (d - 1)
+    return str(n) if d <= 30 else f"{n // 10 ** (d - 12)}... ({d} digits)"
+
+
 # Miller-Rabin with the first 13 primes as bases decides every n below this
 # bound (Sorenson and Webster, Math. Comp. 86, 2017).
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -50,7 +57,7 @@ def is_prime(n):
     if math.gcd(n, _BASES_PRODUCT) != 1 or n < 2:
         return n in _PRIME_BASES
     if n >= _PRIME_TEST_BOUND:
-        raise ValueError(f"cannot decide whether {_show(n)} is prime: primes must be"
+        raise ValueError(f"cannot decide whether {_brief(n)} is prime: primes must be"
                          f" below {_PRIME_TEST_BOUND}")
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
     d = (n - 1) >> s
@@ -140,7 +147,7 @@ class CompositeModulus:
                 factors.append(Modulus(p, k))
         if n > 1:
             if not is_prime(n):
-                raise ValueError(f"cannot factor {_show(m)}: {_show(n)} has no prime factor"
+                raise ValueError(f"cannot factor {_brief(m)}: {_brief(n)} has no prime factor"
                                  f" below {_TRIAL_BOUND} and is not prime")
             factors.append(Modulus(n, 1))
         return cls(tuple(factors))

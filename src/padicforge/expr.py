@@ -55,20 +55,21 @@ class FnExpr:
         if self.kind not in KINDS:
             raise ValueError(f"unknown node kind {self.kind!r}")
 
-    def __eq__(self, other):
+    def __eq__(self, other):  # unequal hashes part trees without a walk
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self is other or self._postfix() == other._postfix()
+        return self is other or hash(self) == hash(other) and self._key == other._key
 
     def __hash__(self):  # cached: compile_map's cache hashes every tree it gets
         h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self._postfix())
+        if h is None:  # the postfix it hashes is kept for __eq__
+            object.__setattr__(self, "_key", self._postfix())
+            h = hash(self._key)
             object.__setattr__(self, "_hash", h)
         return h
 
     def __getstate__(self):  # the cached hash is of strs: it differs by process
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+        return {k: v for k, v in self.__dict__.items() if k not in ("_hash", "_key")}
 
     def __repr__(self):
         return f"FnExpr(postfix={list(self._postfix())})"

@@ -1,7 +1,10 @@
 """Affine complexity solver, growth profiles, and bit planes vs brute oracles."""
 
+import hashlib
 import itertools
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -573,14 +576,14 @@ class TestKernelsAgainstOracles:
         assert bounds == {17}
 
 
-def howell_corpus(seed, count):
-    """(columns, b, p, k): up to 9 x 6 systems at p = 2, 3 and 5 whose
-    columns are random (mostly holding units), zero divisors (multiples of
-    p), all zero, or scaled copies of earlier columns, with b in the column
-    span about half the time."""
+def howell_corpus(seed, count, sizes=None):
+    """(columns, b, p, k): up to 9 x 6 systems at p = 2, 3 and 5, k <= 5, or
+    at the (p, k) of sizes in turn, whose columns are random (mostly holding
+    units), zero divisors (multiples of p), all zero, or scaled copies of
+    earlier columns, with b in the column span about half the time."""
     rng = random.Random(seed)
     for i in range(count):
-        p, k = (2, 3, 5)[i % 3], rng.randint(1, 5)
+        p, k = sizes[i % len(sizes)] if sizes else ((2, 3, 5)[i % 3], rng.randint(1, 5))
         q = p ** k
         nr, nc = rng.randint(1, 9), rng.randint(1, 6)
         cols = []
@@ -736,6 +739,31 @@ class TestPackedRelationCheck:
         assert bit_plane_periods(seq, m) == bit_plane_periods_divisors(seq, k)
 
 
+def packed_absorb(basis, v, q):
+    """analysis._absorb of the entries v, each in [0, q), packed one to a slot."""
+    slot, reduce = analysis._slot_ring(q, len(v))
+    return analysis._absorb(basis, analysis._packed(v, slot), q, slot, reduce)
+
+
+# slots of more than one 64-bit word: 2^70 and 3^45 are both past 2^64
+MULTIWORD_SIZES = ((2, 70), (3, 45))
+
+
+def recording_absorb(monkeypatch, seen):
+    """Patch analysis._absorb to count, in seen, the calls that displace a
+    basis row and the calls that install a row leading with p^e, e >= 1, and
+    so absorb its p^(k-e) multiple."""
+    absorb = analysis._absorb
+
+    def spy(basis, v, *ring):
+        before = dict(basis)
+        grew = absorb(basis, v, *ring)
+        seen["displaced"] += any(basis[t] != row for t, row in before.items())
+        seen["non-unit lead"] += any(basis[t][0] > 1 for t in basis if basis[t] != before.get(t))
+        return grew
+    monkeypatch.setattr(analysis, "_absorb", spy)
+
+
 class TestHowellBasis:
     def test_membership_matches_solvability(self):
         # every column and then b join one basis; each is a member exactly
@@ -751,12 +779,51 @@ class TestHowellBasis:
                 else:
                     rows = [list(row) for row in zip(*cols[:j])]
                     want = solve_mod_pk_fullscan(rows, v, p, k) is not None
-                assert analysis._absorb(basis, list(v), p ** k) is not want, (cols, b, p, k, j)
+                assert packed_absorb(basis, v, p ** k) is not want, (cols, b, p, k, j)
                 outcomes.add((p, j == len(cols), want))
             count += 1
         assert count >= 500
         assert outcomes == {(p, last, want) for p in (2, 3, 5)
                             for last in (False, True) for want in (False, True)}
+
+    def test_membership_in_multiword_slots(self, monkeypatch):
+        seen = Counter()
+        recording_absorb(monkeypatch, seen)
+        outcomes = set()
+        for cols, b, p, k in howell_corpus(seed=53, count=240, sizes=MULTIWORD_SIZES):
+            assert analysis._slot_ring(p ** k, len(b))[0] > 64
+            basis = {}
+            for j, v in enumerate(cols + [b]):
+                rows = [list(row) for row in zip(*cols[:j])]
+                want = not any(v) if j == 0 else solve_mod_pk_fullscan(rows, v, p, k) is not None
+                assert packed_absorb(basis, v, p ** k) is not want, (cols, b, p, k, j)
+                outcomes.add((p, j == len(cols), want))
+        assert outcomes == {(p, last, want) for p in (2, 3)
+                            for last in (False, True) for want in (False, True)}
+        assert seen["displaced"] >= 100 and seen["non-unit lead"] >= 200, seen
+
+    def test_solver_matches_full_scan_in_multiword_slots(self, monkeypatch):
+        # the same systems are solvable, the particular solution solves the
+        # system and each kernel generator the homogeneous one
+        seen = Counter()
+        recording_absorb(monkeypatch, seen)
+        solvable = Counter()
+        for cols, b, p, k in howell_corpus(seed=59, count=240, sizes=MULTIWORD_SIZES):
+            q = p ** k
+            a = [list(row) for row in zip(*cols)]
+            want = solve_mod_pk_fullscan(a, b, p, k)
+            got = _solve_howell(a, b, q)
+            assert (got is None) == (want is None), (a, b, p, k)
+            solvable[p, got is not None] += 1
+            if got is None:
+                continue
+            part, gens = got
+            assert all(0 <= v < q for z in [part] + gens for v in z)
+            for z, target in [(part, b)] + [(g, [0] * len(b)) for g in gens]:
+                assert all((sum(u * v for u, v in zip(row, z)) - t) % q == 0
+                           for row, t in zip(a, target)), (a, b, p, k, z)
+        assert min(solvable[p, ok] for p in (2, 3) for ok in (False, True)) >= 20, solvable
+        assert seen["displaced"] >= 100 and seen["non-unit lead"] >= 200, seen
 
 
 class TestGrowthProfile:
@@ -850,3 +917,48 @@ class TestReportJson:
         blob = affine_linear_complexity(seq, m, r_max=1).to_json()
         assert blob["linear_complexity"] == {"none_found_up_to": 1}
         assert "relation" not in blob
+
+
+# The maps of perfbench's analyze-orbits workload: (map, p, k, r_max)
+ANALYZE_ORBIT_MAPS = [
+    ("1 + 5*x", 2, 12, 16),
+    ("1 + 3*x + 2*x*x + 4*x*x*x", 2, 11, 16),
+    ("1 - 127*x - 152*x*x*x + 152*x*x*x*x*x", 2, 10, 16),
+    ("1 + x + 4*(1+2*x)^x", 2, 9, 16),
+    ("5 + 9*x + 8*x*x", 2, 12, 16),
+    ("1 + 4*x + 3*x*x*x", 3, 6, 16),
+    ("2 + 4*x", 3, 7, 16),
+    ("1 + x + 3*x*x*x", 3, 5, 16),
+    ("1 + x + 5*x*x", 5, 5, 16),
+    ("2 + 6*x + 5*x*x*x", 5, 4, 16),
+    ("1 + x + 201^x", 5, 4, 16),
+    (README_MAP, 2, 8, 16),
+    (README_MAP, 2, 9, 16),
+    (SQUARES_MASK_MAP, 2, 8, 16),
+    (AND_MAP, 2, 8, 16),
+]
+
+# sha256 of the reports below, as computed before the elimination moved
+# onto packed slot vectors; any change to a basis, relation or report shows
+ANALYZE_DIGEST = "915d95254d79076604e1f60b4d1dd5761c8bb1fe218dcda1ec85f83626974845"
+
+
+class TestPinnedReports:
+    def test_reports_match_the_pinned_digest(self):
+        digest, count = hashlib.sha256(), 0
+        cases = list(kernel_corpus(seed=41, count=360))
+        for r_max in (1, 4, 16):
+            for _, seq, m, _ in cases:
+                blob = affine_linear_complexity(seq, m, r_max).to_json()
+                digest.update(json.dumps(blob, sort_keys=True).encode() + b"\n")
+                count += 1
+        starts = random.Random(17)
+        for source, p, k, r_max in ANALYZE_ORBIT_MAPS:
+            m = Modulus(p, k)
+            step = compile_map(parse_dsl(source), m)
+            for x0 in (0, starts.randrange(m.value)):
+                blob = affine_linear_complexity(analysis.orbit(step, m, x0), m, r_max).to_json()
+                digest.update(json.dumps(blob, sort_keys=True).encode() + b"\n")
+                count += 1
+        assert count == 1110
+        assert digest.hexdigest() == ANALYZE_DIGEST

@@ -185,6 +185,20 @@ def test_composite_modulus_factors_past_trial_division():
         CompositeModulus.from_int(65537**2)  # no factor below 2^16, and not prime
 
 
+def test_errors_shorten_huge_numbers_to_leading_digits_and_count():
+    bound = "primes must be below 3317044064679887385961981"
+    with pytest.raises(ValueError) as exc:
+        is_prime(10**4000 + 1)
+    assert str(exc.value) == f"cannot decide whether 100000000000... (4001 digits) is prime: {bound}"
+    with pytest.raises(ValueError) as exc:
+        CompositeModulus.from_int(10**40 * 65537**2)
+    assert str(exc.value) == ("cannot factor 429509836900... (50 digits): 4295098369 has no"
+                              " prime factor below 65536 and is not prime")
+    # up to 30 digits a number is written out
+    with pytest.raises(ValueError, match=f"^cannot decide whether {2**89 - 1} is prime"):
+        is_prime(2**89 - 1)
+
+
 def test_composite_crt_roundtrip():
     cm = CompositeModulus.from_int(360)  # 2^3 * 3^2 * 5
     for x in range(360):

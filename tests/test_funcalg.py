@@ -9,6 +9,7 @@ import pytest
 from corpus import dsl_cases, random_compatible_ast
 from oracles import is_bijection, is_transitive, preserves_congruences, value_table
 
+from padicforge import expr
 from padicforge import funcalg as fa
 from padicforge.certify import CLASS_B, GENERIC_COMPATIBLE, Z_POLY, infer_class
 from padicforge.core import BaseNotOneUnit, Modulus, NotAUnit, ResidueInt
@@ -467,6 +468,24 @@ def test_eq_hash_repr_are_structural():
     assert one_unit_pow != fa.FnExpr("POW", (X, X))
     assert repr(fa.neg(X)) == "FnExpr(postfix=[('VAR', 0, None, None), ('NEG', 1, None, None)])"
     assert X != "VAR" and X.__eq__("VAR") is NotImplemented
+
+
+def test_equal_trees_parsed_apart_share_one_cache_entry(monkeypatch):
+    source = "1 + x + 2*((x*x) xor ((x + 32) and x))"
+    a, b, c = parse_dsl(source), parse_dsl(source), parse_dsl(source + " + 1")
+    m = Modulus(2, 13)  # a modulus no other test compiles at
+    before = expr._generated.cache_info()
+    assert compile_map(a, m) is compile_map(b, m)
+    after = expr._generated.cache_info()
+    assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
+    # once hashed, trees compare by their cached hashes and postfix keys
+    assert hash(a) == hash(b) != hash(c)
+    monkeypatch.setattr(fa.FnExpr, "_postfix", lambda self: pytest.fail("walked a tree"))
+    assert a == b and a is not b
+    assert a != c and c != b
+    # equal hashes alone do not make trees equal
+    object.__setattr__(c, "_hash", hash(a))
+    assert a != c and c != a
 
 
 def test_eq_hash_repr_of_3000_term_chain_need_no_recursion():
