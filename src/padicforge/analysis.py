@@ -45,7 +45,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 from .certify import PROVEN, CapExceeded, MapLike, ergodicity_certificate
 from .core import Modulus
 from .expr import compile_map
-from .genlib import GeneratorSpec, GeneratorState, NotBinaryModulus, NotCertified
+from .genlib import GeneratorSpec, GeneratorState, NotBinaryModulus, NotCertified, walk
 
 SOLVER_PERIOD_CAP = 1 << 20
 DEFAULT_R_MAX = 32
@@ -253,9 +253,11 @@ def _absorb(basis: dict, v: int, q: int, slot: int, reduce: Callable[[int], int]
     nonzero slot, and a row operation is reduce(v + (q - c)*row)."""
     todo, grew = [v], False
     while todo:
-        v = todo.pop()
+        v, last = todo.pop(), -1
         while v:
             t = ((v & -v).bit_length() - 1) // slot
+            assert t > last, f"reduce left slot {t} nonzero mod {q}"  # a row op clears slot t
+            last = t
             x = v >> slot * t & (1 << slot) - 1
             lead, row = basis.get(t, (q, 0))  # no row yet: x % q is x, not 0
             if x % lead == 0:
@@ -396,15 +398,14 @@ def _slot_image(values: List[int], s: int) -> bytes:
 
 
 def orbit(step: Callable[[int], int], m: Modulus, seed: int = 0) -> List[int]:
-    """seed, step(seed), ... up to the return to seed, at most m.value states."""
-    seq = []
-    x = seed
-    for _ in range(m.value):
-        seq.append(x)
-        x = step(x)
-        if x == seed:
-            break
-    return seq
+    """seed, step(seed), ... up to the return to seed, at most m.value states and steps."""
+    seq = [seed]
+    while len(seq) <= m.value:
+        block = walk(step, seq[-1], min(max(len(seq), 64), m.value + 1 - len(seq)))
+        if seed in block:
+            return seq + block[:block.index(seed)]
+        seq += block
+    return seq[:m.value]
 
 
 def complexity_growth_profile(state_fn: MapLike, p: int, k_range,

@@ -28,20 +28,13 @@ class BaseNotOneUnit(ValueError):
     """Exponentiation base is not congruent to 1 modulo p (odd modulo 2)."""
 
 
-def _show(n):
-    """n in decimal or, past the int-to-str digit limit, in hex, which has
-    no limit: an error message must not raise an error of its own."""
-    try:
-        return str(n)
-    except ValueError:
-        return hex(n)
-
-
 def _brief(n):
-    """n >= 0 in decimal or, past 30 digits, its first 12 and its digit count."""
-    d = int(n.bit_length() * math.log10(2)) + 1  # the digit count or one more
-    d -= n < 10 ** (d - 1)
-    return str(n) if d <= 30 else f"{n // 10 ** (d - 12)}... ({d} digits)"
+    """n in decimal or, past 30 digits, its sign, first 12 digits and digit
+    count: an error message must not raise past the int-to-str limit."""
+    a = abs(n)
+    d = int(a.bit_length() * math.log10(2)) + 1  # the digit count or one more
+    d -= a < 10 ** (d - 1)
+    return str(n) if d <= 30 else f"{'-' * (n < 0)}{a // 10 ** (d - 12)}... ({d} digits)"
 
 
 # Miller-Rabin with the first 13 primes as bases decides every n below this
@@ -105,7 +98,7 @@ class ResidueInt:
     def __post_init__(self):
         if not 0 <= self.residue < self.modulus.value:
             raise ValueError(
-                f"residue {_show(self.residue)} out of range for modulus {self.modulus}"
+                f"residue {_brief(self.residue)} out of range for modulus {self.modulus}"
             )
 
     def __int__(self):
@@ -204,7 +197,7 @@ def digits(x: ResidueInt):
 def mod_inverse(u: ResidueInt):
     """Multiplicative inverse of a unit mod p^k."""
     if u.residue % u.modulus.p == 0:
-        raise NotAUnit(f"{_show(u.residue)} is divisible by {u.modulus.p}")
+        raise NotAUnit(f"{_brief(u.residue)} is divisible by {u.modulus.p}")
     return ResidueInt(pow(u.residue, -1, u.modulus.value), u.modulus)
 
 
@@ -236,8 +229,8 @@ def unit_pow(u: ResidueInt, e):
     m = u.modulus
     if m.p == 2:
         if u.residue % 2 == 0:
-            raise BaseNotOneUnit(f"{_show(u.residue)} is even, not a unit mod {m}")
+            raise BaseNotOneUnit(f"{_brief(u.residue)} is even, not a unit mod {m}")
     elif u.residue % m.p != 1:
-        raise BaseNotOneUnit(f"{_show(u.residue)} is not a 1-unit mod {m}")
+        raise BaseNotOneUnit(f"{_brief(u.residue)} is not a 1-unit mod {m}")
     exp = reduce_exponent(e, m)
     return ResidueInt(pow(u.residue, exp, m.value), m)

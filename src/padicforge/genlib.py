@@ -2,16 +2,17 @@
 
 A GeneratorSpec pairs a state map with its modulus, seed, and optional
 output map.  Construction certifies the state map (one certificate per
-prime factor) unless the caller explicitly opts out; the stream itself
-is then plain iteration of x -> f(x), with composite moduli advanced as
-CRT components in lockstep and recombined on output.
+prime factor) unless the caller explicitly opts out.  Streams advance
+through walk, one loop that returns a block of states: composite moduli
+walk each CRT component and recombine per word, and emit_bytes holds one
+block of words at a time.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Optional, Union
+from typing import Callable, List, Optional, Union
 
 from .certify import (
     CapExceeded,
@@ -35,6 +36,16 @@ class NotBinaryModulus(Exception):
 
 
 AnyModulus = Union[Modulus, CompositeModulus]
+_BLOCK = 1 << 16  # words or states per block; emit_bytes frees its word list before the join
+
+
+def walk(step: Callable[[int], int], x: int, count: int) -> List[int]:
+    """The count states after x: step(x), step(step(x)), ..."""
+    states = []
+    for _ in range(count):
+        x = step(x)
+        states.append(x)
+    return states
 
 
 def _factors(m: AnyModulus):
@@ -103,29 +114,24 @@ class GeneratorState:
         self.spec = spec
         m = spec.modulus
         self._maps = [compile_map(spec.state_fn, f) for f in _factors(m)]
-        if isinstance(m, CompositeModulus):
-            self._parts, self._word = m.decompose(spec.seed), m.combine
-        else:
-            self._parts, self._word = [spec.seed], itemgetter(0)
-        self._out = None
+        self._parts = m.decompose(spec.seed) if isinstance(m, CompositeModulus) else [spec.seed]
+        self._output = lambda states: states
         if spec.out_fn is not None:
-            self._out = compile_map(spec.out_fn, spec.out_modulus)
-            self._out_value = spec.out_modulus.value
+            out = compile_map(spec.out_fn, spec.out_modulus)
+            size = spec.out_modulus.value
+            self._output = lambda states: [out(x % size) for x in states]
 
-    @property
-    def current(self) -> int:
-        return self._word(self._parts)
+    def _states(self, count: int) -> list:
+        """The next count states, each CRT factor walked as one block."""
+        runs = [walk(step, x, count) for step, x in zip(self._maps, self._parts)]
+        self._parts = [run[-1] for run in runs if run] or self._parts
+        return runs[0] if len(runs) == 1 else list(map(self.spec.modulus.combine, zip(*runs)))
 
     def next(self) -> int:
-        parts = self._parts
-        for i, step in enumerate(self._maps):
-            parts[i] = step(parts[i])
-        if self._out is not None:
-            return self._out(self._word(parts) % self._out_value)
-        return self._word(parts)
+        return self.take(1)[0]
 
     def take(self, count: int) -> list:
-        return [self.next() for _ in range(count)]
+        return self._output(self._states(count))
 
 
 def _word_bits(spec: GeneratorSpec) -> int:
@@ -140,12 +146,13 @@ def _word_bits(spec: GeneratorSpec) -> int:
 def emit_bytes(spec: GeneratorSpec, count: int, state: Optional[GeneratorState] = None) -> bytes:
     """count output words, each contributing its low floor(bits/8) bytes, little-endian."""
     width = _word_bits(spec) // 8
+    mask = (1 << 8 * width) - 1
     state = state if state is not None else GeneratorState(spec)
-    out = bytearray()
-    for _ in range(count):
-        word = state.next() % (1 << (8 * width))
-        out += word.to_bytes(width, "little")
-    return bytes(out)
+    blocks = []
+    for done in range(0, count, _BLOCK):
+        blocks.append(b"".join([(w & mask).to_bytes(width, "little")
+                                for w in state.take(min(_BLOCK, count - done))]))
+    return b"".join(blocks)
 
 
 def full_period_census(spec: GeneratorSpec, cap: Optional[int] = None) -> dict:
@@ -161,19 +168,18 @@ def full_period_census(spec: GeneratorSpec, cap: Optional[int] = None) -> dict:
     if total > cap:
         raise CapExceeded(f"{spec.modulus} states exceeds cap {cap}")
     state = GeneratorState(spec)
-    counts: dict = {}
+    counts = Counter()
     period = None
-    for step in range(1, total + 1):
-        out = state.next()
-        counts[out] = counts.get(out, 0) + 1
-        if period is None and state.current == spec.seed:
-            period = step
+    for done in range(0, total, _BLOCK):
+        states = state._states(min(_BLOCK, total - done))
+        if period is None and spec.seed in states:
+            period = done + states.index(spec.seed) + 1
+        counts.update(state._output(states))
     out_space = (spec.out_modulus.value if spec.out_fn is not None else total)
-    sizes = set(counts.values())
-    uniform = len(counts) == out_space and len(sizes) == 1
+    uniform = len(counts) == out_space and len(set(counts.values())) == 1
     return {
         "period": period,
-        "counts": counts,
+        "counts": dict(counts),
         "uniform": uniform,
         "expected_count": total // out_space,
     }

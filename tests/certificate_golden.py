@@ -1,0 +1,121 @@
+"""The certificate golden file: its items, its lines and its regeneration.
+
+    PYTHONPATH=src python tests/certificate_golden.py
+
+rewrites golden/certificates.txt beside this file.  The items are rebuilt
+from fixed seeds at p = 2, 3 and 5: corpus.py trees; build_ergodic and
+build_measure_preserving wrappings of them; the trees plus d +- C(x, p),
+which is not 1-Lipschitz, so that the compatibility probe runs; and
+integer-valued polynomials as a polynomial, as a series and under CLASS_A.
+Each line holds one (item, prime, property): the item's class, then the
+certificate's verdict, theorem, checked modulus and witness.  elapsed_ms
+is left out, so the file changes only when a certificate does.  A change
+that rewrites the file lists each changed line in CHANGES.md.
+"""
+
+import json
+import math
+import random
+from fractions import Fraction
+from pathlib import Path
+
+from padicforge.certify import (
+    CLASS_A,
+    COMPATIBLE,
+    ERGODIC,
+    MEASURE_PRESERVING,
+    FunctionClass,
+    compatibility_certificate,
+    ergodicity_certificate,
+    infer_class,
+    measure_preservation_certificate,
+)
+from padicforge.funcalg import add, build_ergodic, build_measure_preserving, poly_node
+from padicforge.mahler import RationalPoly, series_from_poly
+
+from corpus import random_compatible_ast
+from oracles import random_integer_valued_poly
+
+GOLDEN = Path(__file__).with_name("golden") / "certificates.txt"
+PRIMES = (2, 3, 5)
+TREES, WRAPPINGS, POLYS = 80, 20, 60  # per prime: 960 items and 2,880 lines
+PROPERTIES = {  # property -> certificate(f, p, class or None)
+    ERGODIC: ergodicity_certificate,
+    MEASURE_PRESERVING: measure_preservation_certificate,
+    COMPATIBLE: lambda f, p, _: compatibility_certificate(f, p),
+}
+
+
+def items(p):
+    """(name, map, class or None) for every item at p, from seed 500 + p."""
+    rng = random.Random(500 + p)
+    trees = [random_compatible_ast(rng, p, rng.randint(1, 4)) for _ in range(TREES)]
+    for i, tree in enumerate(trees):
+        yield f"p{p}/tree/{i:03}", tree, None
+    unit = lambda: rng.choice([c for c in range(1, 3 * p) if c % p])
+    for i, tree in enumerate(trees[:WRAPPINGS]):
+        yield f"p{p}/ergodic/{i:03}", build_ergodic(tree, unit(), p), None
+    for i, tree in enumerate(trees[WRAPPINGS:2 * WRAPPINGS]):
+        d = rng.randint(0, 2 * p)
+        yield f"p{p}/measure/{i:03}", build_measure_preserving(tree, unit(), d, p), None
+    for i, tree in enumerate(trees[2 * WRAPPINGS:3 * WRAPPINGS]):
+        c = Fraction(rng.choice((-1, 1)), math.factorial(p))  # c * (x)_p = +-C(x, p)
+        binomial = RationalPoly([rng.randint(-p, p)] + [0] * (p - 1) + [c], "falling")
+        yield f"p{p}/probe/{i:03}", add(tree, poly_node(binomial)), None
+    for i in range(POLYS):
+        poly = RationalPoly(random_integer_valued_poly(rng), "falling")
+        yield f"p{p}/poly/{i:03}", poly, None
+        yield f"p{p}/series/{i:03}", series_from_poly(poly, p), None
+        yield f"p{p}/class-a/{i:03}", poly, FunctionClass(CLASS_A)
+
+
+def _class_text(f, p, cls):
+    cls = cls or infer_class(f, p)
+    fields = [f"{name}={getattr(cls, name)}" for name in ("degree", "rho", "lam")
+              if getattr(cls, name) is not None]
+    return f"{cls.tag}({','.join(fields)})" if fields else cls.tag
+
+
+def certificate_text(f, p, cls, prop):
+    """verdict, theorem, checked modulus and witness of one certificate."""
+    cert = PROPERTIES[prop](f, p, cls)
+    m = cert.checked_modulus
+    witness = "-" if cert.witness is None else json.dumps(
+        cert.witness, sort_keys=True, separators=(",", ":"))
+    return f"{cert.verdict} {cert.theorem} {m.p}^{m.k} {witness}"
+
+
+def all_items():
+    """(name, p, map, class or None) for every item at every prime."""
+    return [(name, p, f, cls) for p in PRIMES for name, f, cls in items(p)]
+
+
+def lines(every_item):
+    """{(item name, property): line} for every item and property."""
+    out = {}
+    for name, p, f, cls in every_item:
+        text = _class_text(f, p, cls)
+        for prop in PROPERTIES:
+            out[name, prop] = f"{name} {prop} {text} {certificate_text(f, p, cls, prop)}"
+    return out
+
+
+def read_golden():
+    out = {}
+    for line in GOLDEN.read_text().splitlines():
+        if line and not line.startswith("#"):
+            name, prop = line.split(" ", 2)[:2]
+            out[name, prop] = line
+    return out
+
+
+def main():
+    header = ("# one line per (item, property): item, property, class, verdict, theorem,\n"
+              "# checked modulus, witness.  Regenerate: PYTHONPATH=src python"
+              " tests/certificate_golden.py\n")
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(header + "".join(line + "\n" for line in lines(all_items()).values()))
+
+
+if __name__ == "__main__":
+    main()

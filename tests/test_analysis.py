@@ -26,7 +26,7 @@ from padicforge.analysis import (
 from padicforge.certify import CapExceeded
 from padicforge.core import Modulus
 from padicforge.expr import compile_map
-from padicforge.funcalg import parse_dsl
+from padicforge.funcalg import inv, parse_dsl
 from padicforge.genlib import NotBinaryModulus, NotCertified, emit_bytes, make_generator
 from padicforge.mahler import MahlerSeries, RationalPoly
 
@@ -765,6 +765,15 @@ def recording_absorb(monkeypatch, seen):
 
 
 class TestHowellBasis:
+    def test_a_reduce_that_does_not_reduce_fails_instead_of_hanging(self):
+        # the row operation leaves slot 0 at q, not 0: the pivot would stay
+        # at slot 0 forever
+        q = 2 ** 5
+        slot, _ = analysis._slot_ring(q, 2)
+        basis = {0: (1, 1)}
+        with pytest.raises(AssertionError, match="reduce left slot 0 nonzero mod 32"):
+            analysis._absorb(basis, 1, q, slot, lambda x: x)
+
     def test_membership_matches_solvability(self):
         # every column and then b join one basis; each is a member exactly
         # when the full-scan solver finds the system on the earlier columns
@@ -962,3 +971,74 @@ class TestPinnedReports:
                 count += 1
         assert count == 1110
         assert digest.hexdigest() == ANALYZE_DIGEST
+
+
+def plain_orbit(step, m: Modulus, seed: int):
+    """seed, step(seed), ... one step at a time up to the return to seed,
+    at most m.value states; (states, steps) or (exception, steps)."""
+    seq, x, steps = [], seed, 0
+    try:
+        for _ in range(m.value):
+            seq.append(x)
+            steps += 1
+            x = step(x)
+            if x == seed:
+                break
+    except Exception as exc:
+        return (type(exc), str(exc)), steps
+    return seq, steps
+
+
+def counted(step):
+    calls = [0]
+
+    def wrapped(x):
+        calls[0] += 1
+        return step(x)
+    return wrapped, calls
+
+
+class TestOrbitWalk:
+    def test_matches_a_plain_walk_on_random_maps(self):
+        rng = random.Random(83)
+        kinds = Counter()
+        for p, ks in ((2, (1, 4, 6, 9, 12)), (3, (1, 3, 5, 7)), (5, (1, 2, 4, 5))):
+            for _ in range(60):
+                fn = random_compatible_ast(rng, p, rng.randint(1, 4))
+                if rng.random() < 0.2:  # raises NotAUnit where fn is divisible by p
+                    fn = inv(fn)
+                m = Modulus(p, rng.choice(ks))
+                step, calls = counted(compile_map(fn, m))
+                x0 = rng.randrange(m.value)
+                want, want_steps = plain_orbit(step, m, x0)
+                calls[0] = 0
+                try:
+                    got = analysis.orbit(step, m, x0)
+                except Exception as exc:
+                    got = (type(exc), str(exc))
+                assert got == want, (fn, m, x0)
+                steps = calls[0]
+                assert steps <= m.value
+                if isinstance(want, tuple):
+                    kinds["raises"] += 1
+                elif step(want[-1]) == x0:
+                    kinds["returns"] += 1
+                    assert steps >= want_steps
+                else:
+                    kinds["never returns"] += 1
+                    assert len(got) == m.value and steps == m.value
+        assert set(kinds) == {"returns", "never returns", "raises"}, kinds
+        assert min(kinds.values()) >= 10, kinds
+
+    def test_short_cycle_in_a_large_ring_stays_cheap(self):
+        m = Modulus(2, 16)
+        step, calls = counted(compile_map(parse_dsl("x xor 1"), m))
+        assert analysis.orbit(step, m, 40001) == [40001, 40000]
+        assert calls[0] <= 64
+
+    def test_orbit_that_never_returns_is_cut_to_the_modulus(self):
+        m = Modulus(2, 16)
+        step, calls = counted(compile_map(parse_dsl("x*x + 1"), m))
+        seq = analysis.orbit(step, m, 0)
+        assert calls[0] == m.value  # as many steps as a plain walk takes
+        assert seq == plain_orbit(step, m, 0)[0] and len(seq) == m.value

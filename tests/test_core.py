@@ -44,12 +44,26 @@ def test_residue_range_checked():
 ])
 def test_errors_past_the_digit_limit(build, error, message):
     # r = 2^19999 has 6021 decimal digits, past the default int-to-str
-    # limit of 4300: each message names the residue in hex instead of raising
+    # limit of 4300: each message names the residue by its first 12 digits
+    # and its digit count instead of raising
     r = 2 ** 19999
     with pytest.raises(error) as exc:
         build(Modulus(2, 20000), r)
     assert exc.type is error
-    assert str(exc.value) == message.format(r=hex(r), **{"2r": hex(2 * r)})
+    assert str(exc.value) == message.format(
+        r="199013842016... (6021 digits)", **{"2r": "398027684033... (6021 digits)"})
+
+
+@pytest.mark.parametrize("value, shown", [
+    (-5, "-5"), (10 ** 30 - 1, "9" * 30), (-(10 ** 30 - 1), "-" + "9" * 30),
+    (10 ** 30, "100000000000... (31 digits)"), (-(10 ** 40), "-100000000000... (41 digits)"),
+])
+def test_messages_write_numbers_briefly(value, shown):
+    # 30 digits or fewer in full, sign included; longer ones by their sign,
+    # first 12 digits and digit count
+    with pytest.raises(ValueError) as exc:
+        ResidueInt(value, Modulus(3, 1))
+    assert str(exc.value) == f"residue {shown} out of range for modulus 3^1"
 
 
 def test_ord_p():

@@ -1,9 +1,14 @@
 """Generator construction, iteration, byte emission, and period census."""
 
+import random
+import re
+import tracemalloc
+
 import pytest
 
 from padicforge.certify import CapExceeded
 from padicforge.core import CompositeModulus, Modulus
+from padicforge.expr import compile_map
 from padicforge.funcalg import build_composite_generator, build_ergodic, parse_dsl, var
 from padicforge.genlib import (
     GeneratorSpec,
@@ -15,6 +20,7 @@ from padicforge.genlib import (
     make_generator,
     spec_from_json,
     spec_to_json,
+    walk,
 )
 from padicforge.mahler import RationalPoly
 
@@ -85,7 +91,6 @@ class TestIteration:
         state = GeneratorState(spec)
         assert state.next() == 1 ^ 15
         assert state.next() == 2 ^ 15
-        assert state.current == 2
 
     def test_determinism(self):
         spec = make_generator(xor_gen(), Modulus(2, 10), 77)
@@ -228,3 +233,109 @@ class TestSpecJson:
         spec = make_generator(RationalPoly([1, 1]), Modulus(2, 4), 0)
         with pytest.raises(TypeError):
             spec_to_json(spec)
+
+
+README_MAP = "1 + x + 2*delta(x xor (2*x + 1))"
+
+
+def plain_states(spec, count):
+    """count states after the seed, one step per word: each CRT factor is
+    stepped on its own and the word is rebuilt by Garner's mixed-radix
+    recombination, not by the library's CRT basis."""
+    m = spec.modulus
+    factors = list(m.factors) if isinstance(m, CompositeModulus) else [m]
+    steps = [compile_map(spec.state_fn, f) for f in factors]
+    parts = [spec.seed % f.value for f in factors]
+    out = []
+    for _ in range(count):
+        parts = [step(x) for step, x in zip(steps, parts)]
+        word, radix = 0, 1
+        for f, x in zip(factors, parts):
+            word += radix * ((x - word) * pow(radix, -1, f.value) % f.value)
+            radix *= f.value
+        out.append(word)
+    return out
+
+
+def plain_outputs(spec, states):
+    if spec.out_fn is None:
+        return states
+    out = compile_map(spec.out_fn, spec.out_modulus)
+    return [out(x % spec.out_modulus.value) for x in states]
+
+
+def plain_census(spec):
+    states = plain_states(spec, spec.modulus.value)
+    counts = {}
+    for word in plain_outputs(spec, states):
+        counts[word] = counts.get(word, 0) + 1
+    period = next((n + 1 for n, x in enumerate(states) if x == spec.seed), None)
+    return period, counts
+
+
+def stream_specs():
+    m = CompositeModulus.from_int(10_000)
+    u, v, w = RationalPoly([1]), RationalPoly([0, 1]), RationalPoly([-1])
+    composite = build_composite_generator(u, v, w, m)
+    return {
+        "prime power": make_generator(parse_dsl(README_MAP), Modulus(2, 32), 1),
+        "composite": make_generator(composite, m, 9),
+        "composite onto 2^4": make_generator(composite, m, 9, out_fn=parse_dsl("x xor 5"),
+                                             out_modulus=Modulus(2, 4)),
+    }
+
+
+class TestBlockWalk:
+    def test_walk_is_the_states_after_x(self):
+        assert walk(lambda x: (x + 3) % 8, 6, 4) == [1, 4, 7, 2]
+        assert walk(lambda x: x + 1, 5, 0) == []
+
+    @pytest.mark.parametrize("name, seed", [
+        ("prime power", 61), ("composite", 62), ("composite onto 2^4", 63)])
+    def test_take_split_anywhere_equals_one_plain_loop(self, name, seed):
+        spec = stream_specs()[name]
+        rng = random.Random(seed)
+        sizes = [0, 1, 2 ** 16 - 1, 0, 2 ** 16 + 1] + [rng.randrange(300) for _ in range(12)]
+        rng.shuffle(sizes)
+        state, got = GeneratorState(spec), []
+        for size in sizes:
+            block = state.take(size)
+            assert len(block) == size
+            got += block
+        got.append(state.next())
+        assert got == plain_outputs(spec, plain_states(spec, sum(sizes) + 1))
+
+    @pytest.mark.parametrize("spec", [
+        make_generator(xor_gen(), Modulus(2, 9), 3),
+        make_generator(parse_dsl("1 + 5*x"), Modulus(2, 17), 12345),
+        make_generator(parse_dsl("x"), Modulus(2, 5), 7, unchecked=True),
+        make_generator(parse_dsl("x*x + 1"), Modulus(2, 17), 0, unchecked=True),
+        make_generator(parse_dsl("x xor 1"), Modulus(3, 4), 2, unchecked=True),
+        make_generator(parse_dsl("1 + x"), CompositeModulus.from_int(72), 5),
+        make_generator(xor_gen(), Modulus(2, 8), 0, out_fn=var(), out_modulus=Modulus(2, 4)),
+        make_generator(parse_dsl("x + 4"), Modulus(2, 6), 1, out_fn=parse_dsl("x xor 3"),
+                       out_modulus=Modulus(2, 6), unchecked=True),
+    ], ids=["ergodic", "two blocks", "identity", "never returns", "odd-p bitwise error",
+            "composite", "truncating output", "short cycle with output"])
+    def test_census_equals_a_plain_census(self, spec):
+        try:
+            want = plain_census(spec)
+        except Exception as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                full_period_census(spec)
+            return
+        report = full_period_census(spec)
+        assert (report["period"], report["counts"]) == want
+        assert list(report["counts"]) == list(want[1])  # first-seen order
+
+    def test_emit_bytes_memory_is_bounded_by_the_output(self):
+        spec = make_generator(parse_dsl("1 + 5*x"), Modulus(2, 32), 3)
+        for words in (2 ** 18, 2 ** 20):
+            tracemalloc.start()
+            try:
+                data = emit_bytes(spec, words)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(data) == 4 * words
+            assert peak < 2 * len(data) + 10 * 2 ** 20, (words, peak)
