@@ -420,7 +420,8 @@ def complexity_growth_profile(state_fn: MapLike, p: int, k_range,
     _check_r_max(r_max)
     cert = ergodicity_certificate(state_fn, p)
     if cert.verdict != PROVEN:
-        raise NotCertified(f"state map is {cert.verdict} at p={p}, profile needs PROVEN")
+        raise NotCertified(f"state map is {cert.verdict} at p={p}, profile needs PROVEN",
+                           cert.verdict)
     out = []
     r_floor = 1
     for k in sorted(k_range):

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from .core import Modulus, ord_p
 from .expr import FnExpr, compile_map, fold, nodes, operands
-from .funcalg import BoolTriangle, is_class_b, triangle_is_transitive_form
+from .funcalg import BoolTriangle, is_class_b
 from .mahler import (
     MahlerSeries,
     RationalPoly,
@@ -263,18 +263,14 @@ def polynomial_bijectivity_certificate(f, p: int, cap: Optional[int] = None) -> 
     RationalPoly (denominators must be units mod p) or a square system
     of MultiPoly components checked as a map on (Z/p^2)^n.
     """
-    t0 = time.perf_counter()
-    m2 = Modulus(p, 2)
-    elapsed = lambda: (time.perf_counter() - t0) * 1000.0
-    if isinstance(f, RationalPoly):
+    if isinstance(f, RationalPoly):  # the Z_POLY cell of _THRESHOLDS
         for c in f.to_monomial().coeffs:
             if c.denominator % p == 0:
                 raise ValueError(f"coefficient {c} is not a p-adic integer at p={p}")
-        ok, witness = bijective_mod(f, m2, cap)
-        if ok:
-            return Certificate(MEASURE_PRESERVING, PROVEN, "C3_10", m2, None, elapsed())
-        return Certificate(MEASURE_PRESERVING, REFUTED, "C3_10", m2,
-                           {"collision": list(witness)}, elapsed())
+        return _certificate(MEASURE_PRESERVING, f, p, FunctionClass(Z_POLY), cap)
+    t0 = time.perf_counter()
+    m2 = Modulus(p, 2)
+    elapsed = lambda: (time.perf_counter() - t0) * 1000.0
     # square multivariate system
     F = list(f)
     n = F[0].arity
@@ -602,18 +598,17 @@ def compatibility_certificate(f: MapLike, p: int, cap: Optional[int] = None) -> 
 
 
 def triangle_ergodicity_certificate(t: BoolTriangle) -> Certificate:
-    """Transitivity of a bit-recursion triangle, decided from its layer forms."""
+    """Transitivity of a bit-recursion triangle, decided from its layer forms.
+
+    The induced map is a single cycle mod 2^n for every n up to the length
+    exactly when every psi_i has odd weight: psi_0, a function of no
+    variables, is then the constant 1.  The first layer that fails is the
+    witness.
+    """
     t0 = time.perf_counter()
-    ok = triangle_is_transitive_form(t)
-    witness = None
-    if not ok:
-        if frozenset() not in t.psi[0] or len(t.psi[0]) != 1:
-            witness = {"layer": 0, "reason": "layer 0 is not the constant 1"}
-        else:
-            for i in range(1, t.length):
-                if not t.has_odd_weight(i):
-                    witness = {"layer": i, "reason": "even weight"}
-                    break
-    return Certificate(ERGODIC, PROVEN if ok else REFUTED, "T3_14_NOTE",
+    layer = next((i for i in range(t.length) if not t.has_odd_weight(i)), None)
+    witness = None if layer is None else {
+        "layer": layer, "reason": "even weight" if layer else "layer 0 is not the constant 1"}
+    return Certificate(ERGODIC, PROVEN if witness is None else REFUTED, "T3_14_NOTE",
                        Modulus(2, t.length), witness,
                        (time.perf_counter() - t0) * 1000.0)

@@ -79,7 +79,7 @@ from .genlib import (
     NotBinaryModulus,
     NotCertified,
     _factors,
-    emit_bytes,
+    emit_blocks,
     full_period_census,
     make_generator,
     spec_from_json,
@@ -291,15 +291,17 @@ def cmd_gen(args) -> Tuple[dict, int]:
         spec_json = spec_to_json(spec)
     except ValueError as exc:  # a constant past the int-to-str digit limit
         raise ValueError(f"the generator spec cannot be written as JSON: {exc}") from None
-    data = emit_bytes(spec, args.count)
-    sys.stdout.buffer.write(data)
+    written = 0
+    for block in emit_blocks(spec, args.count):  # written as made: memory stays one block
+        sys.stdout.buffer.write(block)
+        written += len(block)
     sys.stdout.buffer.flush()
     report = {
         "kind": "gen",
         "source": source.strip(),
         "spec": spec_json,
         "words": args.count,
-        "bytes_written": len(data),
+        "bytes_written": written,
         "certificates": [c.to_json() for c in spec.certificates],
     }
     return report, EXIT_OK
@@ -810,7 +812,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_CAP
     except NotCertified as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN if UNKNOWN in str(exc) else EXIT_REFUTED
+        return EXIT_UNKNOWN if exc.verdict == UNKNOWN else EXIT_REFUTED
     except (ValueError, OSError, EmptySequence, NotBinaryModulus, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)  # RecursionError: input nested too deep
         return EXIT_PARSE

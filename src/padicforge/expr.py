@@ -20,8 +20,11 @@ handing every ADD/SUB, MUL, XOR, AND or OR chain to `visit` as one call.
 (tree, modulus) and cached: straight-line code that reduces mod p^k only
 where a value must lie in [0, p^k), and raises every evaluation error at
 the input, in the order and with the message of node-by-node evaluation.
+Polynomials and interpolation series compile into the same code, as a
+POLY leaf: there is one evaluator for every map.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -29,7 +32,7 @@ from operator import and_, mul, or_, xor
 from typing import Callable
 
 from .core import Modulus, ResidueInt, mod_inverse, unit_pow
-from .mahler import MahlerSeries, RationalPoly
+from .mahler import MahlerSeries, NotIntegerValued, RationalPoly, WrongPrime
 
 KINDS = frozenset(
     "VAR CONST ADD SUB MUL XOR AND OR NEG POW INV POLY DELTA COMPOSE".split()
@@ -150,12 +153,15 @@ def fold(e: FnExpr, visit, operands=operands):
 # the statement that uses it), before POW, INV, a COMPOSE outer map or an
 # error message sees them, and on return; at p = 2 by `& (2^k - 1)`, which
 # keeps bitwise nodes exact.  POLY consumes the point x as given and DELTA
-# shifts it.
+# shifts it.  A POLY leaf is one loop of Horner's rule over its integer-
+# scaled coefficients (see _scaled), so its code does not grow with its
+# degree; a constant one is a literal.
 #
 # Errors keep their point of evaluation.  POW and INV test their operand in
-# line and hand a failing one to core.unit_pow and core.mod_inverse, and a
-# node that fails for every input (a bitwise node at odd p, a constant
-# whose denominator is divisible by p) is a statement that raises there.
+# line and hand a failing one to core.unit_pow and core.mod_inverse, a POLY
+# leaf tests that its value is a p-adic integer, and a node that fails for
+# every input (a bitwise node at odd p, a constant whose denominator is
+# divisible by p) is a statement that raises there.
 # So an evaluation raises the same exception, with the same message, at
 # the same input and in the same left-to-right order as evaluating the
 # tree node by node, and compiling raises nothing for a well-formed tree.
@@ -173,7 +179,8 @@ class _Module:
     def __init__(self, e: FnExpr, m: Modulus):
         self.m, self.p, self.mv = m, m.p, m.value
         self.env = {"m": m, "ResidueInt": ResidueInt, "unit_pow": unit_pow,
-                    "mod_inverse": mod_inverse, "BitwiseOddPrime": BitwiseOddPrime}
+                    "mod_inverse": mod_inverse, "BitwiseOddPrime": BitwiseOddPrime,
+                    "NotIntegerValued": NotIntegerValued}
         self.big = {}  # name -> a constant too long to write in decimal
         self.mvs = self.literal(m.value)
         self.mod = f" & {self.literal(m.value - 1)}" if m.p == 2 else f" % {self.mvs}"
@@ -272,9 +279,22 @@ class _Module:
                     return lit(node.value.numerator * pow(den, -1, mv) % mv)
                 lines.append(f"mod_inverse(ResidueInt({lit(den)}, m))")  # raises
                 return "0"
-            if kind == "POLY":
-                self.env[f"P{len(self.env)}"] = node.poly.compile_mod(self.m)
-                return assign(f"P{len(self.env) - 1}(x)", True)
+            if kind == "POLY":  # Horner's rule in one loop, nested over (x - i) when falling
+                coeffs, big, p_part = _scaled(node.poly, p, mv)
+                if len(coeffs) == 1 and p_part == 1:  # a literal, as a CONST folds
+                    return lit(coeffs[0])
+                t, name = f"t{len(lines)}", f"C{len(self.env)}"
+                falling = node.poly.basis == "falling"
+                self.env[name] = tuple(enumerate(coeffs) if falling else coeffs)[-2::-1]
+                loop, factor = ("i, c", "(x - i)") if falling else ("c", "x")
+                lines.append(f"{t} = {lit(coeffs[-1])}")
+                lines.append(f"for {loop} in {name}: {t} = ({t} * {factor} + c) % {lit(big)}")
+                if p_part > 1:
+                    msg = f"value at {{x}} has denominator divisible by {p}"
+                    lines.append(f"if {t} % {lit(p_part)}: raise NotIntegerValued(f{msg!r})")
+                    lines.append(f"{t} = {t} // {lit(p_part)}")
+                reduced.add(t)
+                return t
             if kind in _BITWISE and p != 2:
                 msg = f"{kind} needs p = 2, modulus is {self.m}"
                 lines.append(f"raise BitwiseOddPrime({msg!r})")
@@ -341,31 +361,51 @@ class _Module:
         return lines, value, exact(value)
 
 
+def _scaled(poly: RationalPoly, p: int, mv: int):
+    """(integer coefficients, B, P) of poly mod p^k = mv.  With D the common
+    denominator and P its p-part, B = p^k * P and the coefficients are poly's
+    times D, then times the inverse of D / P mod p^k, mod B.  So their sum at
+    x is P * poly(x) mod B: P divides it iff poly(x) is a p-adic integer, and
+    the quotient is poly(x) mod p^k."""
+    d = math.lcm(*(c.denominator for c in poly.coeffs))
+    p_part = 1
+    while d % (p_part * p) == 0:
+        p_part *= p
+    big = mv * p_part
+    unit_inv = pow(d // p_part, -1, mv)
+    return [c.numerator * (d // c.denominator) * unit_inv % big for c in poly.coeffs], big, p_part
+
+
 @lru_cache(maxsize=128)
-def _generated(e: FnExpr, m: Modulus):
-    """e's root function, generated and compiled once per (tree, modulus)."""
-    module = _Module(e, m)
+def _generated(e, m: Modulus):
+    """e's root function, generated and compiled once per (tree or
+    polynomial, modulus); a polynomial compiles as a POLY leaf."""
+    module = _Module(e if isinstance(e, FnExpr) else FnExpr("POLY", poly=e), m)
     code = compile("\n".join(module.defs), f"<{m}: {module.root}>", "exec")
     exec(code, module.env)
     return module.env[module.root]
 
 
 def compile_map(f, m: Modulus) -> Callable[[int], int]:
-    """f as a plain int -> int function mod m; an expression's is generated
-    once per (tree, modulus) and cached.
+    """f as a plain int -> int function mod m; an expression's, a
+    polynomial's or a series' is generated once per (tree or polynomial,
+    modulus) and cached.
 
     Takes an FnExpr, a RationalPoly, a MahlerSeries or a Python callable
     (whose values are reduced mod m).  Expressions, polynomials and series
     take the exact integer point: pass residues in 0..m-1 for values of the
-    map on Z/m.  A series compiles as its falling-factorial polynomial and
-    raises WrongPrime or NotIntegerValued here.  Evaluation errors raise
-    when the failing node is evaluated, exactly as node-by-node evaluation
-    raises them.
+    map on Z/m.  A polynomial compiles as a POLY leaf, and a series as its
+    falling-factorial polynomial, raising WrongPrime or NotIntegerValued
+    here.  Evaluation errors raise when the failing node is evaluated,
+    exactly as node-by-node evaluation raises them.
     """
-    if isinstance(f, FnExpr):
+    if isinstance(f, MahlerSeries):  # C(x, i) = (x)_i / i!
+        if m.p != f.p:
+            raise WrongPrime(f"series is {f.p}-adic, modulus is {m.p}-adic")
+        f._require_integer_valued()
+        f = RationalPoly([c / math.factorial(i) for i, c in enumerate(f.coeffs)], "falling")
+    if isinstance(f, (FnExpr, RationalPoly)):
         return _generated(f, m)
-    if isinstance(f, (RationalPoly, MahlerSeries)):
-        return f.compile_mod(m)
     if callable(f):
         mv = m.value
         return lambda x: f(x) % mv

@@ -226,17 +226,6 @@ def triangle_eval(t: BoolTriangle, x: ResidueInt) -> ResidueInt:
     return ResidueInt(out, m)
 
 
-def triangle_is_transitive_form(t: BoolTriangle) -> bool:
-    """psi_0 = 1 and every later psi_i has odd weight.
-
-    Exactly the triangles whose induced map is a single cycle mod 2^n for
-    every n up to the length.
-    """
-    if t.psi[0] != frozenset({frozenset()}):
-        return False
-    return all(t.has_odd_weight(i) for i in range(1, t.length))
-
-
 # --- DSL ---------------------------------------------------------------------
 
 # DSL function name -> the node kind it builds; ff(x, n) builds a POLY leaf.

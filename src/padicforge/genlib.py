@@ -4,7 +4,7 @@ A GeneratorSpec pairs a state map with its modulus, seed, and optional
 output map.  Construction certifies the state map (one certificate per
 prime factor) unless the caller explicitly opts out.  Streams advance
 through walk, one loop that returns a block of states: composite moduli
-walk each CRT component and recombine per word, and emit_bytes holds one
+walk each CRT component and recombine per word, and emit_blocks makes one
 block of words at a time.
 """
 
@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Union
+from typing import Callable, Iterator, List, Optional, Union
 
 from .certify import (
     CapExceeded,
     DEFAULT_STATE_CAP,
     PROVEN,
+    REFUTED,
     MapLike,
     bijective_mod,
     ergodicity_certificate,
@@ -28,7 +29,13 @@ from .funcalg import expr_from_json, expr_to_json
 
 
 class NotCertified(Exception):
-    """State or output map lacks a PROVEN certificate and unchecked=False."""
+    """State or output map lacks a PROVEN certificate and unchecked=False.
+    verdict is the state map's, UNKNOWN or REFUTED; an output map that
+    collides is REFUTED."""
+
+    def __init__(self, message: str, verdict: str):
+        super().__init__(message)
+        self.verdict = verdict
 
 
 class NotBinaryModulus(Exception):
@@ -36,7 +43,7 @@ class NotBinaryModulus(Exception):
 
 
 AnyModulus = Union[Modulus, CompositeModulus]
-_BLOCK = 1 << 16  # words or states per block; emit_bytes frees its word list before the join
+_BLOCK = 1 << 16  # words or states per block; emit_blocks frees its word list before the join
 
 
 def walk(step: Callable[[int], int], x: int, count: int) -> List[int]:
@@ -94,14 +101,14 @@ def make_generator(state_fn: MapLike, modulus: AnyModulus, seed: int, *,
             if cert.verdict != PROVEN:
                 raise NotCertified(
                     f"state map is {cert.verdict} at p={factor.p}"
-                    " (pass unchecked=True to accept it anyway)")
+                    " (pass unchecked=True to accept it anyway)", cert.verdict)
             collected.append(cert)
         if out_fn is not None:
             ok, witness = bijective_mod(out_fn, out_modulus, cap)
             if not ok:
                 raise NotCertified(
                     f"output map collides on {witness} mod"
-                    f" {out_modulus.p}^{out_modulus.k}")
+                    f" {out_modulus.p}^{out_modulus.k}", REFUTED)
         certs = tuple(collected)
     return GeneratorSpec(state_fn, modulus, seed, out_fn, out_modulus,
                          unchecked, certs)
@@ -143,16 +150,20 @@ def _word_bits(spec: GeneratorSpec) -> int:
     return m.k
 
 
-def emit_bytes(spec: GeneratorSpec, count: int, state: Optional[GeneratorState] = None) -> bytes:
-    """count output words, each contributing its low floor(bits/8) bytes, little-endian."""
+def emit_blocks(spec: GeneratorSpec, count: int,
+                state: Optional[GeneratorState] = None) -> Iterator[bytes]:
+    """emit_bytes's bytes, one block of at most 2^16 words at a time."""
     width = _word_bits(spec) // 8
     mask = (1 << 8 * width) - 1
     state = state if state is not None else GeneratorState(spec)
-    blocks = []
     for done in range(0, count, _BLOCK):
-        blocks.append(b"".join([(w & mask).to_bytes(width, "little")
-                                for w in state.take(min(_BLOCK, count - done))]))
-    return b"".join(blocks)
+        yield b"".join([(w & mask).to_bytes(width, "little")
+                        for w in state.take(min(_BLOCK, count - done))])
+
+
+def emit_bytes(spec: GeneratorSpec, count: int, state: Optional[GeneratorState] = None) -> bytes:
+    """count output words, each contributing its low floor(bits/8) bytes, little-endian."""
+    return b"".join(emit_blocks(spec, count, state))
 
 
 def full_period_census(spec: GeneratorSpec, cap: Optional[int] = None) -> dict:

@@ -4,8 +4,9 @@ A function f on Z_p has a unique expansion f(x) = sum_i a_i * C(x, i).
 Coefficients are kept as exact rationals, never p-adic truncations, so
 integer-valuedness and the denominator order rho are decidable without any
 precision analysis; reduction mod p^k happens only at evaluation time.
-Since C(x, i) = (x)_i / i!, a series compiles as its falling-factorial
-polynomial sum (a_i / i!) (x)_i, through the one RationalPoly evaluator.
+Polynomials and series are evaluated by `expr.compile_map`, in the same
+generated code as expressions: since C(x, i) = (x)_i / i!, a series
+compiles as its falling-factorial polynomial sum (a_i / i!) (x)_i.
 
 Series here are truncated: polynomials and desk-scale functions only.  The
 criteria operations refuse degrees above DEGREE_CAP (exact lifts get
@@ -122,72 +123,18 @@ class RationalPoly:
                     out[k] += c * s
         return RationalPoly(out, "falling")
 
-    def _scaled_form(self, modulus: Modulus):
-        """(integer coefficients, D, p-part of D, unit part's inverse mod p^k).
-
-        Cached per instance and modulus, so the Fractions are cleared once
-        rather than at every point.  The cache lives in the instance dict,
-        outside the dataclass fields, and holds plain ints only.
-        """
-        cache = self.__dict__.setdefault("_scaled_cache", {})
-        form = cache.get(modulus)
-        if form is None:
-            d = math.lcm(*(c.denominator for c in self.coeffs))
-            ints = [int(c * d) for c in self.coeffs]
-            unit, p_part = d, 1
-            while unit % modulus.p == 0:
-                unit //= modulus.p
-                p_part *= modulus.p
-            unit_inv = pow(unit, -1, modulus.value) if unit > 1 else 1
-            form = cache[modulus] = (tuple(ints), d, p_part, unit_inv)
-        return form
-
-    def compile_mod(self, modulus: Modulus):
-        """int -> int closure for f(x) mod p^k at the integer representative x.
-
-        Works modulo p^k * D so the division by the common denominator D
-        stays visible.  The p-part of D must divide the scaled value
-        exactly (else the value is no p-adic integer and NotIntegerValued
-        is raised at that point); the unit part is removed by its inverse.
-        """
-        ints, d, p_part, unit_inv = self._scaled_form(modulus)
-        mv, p = modulus.value, modulus.p
-        big = mv * d
-        if self.basis == "monomial":
-            rev = ints[::-1]
-
-            def scaled(x):
-                acc = 0
-                for c in rev:
-                    acc = (acc * x + c) % big
-                return acc
-        else:
-            head, tail = ints[0], tuple(enumerate(ints[1:]))
-
-            def scaled(x):
-                acc = head
-                ff = 1
-                for i, c in tail:
-                    ff = ff * (x - i) % big
-                    acc = (acc + c * ff) % big
-                return acc % big
-
-        if d == 1:
-            return scaled
-        if p_part == 1:
-            return lambda x: scaled(x) * unit_inv % mv
-
-        def divided(x):
-            acc = scaled(x)
-            if acc % p_part:
-                raise NotIntegerValued(f"value at {x} has denominator divisible by {p}")
-            return acc // p_part * unit_inv % mv
-
-        return divided
+    def __hash__(self):  # cached: compile_map's cache hashes every polynomial it gets
+        h = self.__dict__.get("_hash")
+        if h is None:  # of coeffs only: Fraction hashes, unlike str hashes, agree across processes
+            h = hash(self.coeffs)
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def eval_mod(self, x, modulus: Modulus):
-        """f(x) mod p^k at the integer representative x; see compile_mod."""
-        return self.compile_mod(modulus)(x)
+        """f(x) mod p^k at the integer representative x; see expr.compile_map."""
+        from .expr import compile_map  # expr imports this module
+
+        return compile_map(self, modulus)(x)
 
     def scale(self, q):
         return RationalPoly([Fraction(q) * c for c in self.coeffs], self.basis)
@@ -248,18 +195,6 @@ class MahlerSeries:
                 f"degree {self.degree} above criteria cap {DEGREE_CAP}"
             )
         self._require_integer_valued()
-
-    def compile_mod(self, modulus: Modulus):
-        """int -> int closure for the series mod p^k at the integer x.
-
-        C(x, i) = (x)_i / i!, so the series is the falling-factorial
-        polynomial sum (a_i / i!) (x)_i, compiled by RationalPoly.
-        """
-        if modulus.p != self.p:
-            raise WrongPrime(f"series is {self.p}-adic, modulus is {modulus.p}-adic")
-        self._require_integer_valued()
-        falling = [c / math.factorial(i) for i, c in enumerate(self.coeffs)]
-        return RationalPoly(falling, "falling").compile_mod(modulus)
 
 
 def coeffs_from_values(values, p):

@@ -2,18 +2,25 @@
 
 import hashlib
 import json
+import os
 import re
 import statistics
+import subprocess
+import sys
 import time
+from fractions import Fraction
 
 import pytest
 from jsonschema import Draft202012Validator
 
+import padicforge
 from padicforge import cli
+from padicforge import funcalg as fa
 from padicforge.cli import main, report_schema
 from padicforge.core import CompositeModulus, Modulus
 from padicforge.funcalg import _MAX_NESTING, parse_dsl
 from padicforge.genlib import emit_bytes, make_generator, spec_to_json
+from padicforge.mahler import RationalPoly
 
 XORGEN = "1 + x + 2*delta(x xor (2*x + 1))"
 
@@ -193,6 +200,48 @@ class TestGen:
         rc = main(["gen", "-p", "2", "-k", "8", "1 + (x xor 0)"])
         assert rc == 4
         assert capsysbinary.readouterr().out == b""
+
+    def test_spec_whose_output_map_collides_exits_5(self, capsysbinary, tmp_path):
+        spec = make_generator(parse_dsl(XORGEN), Modulus(2, 8), 0, out_fn=parse_dsl("2*x"),
+                              out_modulus=Modulus(2, 8), unchecked=True)
+        blob = spec_to_json(spec)
+        del blob["unchecked"]  # so that loading it checks the output map
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(blob))
+        for command in ("gen", "analyze"):
+            assert main([command, "--file", str(path)]) == 5
+            captured = capsysbinary.readouterr()
+            assert captured.out == b"" and b"output map collides" in captured.err
+
+    def test_unchecked_map_that_raises_leaves_the_blocks_before(self, capsysbinary, tmp_path):
+        # x + 1 + (x and 2^16) / 2^17: the state counts up until bit 16 is set,
+        # where the value is no 2-adic integer; blocks hold 2^16 words
+        half = fa.compose(fa.poly_node(RationalPoly([0, Fraction(1, 2**17)])),
+                          fa.and_(fa.var(), fa.const(2**16)))
+        state_fn = fa.add(fa.add(fa.var(), fa.const(1)), half)
+        path = tmp_path / "spec.json"
+        spec = make_generator(state_fn, Modulus(2, 32), 0, unchecked=True)
+        path.write_text(json.dumps(spec_to_json(spec)))
+        assert main(["gen", "--file", str(path), "--count", str(3 * 2**16)]) == 2
+        captured = capsysbinary.readouterr()
+        assert captured.out == b"".join(n.to_bytes(4, "little") for n in range(1, 2**16 + 1))
+        assert b"value at 65536 has denominator divisible by 2" in captured.err
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_memory_stays_one_block_at_any_count(self):
+        def peak_rss_mb(count):
+            """Peak resident memory of a gen child writing count words to
+            /dev/null: its VmHWM, which starts afresh at exec, where ru_maxrss
+            keeps the peak of the process it was forked from."""
+            code = ("import sys; from padicforge.cli import main; code = main();"
+                    " print(open('/proc/self/status').read(), file=sys.stderr); sys.exit(code)")
+            argv = ["gen", XORGEN, "-p", "2", "-k", "32", "--count", str(count)]
+            env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(padicforge.__file__)))
+            done = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
+                                  stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+            return int(re.search(r"VmHWM:\s*(\d+) kB", done.stderr)[1]) / 1024
+
+        assert peak_rss_mb(2**22) - peak_rss_mb(2**18) <= 8
 
     def test_odd_prime_modulus_cannot_emit_bytes(self, capsysbinary):
         rc = main(["gen", "-p", "3", "-k", "5", "1+x"])

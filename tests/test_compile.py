@@ -115,20 +115,6 @@ def test_cli_messages_unchanged():
         compile_map(parse_dsl("1 - 127*x - 152*x^3 + 152*x^5"), m)(0)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_rational_poly_matches_rebuilt_scaled_form(p):
-    rng = random.Random(2000 + p)
-    m = Modulus(p, MAX_K[p])
-    polys = [RationalPoly(random_integer_valued_poly(rng), "falling") for _ in range(15)]
-    polys += [poly.to_monomial() for poly in polys[:5]]
-    polys.append(RationalPoly([1, Fraction(1, p), Fraction(2, 7)]))  # not integer-valued
-    for poly in polys:
-        fn = compile_map(poly, m)
-        for x in list(range(m.value)) + [m.value + 5, 3 * m.value - 1]:
-            want = outcome(lambda y: poly_eval_mod(poly, y, m), x)
-            assert outcome(fn, x) == outcome(lambda y: poly.eval_mod(y, m), x) == want
-
-
 @pytest.mark.parametrize("p,max_k", [(2, 12), (3, 7), (5, 5), (7, 4)])
 def test_series_matches_exact_binomial_sum(p, max_k):
     """A series compiles as its falling-factorial polynomial; its values
@@ -161,6 +147,97 @@ def test_plain_callables_and_unknown_types():
     assert compile_map(lambda x: x - 1, m)(0) == 8
     with pytest.raises(TypeError):
         compile_map(42, m)
+
+
+BASES = ("monomial", "falling")
+DENOMINATORS = ("unit", "integer-valued", "not integer-valued")
+
+
+def random_rational_poly(rng, p, degree, basis, denominators):
+    """A degree-`degree` RationalPoly in `basis` with signed coefficients.
+    Denominators are units mod p; or p-adically integer-valued, the falling
+    coefficient of (x)_i over the p-part of i! (p among them from degree p
+    on); or units with p^e in one coefficient's, so that only some points
+    are p-adic integers."""
+    units = [d for d in range(1, 40) if d % p]
+    coeffs = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.choice(units))
+              for _ in range(degree + 1)]
+    if denominators == "integer-valued":  # (x)_i is divisible by i!, so by its p-part
+        coeffs = [c / p ** sum(i // p**j for j in range(1, i.bit_length() + 1))
+                  for i, c in enumerate(coeffs)]
+        return RationalPoly(coeffs, "falling") if basis == "falling" else \
+            RationalPoly(coeffs, "falling").to_monomial()
+    if denominators == "not integer-valued":
+        i = rng.randrange(degree + 1)
+        coeffs[i] /= p ** rng.randint(1, 3)
+    return RationalPoly(coeffs, basis)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rational_poly_matches_rebuilt_scaled_form(p):
+    """Polynomials compile into generated code.  Their values, and each
+    NotIntegerValued with its message, match the scaled-form oracle and
+    eval_mod at residues, at p^k and past it: both bases, degrees 0 to 64
+    and 2,000, signed coefficients, and denominators prime to p, with p
+    and integer-valued, or with p and not."""
+    rng = random.Random(2000 + p)
+    polys = [(RationalPoly(random_integer_valued_poly(rng), "falling"), "integer-valued")
+             for _ in range(15)]
+    polys += [(poly.to_monomial(), den) for poly, den in polys[:5]]
+    polys.append((RationalPoly([1, Fraction(1, p), Fraction(2, 7)]), "not integer-valued"))
+    cases = [(d, basis, den) for d in (0, 1) for basis in BASES for den in DENOMINATORS]
+    cases += [(d, rng.choice(BASES), rng.choice(DENOMINATORS)) for d in range(2, 65)]
+    cases += [(2000, basis, den) for basis in BASES for den in DENOMINATORS
+              if (basis, den) != ("monomial", "integer-valued")]  # to_monomial is quadratic
+    for degree, basis, den in cases:
+        poly = random_rational_poly(rng, p, degree, basis, den)
+        assert poly.degree == degree and poly.basis == basis
+        polys.append((poly, den))
+    seen = set()
+    for poly, den in polys:
+        m = Modulus(p, rng.randint(1, MAX_K[p]))
+        edges = {m.value - 1, m.value, m.value + 1, 3 * m.value + 1, rng.randrange(10**30)}
+        points = range(m.value) if poly.degree <= 8 else rng.sample(range(m.value), min(4, m.value))
+        fn = compile_map(poly, m)
+        for x in sorted(edges.union(points)):
+            got = outcome(fn, x)
+            want = outcome(lambda y: poly_eval_mod(poly, y, m), x)
+            assert got == want == outcome(lambda y: poly.eval_mod(y, m), x), (poly, m, x)
+            seen.add((den, isinstance(got, tuple)))
+    assert seen == {(den, False) for den in DENOMINATORS} | {("not integer-valued", True)}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_poly_leaves_inside_trees_match_tree_interpreter(p):
+    rng = random.Random(6000 + p)
+    m = Modulus(p, MAX_K[p])
+    for _ in range(12):
+        degree = rng.randint(0, 5)
+        leaf = fa.poly_node(random_rational_poly(
+            rng, p, degree, rng.choice(BASES), rng.choice(DENOMINATORS)))
+        other = random_compatible_ast(rng, p, 2)
+        chain = fa.sub(fa.add(fa.add(X, leaf), other), fa.add(leaf, fa.const(3)))
+        for e in (fa.delta(leaf), fa.compose(leaf, other), fa.compose(other, leaf), chain):
+            assert_matches_tree(e, m, range(m.value + 3))
+
+
+def test_poly_leaf_code_does_not_grow_with_degree():
+    """A POLY leaf is one loop over a coefficient tuple: degree 20,000
+    generates the same lines as degree 5, and compiles in under 0.2 s at
+    the reference host's speed."""
+    from test_cli import reference_seconds
+
+    rng = random.Random(7)
+    m = Modulus(2, 32)
+    lines = []
+    for degree in (5, 20000):
+        coeffs = [Fraction(rng.randint(-99, 99), rng.choice([1, 3, 4])) for _ in range(degree)]
+        poly = RationalPoly([Fraction(1, 6)] + coeffs)
+        assert poly.degree == degree
+        lines.append(len("\n".join(expr._Module(fa.poly_node(poly), m).defs).splitlines()))
+    assert lines[0] == lines[1]
+    _, seconds = reference_seconds(lambda: compile_map(poly.scale(3), m))
+    assert seconds < 0.2
 
 
 def test_multipoly_compile_matches_plain_sum():

@@ -11,7 +11,14 @@ from oracles import is_bijection, is_transitive, preserves_congruences, value_ta
 
 from padicforge import expr
 from padicforge import funcalg as fa
-from padicforge.certify import CLASS_B, GENERIC_COMPATIBLE, Z_POLY, infer_class
+from padicforge.certify import (
+    CLASS_B,
+    GENERIC_COMPATIBLE,
+    PROVEN,
+    Z_POLY,
+    infer_class,
+    triangle_ergodicity_certificate,
+)
 from padicforge.core import BaseNotOneUnit, Modulus, NotAUnit, ResidueInt
 from padicforge.funcalg import (
     _MAX_NESTING,
@@ -32,7 +39,6 @@ from padicforge.funcalg import (
     is_class_b,
     parse_dsl,
     triangle_eval,
-    triangle_is_transitive_form,
 )
 from padicforge.genlib import GeneratorSpec
 from padicforge.mahler import RationalPoly
@@ -289,7 +295,8 @@ def test_triangle_transitive_form_matches_walk():
         for t in all_triangles(n):
             count += 1
             tab = [int(triangle_eval(t, ResidueInt(x, m))) for x in range(2**n)]
-            assert triangle_is_transitive_form(t) == is_transitive(tab), t.psi
+            verdict = triangle_ergodicity_certificate(t).verdict
+            assert (verdict == PROVEN) == is_transitive(tab), t.psi
         assert count == 2 ** (2**n - 1)
 
 

@@ -145,7 +145,7 @@ def test_eval_wrong_prime_and_non_integral():
     mixed = MahlerSeries((0, 0, F(5, 18)), 5)
     assert series_eval(mixed, 3, 5, 2) is not None
     with pytest.raises(NotIntegerValued):
-        MahlerSeries((0, 0, F(5, 18)), 3).compile_mod(Modulus(3, 2))(0)
+        compile_map(MahlerSeries((0, 0, F(5, 18)), 3), Modulus(3, 2))(0)
 
 
 def test_values_series_values_roundtrip():
