@@ -31,9 +31,9 @@ from .funcalg import expr_from_json, expr_to_json
 class NotCertified(Exception):
     """State or output map lacks a PROVEN certificate and unchecked=False.
     verdict is the state map's, UNKNOWN or REFUTED; an output map that
-    collides is REFUTED."""
+    collides is REFUTED, the default."""
 
-    def __init__(self, message: str, verdict: str):
+    def __init__(self, message: str, verdict: str = REFUTED):
         super().__init__(message)
         self.verdict = verdict
 

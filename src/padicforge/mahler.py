@@ -123,9 +123,9 @@ class RationalPoly:
                     out[k] += c * s
         return RationalPoly(out, "falling")
 
-    def __hash__(self):  # cached: compile_map's cache hashes every polynomial it gets
-        h = self.__dict__.get("_hash")
-        if h is None:  # of coeffs only: Fraction hashes, unlike str hashes, agree across processes
+    def __hash__(self):  # cached: hashing a long tuple of Fractions is slow, and
+        h = self.__dict__.get("_hash")  # compile_map's cache hashes every polynomial it gets
+        if h is None:  # of coeffs only; equality still tells the two bases apart
             h = hash(self.coeffs)
             object.__setattr__(self, "_hash", h)
         return h

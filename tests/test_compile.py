@@ -115,6 +115,20 @@ def test_cli_messages_unchanged():
         compile_map(parse_dsl("1 - 127*x - 152*x^3 + 152*x^5"), m)(0)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rational_poly_matches_rebuilt_scaled_form(p):
+    rng = random.Random(2000 + p)
+    m = Modulus(p, MAX_K[p])
+    polys = [RationalPoly(random_integer_valued_poly(rng), "falling") for _ in range(15)]
+    polys += [poly.to_monomial() for poly in polys[:5]]
+    polys.append(RationalPoly([1, Fraction(1, p), Fraction(2, 7)]))  # not integer-valued
+    for poly in polys:
+        fn = compile_map(poly, m)
+        for x in list(range(m.value)) + [m.value + 5, 3 * m.value - 1]:
+            want = outcome(lambda y: poly_eval_mod(poly, y, m), x)
+            assert outcome(fn, x) == outcome(lambda y: poly.eval_mod(y, m), x) == want
+
+
 @pytest.mark.parametrize("p,max_k", [(2, 12), (3, 7), (5, 5), (7, 4)])
 def test_series_matches_exact_binomial_sum(p, max_k):
     """A series compiles as its falling-factorial polynomial; its values
@@ -174,30 +188,24 @@ def random_rational_poly(rng, p, degree, basis, denominators):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_rational_poly_matches_rebuilt_scaled_form(p):
+def test_random_rational_polys_match_oracle(p):
     """Polynomials compile into generated code.  Their values, and each
     NotIntegerValued with its message, match the scaled-form oracle and
-    eval_mod at residues, at p^k and past it: both bases, degrees 0 to 64
-    and 2,000, signed coefficients, and denominators prime to p, with p
-    and integer-valued, or with p and not."""
-    rng = random.Random(2000 + p)
-    polys = [(RationalPoly(random_integer_valued_poly(rng), "falling"), "integer-valued")
-             for _ in range(15)]
-    polys += [(poly.to_monomial(), den) for poly, den in polys[:5]]
-    polys.append((RationalPoly([1, Fraction(1, p), Fraction(2, 7)]), "not integer-valued"))
+    eval_mod at residues, at p^k and past it, for k from 1 to MAX_K[p]:
+    both bases, degrees 0 to 64 and 2,000, signed coefficients, and
+    denominators prime to p, with p and integer-valued, or with p and not."""
+    rng = random.Random(5000 + p)
     cases = [(d, basis, den) for d in (0, 1) for basis in BASES for den in DENOMINATORS]
     cases += [(d, rng.choice(BASES), rng.choice(DENOMINATORS)) for d in range(2, 65)]
     cases += [(2000, basis, den) for basis in BASES for den in DENOMINATORS
               if (basis, den) != ("monomial", "integer-valued")]  # to_monomial is quadratic
+    seen = set()
     for degree, basis, den in cases:
         poly = random_rational_poly(rng, p, degree, basis, den)
         assert poly.degree == degree and poly.basis == basis
-        polys.append((poly, den))
-    seen = set()
-    for poly, den in polys:
         m = Modulus(p, rng.randint(1, MAX_K[p]))
         edges = {m.value - 1, m.value, m.value + 1, 3 * m.value + 1, rng.randrange(10**30)}
-        points = range(m.value) if poly.degree <= 8 else rng.sample(range(m.value), min(4, m.value))
+        points = range(m.value) if degree <= 8 else rng.sample(range(m.value), min(4, m.value))
         fn = compile_map(poly, m)
         for x in sorted(edges.union(points)):
             got = outcome(fn, x)
