@@ -6,11 +6,13 @@ rewrites golden/certificates.txt beside this file.  The items are rebuilt
 from fixed seeds at p = 2, 3 and 5: corpus.py trees; build_ergodic and
 build_measure_preserving wrappings of them; the trees plus d +- C(x, p),
 which is not 1-Lipschitz, so that the compatibility probe runs; and
-integer-valued polynomials as a polynomial, as a series and under CLASS_A.
-Each line holds one (item, prime, property): the item's class, then the
-certificate's verdict, theorem, checked modulus and witness.  elapsed_ms
-is left out, so the file changes only when a certificate does.  A change
-that rewrites the file lists each changed line in CHANGES.md.
+integer-valued polynomials as a polynomial, as a series and under CLASS_A;
+and the DSL maps the certify-mix benchmark pool serves, its BRUTE_ONLY
+probes and its p = 2 shift maps.  Each line holds one (item, prime,
+property): the item's class, then the certificate's verdict, theorem,
+checked modulus and witness.  elapsed_ms is left out, so the file
+changes only when a certificate does.  A change that rewrites the file
+lists each changed line in CHANGES.md.
 """
 
 import json
@@ -30,7 +32,7 @@ from padicforge.certify import (
     infer_class,
     measure_preservation_certificate,
 )
-from padicforge.funcalg import add, build_ergodic, build_measure_preserving, poly_node
+from padicforge.funcalg import add, build_ergodic, build_measure_preserving, parse_dsl, poly_node
 from padicforge.mahler import RationalPoly, series_from_poly
 
 from corpus import random_compatible_ast
@@ -38,12 +40,28 @@ from oracles import random_integer_valued_poly
 
 GOLDEN = Path(__file__).with_name("golden") / "certificates.txt"
 PRIMES = (2, 3, 5)
-TREES, WRAPPINGS, POLYS = 80, 20, 60  # per prime: 960 items and 2,880 lines
+TREES, WRAPPINGS, POLYS = 80, 20, 60  # per prime; with POOL, 972 items and 2,916 lines
 PROPERTIES = {  # property -> certificate(f, p, class or None)
     ERGODIC: ergodicity_certificate,
     MEASURE_PRESERVING: measure_preservation_certificate,
     COMPATIBLE: lambda f, p, _: compatibility_certificate(f, p),
 }
+# (name, prime, DSL source) of the certify-mix pool's DSL maps: the ten
+# BRUTE_ONLY probes and the two p = 2 shift maps, as build_ergodic builds them
+POOL = [
+    ("shift-readme", 2, "1 + x + 2*delta(x xor (2*x + 1))"),
+    ("shift-squares-mask", 2, "7 + x + 2*delta((x*x) xor ((x + 32) and x))"),
+    ("brute-xor-square", 2, "1 + x + 2*((x*x) xor ((x + 32) and x))"),
+    ("brute-measure-only", 2, "3 + 5*x + 2*(x xor (4*x + 1))"),
+    ("brute-or-mix", 2, "1 + ((x*x + 3*x) xor (x and 12)) + 4*(x or 5)"),
+    ("brute-sextic", 3, "1 + x + (5/18)*ff(x,6)"),
+    ("brute-quartic-ff4/6", 3, "1 + x + (1/6)*ff(x,4)"),
+    ("brute-pow-ff3", 3, "1 + x + (1/3)*ff(x,3)*(1+3*x)^x"),
+    ("brute-ff5/5", 5, "1 + x + (1/5)*ff(x,5)"),
+    ("brute-xor-and", 2, "1 + x + 4*((x xor 3)*(x and 5))"),
+    ("brute-or", 2, "1 + 3*x + 2*(x or 6)"),
+    ("brute-xor1", 2, "x xor 1"),
+]
 
 
 def items(p):
@@ -67,6 +85,9 @@ def items(p):
         yield f"p{p}/poly/{i:03}", poly, None
         yield f"p{p}/series/{i:03}", series_from_poly(poly, p), None
         yield f"p{p}/class-a/{i:03}", poly, FunctionClass(CLASS_A)
+    for name, prime, source in POOL:
+        if prime == p:
+            yield f"p{p}/pool/{name}", parse_dsl(source), None
 
 
 def _class_text(f, p, cls):
