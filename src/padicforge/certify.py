@@ -32,6 +32,7 @@ from .mahler import (
     is_compatible,
     is_ergodic_2adic,
     is_measure_preserving_2adic,
+    require_degree_cap,
     rho_lambda,
     series_from_poly,
 )
@@ -326,11 +327,13 @@ def infer_class(f: MapLike, p: int) -> FunctionClass:
     GENERIC_COMPATIBLE  everything else; brute checks only
     """
     if isinstance(f, RationalPoly):
-        mono = f.to_monomial().coeffs
-        if all(c.denominator == 1 for c in mono):
+        # the falling and the monomial basis differ by a unimodular integer
+        # matrix, so the stored coefficients decide both tags in either basis
+        if all(c.denominator == 1 for c in f.coeffs):
             return FunctionClass(Z_POLY, degree=f.degree, rho=0, lam=1)
-        if all(c.denominator % p != 0 for c in mono):
+        if all(c.denominator % p != 0 for c in f.coeffs):
             return FunctionClass(CLASS_B, degree=f.degree, rho=0, lam=1)
+        require_degree_cap(f.degree)  # before the change of basis, quadratic in it
         series = series_from_poly(f, p)
         series._require_integer_valued()
         rho, lam = rho_lambda(f, p)

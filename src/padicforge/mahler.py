@@ -190,11 +190,14 @@ class MahlerSeries:
                 )
 
     def _require_criteria_ready(self):
-        if self.degree > DEGREE_CAP:
-            raise DegreeCapExceeded(
-                f"degree {self.degree} above criteria cap {DEGREE_CAP}"
-            )
+        require_degree_cap(self.degree)
         self._require_integer_valued()
+
+
+def require_degree_cap(degree):
+    """Raise DegreeCapExceeded for a degree above DEGREE_CAP."""
+    if degree > DEGREE_CAP:
+        raise DegreeCapExceeded(f"degree {degree} above criteria cap {DEGREE_CAP}")
 
 
 def coeffs_from_values(values, p):

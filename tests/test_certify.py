@@ -1,5 +1,6 @@
 """Checkers and certificates against frozen examples and brute oracles."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -46,6 +47,7 @@ from padicforge.funcalg import (
     var,
 )
 from padicforge.mahler import (
+    DegreeCapExceeded,
     MahlerSeries,
     NotIntegerValued,
     RationalPoly,
@@ -328,6 +330,32 @@ class TestInferClass:
             got, want = certify(deep, 3), certify(flat, 3)
             assert (got.verdict, got.theorem, got.checked_modulus, got.witness) == (
                 want.verdict, want.theorem, want.checked_modulus, want.witness)
+
+    def test_high_degree_answers_before_any_change_of_basis(self):
+        falling = [Fraction(1, math.factorial(i)) for i in range(601)]  # C(x, i) summed
+        with pytest.raises(DegreeCapExceeded, match="^degree 600 above criteria cap 64$"):
+            infer_class(RationalPoly(falling, "falling"), 2)
+        assert infer_class(RationalPoly([1] * 601, "falling"), 2) == FunctionClass(
+            Z_POLY, degree=600, rho=0, lam=1)
+        assert infer_class(RationalPoly([Fraction(1, 3)] * 601, "falling"), 2).tag == CLASS_B
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_tags_agree_in_either_basis(self, p):
+        # the bases differ by a unimodular integer matrix, so a polynomial's
+        # integer and p-integral coefficients are the same in both
+        rng = random.Random(8200 + p)
+        for _ in range(60):
+            dens = rng.choice([(1,), (1, 7), (1, p), (1, p, 7 * p)])
+            coeffs = [Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(rng.randint(1, 8))]
+            falling = RationalPoly(coeffs, "falling")
+            try:
+                want = infer_class(falling.to_monomial(), p)
+            except NotIntegerValued:
+                with pytest.raises(NotIntegerValued):
+                    infer_class(falling, p)
+                continue
+            got = infer_class(falling, p)
+            assert (got.tag, got.rho, got.lam) == (want.tag, want.rho, want.lam), coeffs
 
     def test_series_and_callable(self):
         s = series_from_poly(RationalPoly([0, 0, 1]), 3)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import statistics
@@ -451,6 +452,16 @@ class TestHostileInput:
         spec = json.loads(first.err)["spec"]
         assert again.out == first.out and len(first.out) == 128
         assert json.loads(again.err)["spec"] == spec
+
+    def test_spec_with_a_high_degree_poly_leaf_exits_2(self, capsysbinary, tmp_path):
+        # the DSL caps ff at degree 64, but a spec file's POLY node has any degree
+        coeffs = [[1, math.factorial(i)] for i in range(601)]
+        state = json.dumps([{"kind": "POLY", "basis": "falling", "coeffs": coeffs}])
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"state_fn": state, "modulus": {"p": 2, "k": 16}, "seed": 3}))
+        rc, seconds = reference_seconds(lambda: main(["gen", "--file", str(path), "--count", "4"]))
+        assert rc == 2 and seconds < 1.0
+        assert "degree 600 above criteria cap 64" in capsysbinary.readouterr().err.decode()
 
     def test_falling_factorial_degree_capped_at_parse(self, capsys):
         argv = ["check", "ff(x, 100000)", "-p", "2", "-k", "3"]
