@@ -23,7 +23,7 @@ from itertools import product
 from typing import Callable, Optional, Sequence, Union
 
 from .core import Modulus, ord_p
-from .expr import FnExpr, compile_map, fold, nodes, operands
+from .expr import FnExpr, compile_map, fold, lane_table, nodes, operands
 from .funcalg import BoolTriangle, is_class_b
 from .mahler import (
     MahlerSeries,
@@ -109,13 +109,22 @@ def bijective_mod(f: MapLike, m: Modulus, cap: Optional[int] = None):
     """Is x -> f(x) a permutation of Z/m?  Returns (bool, witness).
 
     The witness on failure is a colliding pair (x, y) with f(x) == f(y),
-    found by a second partial scan so no preimage index is stored.
+    found by a second partial scan so no preimage index is stored.  Where
+    `expr.lane_table` computes f's whole table, the scans read it instead
+    of calling f, and find the same pair.
     """
     cap = cap if cap is not None else DEFAULT_STATE_CAP
     if m.value > cap:
         raise CapExceeded(f"{m} states exceeds cap {cap}")
-    fn = compile_map(f, m)
     seen = bytearray(m.value)
+    table = lane_table(f, m)
+    if table is not None:
+        for x, v in enumerate(table):
+            if seen[v]:
+                return False, (table.index(v), x)
+            seen[v] = 1
+        return True, None
+    fn = compile_map(f, m)
     for x in range(m.value):
         v = fn(x)
         if seen[v]:
@@ -134,12 +143,21 @@ def transitive_mod(f: MapLike, m: Modulus, cap: Optional[int] = None):
     so at most (distinct states + 1) evaluations.  A state other than 0
     seen again means the map cannot be a permutation, and NotBijective,
     naming that state and step, is raised rather than reporting a
-    misleading short cycle.
+    misleading short cycle.  Where `expr.lane_table` computes f's whole
+    table, the walk reads it: while 0 returns within m steps no state is
+    marked, and otherwise the marking walk is replayed on the table.
     """
     cap = cap if cap is not None else DEFAULT_STATE_CAP
     if m.value > cap:
         raise CapExceeded(f"{m} states exceeds cap {cap}")
-    fn = compile_map(f, m)
+    table = lane_table(f, m)
+    if table is not None:
+        x = 0
+        for step in range(1, m.value + 1):  # no state recurs before 0 does
+            x = table[x]
+            if not x:
+                return step == m.value, step
+    fn = compile_map(f, m) if table is None else table.__getitem__
     seen = bytearray(m.value)
     seen[0] = 1  # a return to 0 ends the walk as a re-entry does
     x = 0

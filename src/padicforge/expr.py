@@ -22,9 +22,20 @@ where a value must lie in [0, p^k), and raises every evaluation error at
 the input, in the order and with the message of node-by-node evaluation.
 Polynomials and interpolation series compile into the same code, as a
 POLY leaf: there is one evaluator for every map.
+
+`lane_table(e, m)` computes e's whole table mod m = 2^k, 2^10 <= m <= 2^16,
+as one big-integer operation per node over packed lanes, for the brute
+checkers.  It applies to trees of VAR, CONST with an odd denominator,
+ADD, SUB, a product with at most one non-constant factor, XOR, AND, OR,
+NEG, DELTA and COMPOSE, and declines (returns None) on anything else.
+None of those nodes can raise at p = 2 (an odd denominator is a unit, and
+the bitwise nodes need only p = 2), so a table is never built where
+evaluating point by point would have raised.
 """
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -415,3 +426,106 @@ def compile_map(f, m: Modulus) -> Callable[[int], int]:
 def evaluator(e: FnExpr, m: Modulus):
     """Plain int -> int function for bulk evaluation loops; see compile_map."""
     return compile_map(e, m)
+
+
+# A whole table at 2^10 <= m <= 2^16 is one big-integer operation per node:
+# residue x sits in 32-bit lane x and every node's value is its table, kept
+# below m in each lane, so a sum of two lanes or a constant times a lane
+# (below m^2 <= 2^32) never carries into the next.  A subtraction adds
+# (b ^ M) + ONES, which is m - b in each lane.  DELTA turns its child's
+# table by one lane, its values at x + 1, since no lane-able node reads
+# more of x than its residue; COMPOSE reads its outer map's table at its
+# inner map's values.  Operands are evaluated heaviest first (Sethi and
+# Ullman), so few tables are alive at once.
+# Below 2^10 states the compiled loop can be faster: walking the orbit of 0
+# under 3 + 5*x + 2*(x xor (4*x + 1)) took 0.07 ms on lanes against 0.04 ms
+# at 2^8, 0.09 ms against 0.08 ms at 2^9 and 0.13 ms against 0.18 ms at
+# 2^10 (min of 15, Python 3.11.7 on a 2-core x86-64 VM).
+_LANE_STATES = (1 << 10, 1 << 16)
+_LANE = (1 << 32) - 1
+_LANES_FIT = sys.byteorder == "little" and array("I").itemsize == 4  # an array's bytes are lanes
+
+
+def _pack(table: array) -> int:
+    return int.from_bytes(table.tobytes(), "little")
+
+
+def _unpack(lanes: int, m: int) -> array:
+    return array("I", lanes.to_bytes(4 * m, "little"))
+
+
+@lru_cache(maxsize=4)
+def _lanes(m: int):
+    """(X, ONES, M): lane x holds x, 1 and m - 1."""
+    ones = ((1 << 32 * m) - 1) // _LANE
+    return _pack(array("I", range(m))), ones, (m - 1) * ones
+
+
+def _lane_plan(e: FnExpr):
+    """{id(node): (varies, weight)} over e, or None if a node has no lane
+    form.  A node varies unless its shape makes it constant; its weight is
+    the number of tables alive while it is evaluated."""
+    plan = {}
+    for n in nodes(e):
+        kind, subs = n.kind, [plan[id(c)] for c in n.children]
+        if kind in ("POW", "INV", "POLY") or (kind == "CONST" and n.value.denominator % 2 == 0
+                                              or kind == "MUL" and subs[0][0] and subs[1][0]):
+            return None
+        if len(subs) == 2:
+            first, second = sorted(subs, reverse=True)
+            varies = subs[0][0] and subs[1][0] if kind == "COMPOSE" else first[0]
+            plan[id(n)] = varies, max(first[1], second[1] + 1)
+        else:
+            plan[id(n)] = subs[0] if subs else (kind == "VAR", 1)
+    return plan
+
+
+def _on_lanes(e: FnExpr, plan: dict, m: int) -> int:
+    """e's table as lanes; see lane_table."""
+    x, ones, mask = _lanes(m)
+    swapped = lambda node: plan[id(node.children[0])] < plan[id(node.children[1])]
+
+    def operands(node):  # varying first, then heaviest first: a MUL's constant is last
+        if len(node.children) == 1:
+            return (1,), node.children
+        signs = (1, -1 if node.kind == "SUB" else 1)
+        return (signs[::-1], node.children[::-1]) if swapped(node) else (signs, node.children)
+
+    def visit(node, values, signs):
+        kind = node.kind
+        if kind == "VAR":
+            return x
+        if kind == "CONST":
+            return node.value.numerator * pow(node.value.denominator, -1, m) % m * ones
+        if kind == "NEG":
+            return values[0] ^ mask
+        if kind == "DELTA":  # the table at x + 1 less the table at x
+            a = values[0]
+            values, signs = ((a >> 32) | (a & _LANE) << 32 * (m - 1), a), (1, -1)
+        a, b = values
+        if kind == "COMPOSE":
+            outer, inner = (b, a) if swapped(node) else (a, b)
+            return _pack(array("I", map(_unpack(outer, m).__getitem__, _unpack(inner, m))))
+        if kind == "XOR":
+            return a ^ b
+        if kind == "AND":
+            return a & b
+        if kind == "OR":
+            return a | b
+        if kind == "MUL":  # b is the constant
+            return a * (b & _LANE) & mask
+        return sum(v if s == 1 else (v ^ mask) + ones for s, v in zip(signs, values)) & mask
+
+    return fold(e, visit, operands)
+
+
+def lane_table(f, m: Modulus):
+    """f's values at 0..m-1 as an array("I"), computed on lanes, or None
+    where lanes do not apply: f not an FnExpr, p odd, m outside 2^10..2^16,
+    a big-endian host, or a node with no lane form (POW, INV, POLY, a
+    constant with an even denominator, a product of two non-constants)."""
+    if not (_LANES_FIT and isinstance(f, FnExpr) and m.p == 2
+            and _LANE_STATES[0] <= m.value <= _LANE_STATES[1]):
+        return None
+    plan = _lane_plan(f)
+    return None if plan is None else _unpack(_on_lanes(f, plan, m.value), m.value)

@@ -32,6 +32,7 @@ from padicforge.certify import (
     triangle_ergodicity_certificate,
 )
 from padicforge.core import Modulus, NotAUnit
+from padicforge.expr import compile_map, lane_table
 from padicforge.funcalg import (
     BoolTriangle,
     add,
@@ -55,6 +56,7 @@ from padicforge.mahler import (
     series_from_poly,
 )
 
+from corpus import random_compatible_ast
 from oracles import (
     compatibility_probe_full_table,
     eval_tree,
@@ -181,6 +183,47 @@ class TestTransitiveMod:
             transitive_mod(RationalPoly([1, 1]), Modulus(2, 10), cap=512)
         with pytest.raises(CapExceeded, match=r"^2\^20000 states exceeds cap 512$"):
             transitive_mod(RationalPoly([1, 1]), Modulus(2, 20000), cap=512)
+
+
+def checked(check, f, m):
+    """check(f, m), or the NotBijective it raises as (type name, message)."""
+    try:
+        return check(f, m)
+    except NotBijective as exc:
+        return "NotBijective", str(exc)
+
+
+class TestCheckersOnLanes:
+    """At p = 2 and 2^10..2^16 states the checkers read a lane table; they
+    must return or raise exactly what the pointwise loop gives, which a
+    plain callable takes."""
+
+    SOURCES = ["1 + x + 2*delta(x xor (2*x + 1))", "x xor 1", "x or 1", "2*x", "x and 7",
+               "3 + 5*x + 2*(x xor (4*x + 1))", "1 + 3*x + 2*(x or 6)", "neg(x)", "5 - x",
+               "x xor (x and 6)", "(x or 1) xor 6", "1 + x + 2*(x and 1)"]
+
+    def test_same_results_as_pointwise(self):
+        rng, trees = random.Random(8100), []
+        while len(trees) < 16:
+            tree = random_compatible_ast(rng, 2, rng.randint(1, 4))
+            if lane_table(tree, Modulus(2, 10)) is not None:
+                trees.append(tree)
+        maps = [parse_dsl(s) for s in self.SOURCES] + trees[:8]
+        maps += [build_ergodic(t, 1, 2) for t in trees[8:12]]
+        maps += [build_measure_preserving(t, 3, 1, 2) for t in trees[12:]]
+        seen = set()
+        for k in (10, 13, 14):
+            m = Modulus(2, k)
+            for f in maps:
+                assert lane_table(f, m) is not None
+                fn = compile_map(f, m)
+                for check in (transitive_mod, bijective_mod):
+                    got = checked(check, f, m)
+                    assert got == checked(check, lambda x: fn(x), m), (f, m, check)
+                    seen.add((check.__name__, got[0]))
+        # transitive and short cycles, re-entries, bijections and collisions
+        assert seen == {(name, result) for name in ("transitive_mod", "bijective_mod")
+                        for result in (True, False)} | {("transitive_mod", "NotBijective")}
 
 
 def two_x_plus_y_cubed():

@@ -369,3 +369,87 @@ def test_constants_past_the_digit_limit_are_bound_as_names():
         assert_matches_tree(e, m, [0, 1, 2, 3, 12345, m.value - 1, m.value, 2 * m.value + 1])
     # below the limit every constant stays a decimal literal
     assert not expr._Module(parse_dsl("1 - 127*x + 1/3"), Modulus(2, 64)).big
+
+
+def lane_corpus(seed, count):
+    """The first count corpus.py trees at p = 2 that lane_table accepts."""
+    rng, m, out = random.Random(seed), Modulus(2, 10), []
+    while len(out) < count:
+        e = random_compatible_ast(rng, 2, rng.randint(1, 4))
+        if expr.lane_table(e, m) is not None:
+            out.append(e)
+    return out
+
+
+def assert_lanes_match_tree(e, m):
+    table = expr.lane_table(e, m)
+    assert table is not None and len(table) == m.value and table.itemsize == 4
+    with deep_recursion():
+        assert list(table) == [eval_tree(e, x, m) for x in range(m.value)], (e, m)
+
+
+LANE_KS = range(10, 17)
+# DELTA and COMPOSE in every order: a table turned by one lane is the value
+# at x + 1 only where the point is x itself, not an inner map's value
+SHIFTS = [
+    fa.delta(fa.compose(parse_dsl("x xor (2*x + 1)"), parse_dsl("3*x + 5"))),
+    fa.compose(fa.delta(parse_dsl("x and (4*x + 3)")), parse_dsl("x xor 7")),
+    fa.compose(parse_dsl("neg(x) or 6"), fa.delta(parse_dsl("x xor 3"))),
+    fa.delta(fa.compose(fa.delta(parse_dsl("(x or 5) - 3*x")), parse_dsl("neg(x) - 1/3"))),
+    fa.compose(fa.compose(parse_dsl("x xor 9"), fa.delta(parse_dsl("5*x and x"))),
+               fa.delta(fa.delta(parse_dsl("x or (x xor 12)")))),
+    parse_dsl("1 + x + 2*delta(x xor (2*x + 1))"),
+]
+
+
+@pytest.mark.parametrize("k", LANE_KS)
+def test_lane_table_matches_tree_interpreter(k):
+    m = Modulus(2, k)
+    trees = lane_corpus(7000 + k, 1 if k >= 15 else 6)
+    for e in trees + SHIFTS[k % 2::2]:
+        assert_lanes_match_tree(e, m)
+
+
+@pytest.mark.parametrize("op", ["+", "-", "xor", "and", "or"])
+def test_lane_table_of_3000_term_chains(op):
+    # built as test_chain_of_3000_terms_matches_tree builds them, with a
+    # constant times each term's x, so every product has a lane form
+    build, e = CHAIN_OPS[op], X
+    for i in range(1, 3000):
+        term = fa.add(fa.mul(fa.const(i % 7 + 1), X), fa.const(i))
+        term = fa.const(i) if i % 1000 == 0 else X if i == 1500 else term
+        e = build(e, term) if i % 2 else build(term, e)
+    m = Modulus(2, 10)
+    compiled = compile_map(e, m)
+    assert list(expr.lane_table(e, m)) == [compiled(x) for x in range(m.value)]
+    for m in (Modulus(2, 10), Modulus(2, 13)):
+        table = expr.lane_table(e, m)
+        with deep_recursion():
+            for x in (0, 1, 2, 77, m.value // 2 + 3, m.value - 2, m.value - 1):
+                assert table[x] == eval_tree(e, x, m), (m, x)
+
+
+@pytest.mark.parametrize("kind", ["DELTA", "COMPOSE", "NEG"])
+def test_lane_table_of_100_levels_of_nesting(kind, monkeypatch):
+    monkeypatch.setattr(oracles, "eval_tree", functools.lru_cache(maxsize=None)(eval_tree))
+    e = nest(kind, 100)
+    for k in (10, 11):
+        assert_lanes_match_tree(e, Modulus(2, k))
+
+
+def test_lane_table_declines_where_lanes_do_not_apply():
+    m = Modulus(2, 12)
+    lane_able = parse_dsl("1 + 3*x + 2*(x or 6) - (1/3)*delta(neg(x) xor 5)")
+    assert expr.lane_table(lane_able, m) is not None
+    assert expr.lane_table(parse_dsl("(x xor 3) * 5 * (1/7)"), m) is not None
+    for source in ["(1 + 2*x)^x", "1 + x + inv(1 + 2*x)", "x + ff(x, 2)", "x + 1/2",
+                   "x*x", "1 + x + 4*((x xor 3)*(x and 5))", "(x - x)*x", "delta(x)*x",
+                   "1 + x + 2*delta(x xor (x + 1)^3)"]:
+        assert expr.lane_table(parse_dsl(source), m) is None, source
+    assert expr.lane_table(RationalPoly([1, 1]), m) is None
+    assert expr.lane_table(MahlerSeries([1, 1], 2), m) is None
+    assert expr.lane_table(lambda x: x + 1, m) is None
+    for m in (Modulus(2, 9), Modulus(2, 17), Modulus(3, 7), Modulus(5, 5)):
+        assert expr.lane_table(parse_dsl("1 + 3*x"), m) is None, m
+    assert expr.lane_table(parse_dsl("1 + 3*x"), Modulus(2, 10)) is not None
+    assert expr.lane_table(parse_dsl("1 + 3*x"), Modulus(2, 16)) is not None
