@@ -15,6 +15,7 @@ to UNKNOWN.
 
 from __future__ import annotations
 
+import sys
 import time
 from array import array
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ from .core import Modulus, ord_p
 from .expr import FnExpr, compile_map, fold, lane_table, nodes, operands
 from .funcalg import BoolTriangle, is_class_b
 from .mahler import (
+    DEGREE_CAP,
     MahlerSeries,
     RationalPoly,
     floor_log,
@@ -105,6 +107,12 @@ class FunctionClass:
 MapLike = Union[FnExpr, MahlerSeries, RationalPoly, Callable[[int], int]]
 
 
+def _require_cap(m: Modulus, cap: Optional[int]):
+    cap = cap if cap is not None else DEFAULT_STATE_CAP
+    if m.value > cap:
+        raise CapExceeded(f"{m} states exceeds cap {cap}")
+
+
 def bijective_mod(f: MapLike, m: Modulus, cap: Optional[int] = None):
     """Is x -> f(x) a permutation of Z/m?  Returns (bool, witness).
 
@@ -113,11 +121,14 @@ def bijective_mod(f: MapLike, m: Modulus, cap: Optional[int] = None):
     `expr.lane_table` computes f's whole table, the scans read it instead
     of calling f, and find the same pair.
     """
-    cap = cap if cap is not None else DEFAULT_STATE_CAP
-    if m.value > cap:
-        raise CapExceeded(f"{m} states exceeds cap {cap}")
+    _require_cap(m, cap)
+    return _bijective_scan(f, m, lane_table(f, m))
+
+
+def _bijective_scan(f: MapLike, m: Modulus, table: Optional[array]):
+    """bijective_mod past its cap, reading `table`, f's lane table mod m,
+    where there is one."""
     seen = bytearray(m.value)
-    table = lane_table(f, m)
     if table is not None:
         for x, v in enumerate(table):
             if seen[v]:
@@ -147,10 +158,13 @@ def transitive_mod(f: MapLike, m: Modulus, cap: Optional[int] = None):
     table, the walk reads it: while 0 returns within m steps no state is
     marked, and otherwise the marking walk is replayed on the table.
     """
-    cap = cap if cap is not None else DEFAULT_STATE_CAP
-    if m.value > cap:
-        raise CapExceeded(f"{m} states exceeds cap {cap}")
-    table = lane_table(f, m)
+    _require_cap(m, cap)
+    return _transitive_walk(f, m, lane_table(f, m))
+
+
+def _transitive_walk(f: MapLike, m: Modulus, table: Optional[array]):
+    """transitive_mod past its cap, reading `table`, f's lane table mod m,
+    where there is one."""
     if table is not None:
         x = 0
         for step in range(1, m.value + 1):  # no state recurs before 0 does
@@ -305,8 +319,12 @@ def _poly_from_expr(e: FnExpr) -> Optional[RationalPoly]:
     """Fold an AST into a RationalPoly when only polynomial nodes appear.
 
     Returns None on any bitwise, POW, or INV node, or if a degree along
-    the way, chains taken left to right, blows past the series degree cap.
+    the way, chains taken left to right, would pass the series degree cap:
+    each step's degree bound is checked before its arithmetic, so a POLY
+    leaf above the cap gives None unless it is the whole tree.
     """
+    if e.kind == "POLY":
+        return e.poly
     if any(node.kind in ("XOR", "AND", "OR", "NEG", "POW", "INV") for node in nodes(e)):
         return None
 
@@ -317,19 +335,23 @@ def _poly_from_expr(e: FnExpr) -> Optional[RationalPoly]:
         if k == "CONST":
             return RationalPoly([node.value])
         if k == "POLY":
-            return node.poly
+            return node.poly if node.poly.degree <= DEGREE_CAP else None
         if any(v is None for v in vals):  # a degree past the cap below
             return None
         if k == "DELTA":
             return vals[0].compose(RationalPoly([1, 1])) + vals[0].scale(-1)
         if k == "COMPOSE":
             outer, inner = vals
-            return outer.compose(inner) if outer.degree * max(inner.degree, 1) <= 64 else None
+            fits = outer.degree * max(inner.degree, 1) <= DEGREE_CAP
+            return outer.compose(inner) if fits else None
         out = vals[0]
         for sign, v in zip(signs[1:], vals[1:]):
-            out = out * v if k == "MUL" else out + (v if sign == 1 else v.scale(-1))
-            if out.degree > 64:
-                return None
+            if k == "MUL":
+                if out.degree + v.degree > DEGREE_CAP:
+                    return None
+                out = out * v
+            else:  # every operand is within the cap, and so is their sum
+                out = out + (v if sign == 1 else v.scale(-1))
         return out
 
     return fold(e, visit)
@@ -456,19 +478,85 @@ def _probe_modulus(p: int, cap: Optional[int]) -> Modulus:
     return Modulus(p, k)
 
 
-def _transitive_check(f: MapLike, m: Modulus, cap: Optional[int]):
-    """(transitive mod m, witness on failure)."""
+def _transitive_check(f: MapLike, m: Modulus, table: Optional[array]):
+    """(transitive mod m, witness on failure), reading f's lane table if given."""
     try:
-        ok, length = transitive_mod(f, m, cap)
+        ok, length = _transitive_walk(f, m, table)
     except NotBijective:
         return False, {"reason": "not bijective"}
     return ok, None if ok else {"cycle_through_zero": length}
 
 
-def _bijective_check(f: MapLike, m: Modulus, cap: Optional[int]):
-    """(bijective mod m, witness on failure)."""
-    ok, witness = bijective_mod(f, m, cap)
+def _bijective_check(f: MapLike, m: Modulus, table: Optional[array]):
+    """(bijective mod m, witness on failure), reading f's lane table if given."""
+    ok, witness = _bijective_scan(f, m, table)
     return ok, None if ok else {"collision": list(witness)}
+
+
+def _run_check(check, f: MapLike, m: Modulus, cap: Optional[int]):
+    _require_cap(m, cap)
+    return check(f, m, lane_table(f, m))
+
+
+# At p = 2 a compatible map is a T-function: bit i of f(x) depends only on
+# x mod 2^(i+1).  So f is bijective mod 2^k iff at every level i < k, bit i
+# of f(y) and of f(y + 2^i) differ for all y < 2^i (Klimov and Shamir,
+# CHES 2002).  A bijective f is a single cycle mod 2^k iff f(0) is odd and
+# at every level 1 <= i < k, bit i of f(y) is set for an odd number of
+# y < 2^i (Anashin, Discrete Math. Appl. 12, 2002): the orbit of 0 mod
+# 2^i then flips bit i that many times in 2^i steps.  Each level is one
+# big-integer operation over a table's lanes, read little end first.
+
+def _slice_mask(i: int, width: int) -> int:
+    """Bit i of each of 2^i lanes of `width` bytes."""
+    return int.from_bytes((1 << i).to_bytes(width, "little") * (1 << i), "little")
+
+
+def _slices_bijective(table: array, k: int) -> bool:
+    """Is the T-function whose table mod 2^k this is bijective mod 2^k?"""
+    lanes, w = memoryview(table).cast("B"), table.itemsize
+    for i in range(k):
+        n, bit = w << i, _slice_mask(i, w)
+        low, high = int.from_bytes(lanes[:n], "little"), int.from_bytes(lanes[n:2 * n], "little")
+        if (low ^ high) & bit != bit:
+            return False
+    return True
+
+
+def _slices_single_cycle(table: array, k: int) -> bool:
+    """Is a bijective T-function a single cycle mod 2^k, given a table that
+    opens with its values mod 2^k at 0..2^(k-1)-1?"""
+    lanes, w = memoryview(table).cast("B"), table.itemsize
+    return all((int.from_bytes(lanes[:w << i], "little") & _slice_mask(i, w)).bit_count() & 1
+               for i in range(k))
+
+
+def _slices_pass(prop: str, f: MapLike, m: Modulus, table: Optional[array],
+                 bijective: bool) -> bool:
+    """Do f's bit slices show that it passes prop's check at m = 2^k?
+
+    Only a pass is decided here; False leaves the verdict, and its witness,
+    to the check.  The tests need a T-function: a tree with a lane table
+    has only odd-denominator constants and no POLY leaf, and a "measure"
+    shape (`bijective`) has compatible leaves, so either passes
+    `_compatible_leaves`.  Without a lane table, ergodicity of a "measure"
+    shape reads the compiled map's values at 0..2^(k-1)-1, the half of
+    the table its parities need.
+    """
+    if table is not None:  # so p = 2
+        if prop == MEASURE_PRESERVING or not bijective:
+            bijective = _slices_bijective(table, m.k)
+        return bijective and (prop == MEASURE_PRESERVING or _slices_single_cycle(table, m.k))
+    if m.p != 2 or prop == MEASURE_PRESERVING or not bijective:
+        return False
+    fn = compile_map(f, m)
+    try:
+        table = array("I", map(fn, range(m.value >> 1)))
+    except ValueError:  # left for the walk to raise in its own order
+        return False
+    if sys.byteorder == "big":
+        table.byteswap()
+    return _slices_single_cycle(table, m.k)
 
 
 def _t4_9_ergodic(p, _):
@@ -512,14 +600,19 @@ def _certificate(prop: str, f: MapLike, p: int, cls: Optional[FunctionClass],
     check, probe_key, shapes, (coeff_theorem, coeff_test) = _PROPERTIES[prop]
     row = _THRESHOLDS.get((prop, cls.tag))
     if row is None:
-        if isinstance(f, FnExpr) and _shift_family(f, p) in shapes:
-            # the construction is confirmed at the CLASS_B threshold
+        shape = _shift_family(f, p) if isinstance(f, FnExpr) else None
+        if shape in shapes:
+            # the construction is confirmed at the CLASS_B threshold; a
+            # failed confirmation refutes there, with the check's witness
             m = Modulus(p, _THRESHOLDS[prop, CLASS_B][1](p, None))
-            if not check(f, m, cap)[0]:
-                raise AssertionError("shift-family match contradicts the brute check")
-            return Certificate(prop, PROVEN, "L2_5", m, None, elapsed())
+            ok, witness = _run_check(check, f, m, cap)
+            return Certificate(prop, PROVEN if ok else REFUTED, "L2_5" if ok else "BRUTE_ONLY",
+                               m, witness, elapsed())
         m = _probe_modulus(p, cap)
-        ok, witness = check(f, m, cap)
+        _require_cap(m, cap)
+        table = lane_table(f, m)  # built once; the check reads it too
+        ok, witness = ((True, None) if _slices_pass(prop, f, m, table, shape == "measure")
+                       else check(f, m, table))
         return Certificate(prop, UNKNOWN if ok else REFUTED, "BRUTE_ONLY", m,
                            {probe_key: m.k} if ok else witness, elapsed())
     theorem, threshold = row
@@ -537,7 +630,7 @@ def _certificate(prop: str, f: MapLike, p: int, cls: Optional[FunctionClass],
         else:
             size = cls.degree if cls.degree is not None else series.degree
     m = Modulus(p, threshold(p, size))
-    ok, witness = check(f, m, cap)
+    ok, witness = _run_check(check, f, m, cap)
     return Certificate(prop, PROVEN if ok else REFUTED, theorem, m, witness, elapsed())
 
 
@@ -552,9 +645,16 @@ def ergodicity_certificate(f: MapLike, p: int, cls: Optional[FunctionClass] = No
       CLASS_A, p=2       interpolation-coefficient test        (T2_3)
     GENERIC_COMPATIBLE is first matched against the shift family
     c + x + q*Dv (unit c, ord_p(q) >= 1, v congruence-respecting), which
-    is ergodic by construction at every prime (L2_5).  Anything else gets
-    a bounded brute probe: transitive there is UNKNOWN (no theorem
-    extends it), a short cycle is REFUTED.
+    is ergodic by construction at every prime (L2_5); should the match's
+    check fail, that check's witness REFUTES.  Anything else gets a
+    bounded brute probe: transitive there is UNKNOWN (no theorem extends
+    it), a short cycle is REFUTED.  At p = 2 the probe first tests bit
+    slices: a map bijective by its d + c*x + q*v shape, or by the slice
+    test of measure_preservation_certificate on its lane table, is
+    transitive mod 2^k iff f(0) is odd and each bit i < k is set at an
+    odd number of y < 2^i.  The lane table, or else the map's values at
+    0..2^(k-1)-1, is read once; a failed test leaves the witness to the
+    walk, which reads the same lane table.
     """
     return _certificate(ERGODIC, f, p, cls, cap)
 
@@ -571,8 +671,13 @@ def measure_preservation_certificate(f: MapLike, p: int, cls: Optional[FunctionC
       CLASS_A, p=2       interpolation-coefficient test        (T2_2)
     GENERIC_COMPATIBLE is first matched against the shift family
     d + c*x + q*v (unit c, ord_p(q) >= 1, v congruence-respecting), which
-    is bijective at every precision by construction (L2_5); otherwise a
-    bounded probe, UNKNOWN or REFUTED only.
+    is bijective at every precision by construction (L2_5), and REFUTED
+    with the check's witness should the match's check fail; otherwise a
+    bounded probe, UNKNOWN or REFUTED only.  At p = 2, on a map with a
+    lane table, the probe first tests bit slices: the map, a T-function,
+    is bijective mod 2^k iff bit i of f(y) and of f(y + 2^i) differ for
+    every y < 2^i at each level i < k.  A failed test leaves the collision
+    to the scan, which reads the same table.
     """
     return _certificate(MEASURE_PRESERVING, f, p, cls, cap)
 

@@ -7,8 +7,9 @@ from fixed seeds at p = 2, 3 and 5: corpus.py trees; build_ergodic and
 build_measure_preserving wrappings of them; the trees plus d +- C(x, p),
 which is not 1-Lipschitz, so that the compatibility probe runs; and
 integer-valued polynomials as a polynomial, as a series and under CLASS_A;
-and the DSL maps the certify-mix benchmark pool serves, its BRUTE_ONLY
-probes and its p = 2 shift maps.  Each line holds one (item, prime,
+the DSL maps the certify-mix benchmark pool serves, its BRUTE_ONLY
+probes and its p = 2 shift maps; and p = 2 maps that miss a shift family
+by one side condition.  Each line holds one (item, prime,
 property): the item's class, then the certificate's verdict, theorem,
 checked modulus and witness.  elapsed_ms is left out, so the file
 changes only when a certificate does.  A change that rewrites the file
@@ -40,7 +41,8 @@ from oracles import random_integer_valued_poly
 
 GOLDEN = Path(__file__).with_name("golden") / "certificates.txt"
 PRIMES = (2, 3, 5)
-TREES, WRAPPINGS, POLYS = 80, 20, 60  # per prime; with POOL, 972 items and 2,916 lines
+TREES, WRAPPINGS, POLYS = 80, 20, 60  # per prime; with POOL and NEAR_MISSES, 974 items
+# and 2,922 lines
 PROPERTIES = {  # property -> certificate(f, p, class or None)
     ERGODIC: ergodicity_certificate,
     MEASURE_PRESERVING: measure_preservation_certificate,
@@ -61,6 +63,12 @@ POOL = [
     ("brute-xor-and", 2, "1 + x + 4*((x xor 3)*(x and 5))"),
     ("brute-or", 2, "1 + 3*x + 2*(x or 6)"),
     ("brute-xor1", 2, "x xor 1"),
+]
+# (name, prime, DSL source) of maps one side condition away from a shift
+# family: a linear coefficient other than 1 under delta, and an even one
+NEAR_MISSES = [
+    ("ergodic-coefficient-3", 2, "1 + 3*x + 2*delta(x xor 1)"),
+    ("measure-coefficient-2", 2, "1 + 2*x + 4*(x xor 1)"),
 ]
 
 
@@ -88,6 +96,9 @@ def items(p):
     for name, prime, source in POOL:
         if prime == p:
             yield f"p{p}/pool/{name}", parse_dsl(source), None
+    for name, prime, source in NEAR_MISSES:
+        if prime == p:
+            yield f"p{p}/near-miss/{name}", parse_dsl(source), None
 
 
 def _class_text(f, p, cls):

@@ -2,10 +2,13 @@
 
 import math
 import random
+import sys
+from array import array
 from fractions import Fraction
 
 import pytest
 
+from padicforge import certify
 from padicforge.certify import (
     CLASS_A,
     CLASS_B,
@@ -20,6 +23,8 @@ from padicforge.certify import (
     REFUTED,
     UNKNOWN,
     Z_POLY,
+    _slices_bijective,
+    _slices_single_cycle,
     bijective_mod,
     compatibility_certificate,
     equiprobable_mod,
@@ -839,6 +844,128 @@ class TestBruteProbeEarlyExits:
 
         with pytest.raises(ZeroDivisionError, match="undefined at 3"):
             transitive_mod(partial, Modulus(2, 3))
+
+
+def _lanes_of(values):
+    """values as the little-end-first 32-bit lanes the bit-slice tests read."""
+    table = array("I", values)
+    if sys.byteorder == "big":
+        table.byteswap()
+    return table
+
+
+class TestBitSliceProbes:
+    """At p = 2 a BRUTE_ONLY probe of a T-function is decided by bit-slice
+    tests on one table before any scan; a failed test leaves the verdict
+    and its witness to the scan, which reads the same table."""
+
+    def test_differential_against_oracles(self):
+        rng = random.Random(2100)
+        seen = set()
+        for i in range(36):
+            tree = random_compatible_ast(rng, 2, rng.randint(1, 3))
+            c, d = rng.choice((1, 3, 5, 7)), rng.randrange(4)
+            f = (tree, build_measure_preserving(tree, c, d, 2), build_ergodic(tree, c, 2))[i % 3]
+            fn = compile_map(f, Modulus(2, 14))
+            full = [fn(x) for x in range(1 << 14)]
+            for k in range(10, 15):
+                tables = [[v % (1 << k) for v in full[:1 << k]]]
+                if not i:  # maps that first fail at the top level, k - 1
+                    half = 1 << (k - 1)
+                    tables.append([x & (half - 1) for x in range(2 * half)])
+                    # the successor map with two successors swapped: two cycles
+                    tables.append([(x + 1) % (2 * half) for x in range(2 * half)])
+                    tables[-1][0], tables[-1][half] = half + 1, 1
+                for table in tables:
+                    seen.add(self._agrees(table, k))
+        assert seen == {"not bijective", "bijective", "transitive"}
+
+    @staticmethod
+    def _agrees(table, k):
+        """Assert that both tests agree with the oracles on a T-function's
+        table mod 2^k, the parity test on the whole and on the lower half;
+        return the map's kind."""
+        bijective = is_bijection(table)
+        assert _slices_bijective(_lanes_of(table), k) == bijective, (table[:8], k)
+        if not bijective:
+            return "not bijective"
+        transitive = is_transitive(table)
+        for lanes in (_lanes_of(table), _lanes_of(table[:1 << (k - 1)])):
+            assert _slices_single_cycle(lanes, k) == transitive, (table[:8], k)
+        return "transitive" if transitive else "bijective"
+
+    @pytest.mark.parametrize("k", [9, 7])
+    def test_half_table_below_the_lanes(self, k):
+        # a "measure" shape is bijective, so ergodicity reads its values at
+        # 0..2^(k-1)-1; below 2^10 states no lane table exists.  The first
+        # map is 1 + x plus 2^(k-1) at x = 0 mod 2^(k-1): a single cycle mod
+        # 2^(k-1) but not mod 2^k, though bit k - 1 is set at an odd number
+        # of its first 2^(k-2) values, so a quarter table would pass it.
+        rng, cap, seen = random.Random(2200 + k), 1 << k, set()
+        low = (1 << (k - 2)) - 1
+        top_miss = f"1 + x + 2*((((x - 1) and {low}) + 1) and (x - 1) and {low + 1})"
+        maps = [parse_dsl(top_miss)] + [
+            build_measure_preserving(random_compatible_ast(rng, 2, rng.randint(1, 3)),
+                                     rng.choice((1, 3, 5, 7)), rng.randrange(4), 2)
+            for _ in range(24)]
+        for f in maps:
+            m = Modulus(2, k)
+            assert lane_table(f, m) is None
+            table = value_table(compile_map(f, m), m.value)
+            cert = ergodicity_certificate(f, 2, FunctionClass(GENERIC_COMPATIBLE), cap=cap)
+            assert (cert.theorem, cert.checked_modulus) == ("BRUTE_ONLY", m)
+            if is_transitive(table):
+                assert (cert.verdict, cert.witness) == (UNKNOWN, {"transitive_up_to": k})
+            else:
+                assert (cert.verdict, cert.witness) == (
+                    REFUTED, {"cycle_through_zero": zero_cycle_length(table)})
+            seen.add(cert.verdict)
+        assert seen == {UNKNOWN, REFUTED}
+        assert ergodicity_certificate(maps[0], 2, cap=cap).witness == {
+            "cycle_through_zero": 1 << (k - 1)}
+
+    @pytest.mark.parametrize("source,prop", [
+        ("3 + 5*x + 2*(x xor (4*x + 1))", "ergodicity"),  # parity fails at the last level
+        ("1 + 3*x + 2*(x or 6)", "ergodicity"),
+        ("x xor 1", "ergodicity"),
+        ("x xor 1", "measure_preservation"),
+        ("x or 1", "measure_preservation"),
+        ("x or 1", "ergodicity"),
+    ])
+    def test_one_lane_table_per_probe(self, monkeypatch, source, prop):
+        built = []
+
+        def spy(f, m):
+            table = lane_table(f, m)
+            if table is not None:
+                built.append(m)
+            return table
+
+        monkeypatch.setattr(certify, "lane_table", spy)
+        certificate = {"ergodicity": ergodicity_certificate,
+                       "measure_preservation": measure_preservation_certificate}[prop]
+        cert = certificate(parse_dsl(source), 2)
+        assert cert.theorem == "BRUTE_ONLY" and built == [Modulus(2, 14)]
+
+    def test_evaluation_error_raises_as_the_walk_raises(self):
+        # bijective by its shape, undefined at every odd x: the half table
+        # meets x = 1 first, the walk x = 3, and the walk's error is raised
+        f = parse_dsl("1 + 3*x + 2*inv(x + 1)")
+        m = Modulus(2, 14)
+        fn = compile_map(f, m)
+        with pytest.raises(NotAUnit) as want:
+            transitive_mod(lambda x: fn(x), m)
+        with pytest.raises(NotAUnit) as got:
+            ergodicity_certificate(f, 2, FunctionClass(GENERIC_COMPATIBLE))
+        assert str(got.value) == str(want.value)
+
+    def test_misreported_shift_shape_is_refuted_by_its_check(self, monkeypatch):
+        monkeypatch.setattr(certify, "_shift_family", lambda e, p: "ergodic")
+        f = parse_dsl("x or 1")
+        assert cell(measure_preservation_certificate(f, 2)) == (
+            REFUTED, "BRUTE_ONLY", (2, 2), {"collision": [0, 1]})
+        assert cell(ergodicity_certificate(f, 2)) == (
+            REFUTED, "BRUTE_ONLY", (2, 3), {"reason": "not bijective"})
 
 
 class TestClassBMembership:

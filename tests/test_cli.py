@@ -17,6 +17,7 @@ from jsonschema import Draft202012Validator
 import padicforge
 from padicforge import cli
 from padicforge import funcalg as fa
+from padicforge.certify import GENERIC_COMPATIBLE, FunctionClass, infer_class
 from padicforge.cli import main, report_schema
 from padicforge.core import CompositeModulus, Modulus
 from padicforge.funcalg import _MAX_NESTING, parse_dsl
@@ -462,6 +463,13 @@ class TestHostileInput:
         rc, seconds = reference_seconds(lambda: main(["gen", "--file", str(path), "--count", "4"]))
         assert rc == 2 and seconds < 1.0
         assert "degree 600 above criteria cap 64" in capsysbinary.readouterr().err.decode()
+
+    def test_high_degree_poly_leaf_in_a_sum_classifies_at_once(self):
+        # the leaf's degree is checked before the sum converts it to monomials
+        falling = RationalPoly([Fraction(1, math.factorial(i)) for i in range(301)], "falling")
+        f = fa.add(fa.add(fa.const(1), fa.var()), fa.poly_node(falling))
+        cls, seconds = reference_seconds(lambda: infer_class(f, 2))
+        assert cls == FunctionClass(GENERIC_COMPATIBLE) and seconds < 0.1
 
     def test_falling_factorial_degree_capped_at_parse(self, capsys):
         argv = ["check", "ff(x, 100000)", "-p", "2", "-k", "3"]
