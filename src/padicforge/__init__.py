@@ -36,6 +36,7 @@ from .certify import (
     equiprobable_mod,
     ergodicity_certificate,
     infer_class,
+    is_class_b,
     jacobian_equiprobable_certificate,
     measure_preservation_certificate,
     polynomial_bijectivity_certificate,
@@ -47,7 +48,6 @@ from .core import (
     CompositeModulus,
     Modulus,
     ResidueInt,
-    digits,
     mod_inverse,
     ord_p,
     unit_pow,
@@ -61,9 +61,7 @@ from .funcalg import (
     build_measure_preserving,
     expr_from_json,
     expr_to_json,
-    is_class_b,
     parse_dsl,
-    triangle_eval,
 )
 from .genlib import (
     GeneratorSpec,
@@ -123,7 +121,6 @@ __all__ = [
     "compatibility_certificate",
     "compile_map",
     "complexity_growth_profile",
-    "digits",
     "emit_bytes",
     "equiprobable_mod",
     "ergodicity_certificate",

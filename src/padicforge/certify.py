@@ -8,9 +8,11 @@ single finite check at a class-dependent threshold modulus, and record
 which result licensed the extrapolation.  Ergodicity and measure
 preservation share one dispatch: the (property, class) table `_THRESHOLDS`
 gives each recognized class its theorem and threshold, and `_PROPERTIES`
-gives each property its finite check and fallbacks.  When a function
-falls outside every recognized class the certificate honestly degrades
-to UNKNOWN.
+gives each property its finite check and fallbacks.  What they read off
+the map (its polynomial, series, class and T2_1 verdict) is one cached
+record per (map, prime), `_Facts`, from one fold of the tree.  When a
+function falls outside every recognized class the certificate honestly
+degrades to UNKNOWN.
 """
 
 from __future__ import annotations
@@ -20,12 +22,13 @@ import time
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Callable, Optional, Sequence, Union
 
 from .core import Modulus, ord_p
-from .expr import FnExpr, compile_map, fold, lane_table, nodes, operands
-from .funcalg import BoolTriangle, is_class_b
+from .expr import _BITWISE, FnExpr, compile_map, fold, lane_table, operands
+from .funcalg import BoolTriangle
 from .mahler import (
     DEGREE_CAP,
     MahlerSeries,
@@ -315,46 +318,145 @@ def polynomial_bijectivity_certificate(f, p: int, cap: Optional[int] = None) -> 
     return Certificate(MEASURE_PRESERVING, REFUTED, "C3_10", m2, {"census": census}, elapsed())
 
 
-def _poly_from_expr(e: FnExpr) -> Optional[RationalPoly]:
-    """Fold an AST into a RationalPoly when only polynomial nodes appear.
-
-    Returns None on any bitwise, POW, or INV node, or if a degree along
-    the way, chains taken left to right, would pass the series degree cap:
-    each step's degree bound is checked before its arithmetic, so a POLY
-    leaf above the cap gives None unless it is the whole tree.
-    """
-    if e.kind == "POLY":
-        return e.poly
-    if any(node.kind in ("XOR", "AND", "OR", "NEG", "POW", "INV") for node in nodes(e)):
+def _poly_visit(node, vals, signs):  # see _Facts.poly
+    k = node.kind
+    if k == "VAR":
+        return RationalPoly([0, 1])
+    if k == "CONST":
+        return RationalPoly([node.value])
+    if k == "POLY":
+        return node.poly if node.poly.degree <= DEGREE_CAP else None
+    if any(v is None for v in vals):  # a degree past the cap below
         return None
+    if k == "DELTA":
+        return vals[0].compose(RationalPoly([1, 1])) + vals[0].scale(-1)
+    if k == "COMPOSE":
+        outer, inner = vals
+        fits = outer.degree * max(inner.degree, 1) <= DEGREE_CAP
+        return outer.compose(inner) if fits else None
+    out = vals[0]
+    for sign, v in zip(signs[1:], vals[1:]):
+        if k == "MUL":
+            if out.degree + v.degree > DEGREE_CAP:
+                return None
+            out = out * v
+        else:  # every operand is within the cap, and so is their sum
+            out = out + (v if sign == 1 else v.scale(-1))
+    return out
 
-    def visit(node, vals, signs):
-        k = node.kind
-        if k == "VAR":
-            return RationalPoly([0, 1])
-        if k == "CONST":
-            return RationalPoly([node.value])
-        if k == "POLY":
-            return node.poly if node.poly.degree <= DEGREE_CAP else None
-        if any(v is None for v in vals):  # a degree past the cap below
+
+class _Facts:
+    """What certify reads off one map at one prime, each fact found once.
+
+    One fold of an FnExpr notes the cheap facts: whether a bitwise node
+    occurs, the POW and INV arguments, the distinct POLY leaves in
+    post-order, and how many come before the first constant that is not
+    p-integral.  A RationalPoly is its own one leaf; other maps have no
+    fold.  The rest is computed on first read; what raises, raises on
+    every read.
+    """
+
+    def __init__(self, f: MapLike, p: int):
+        self.f, self.p = f, p
+        self.bitwise, self.bad_const = False, None
+        self.units = []  # (kind, argument) of each POW and INV node
+        self.leaves = {f: None} if isinstance(f, RationalPoly) else {}  # an ordered set
+        if isinstance(f, FnExpr):
+            fold(f, self._note)
+
+    def _note(self, node, vals, signs):
+        kind = node.kind
+        if kind == "POLY":
+            self.leaves.setdefault(node.poly)
+        elif kind == "CONST" and self.bad_const is None and node.value.denominator % self.p == 0:
+            self.bad_const = len(self.leaves)  # the leaves met before it
+        elif kind in ("POW", "INV"):
+            self.units.append((kind, node.children[0]))
+        self.bitwise |= kind in _BITWISE
+
+    @cached_property
+    def poly(self) -> Optional[RationalPoly]:
+        """f as a RationalPoly, or None.  A tree with no bitwise, POW or INV
+        node folds unless a degree, each checked before its arithmetic
+        (chains left to right), would pass the cap: a POLY leaf above the
+        cap gives None unless it is the whole tree."""
+        f = self.f
+        if isinstance(f, RationalPoly):
+            return f
+        if not isinstance(f, FnExpr) or self.bitwise or self.units:
             return None
-        if k == "DELTA":
-            return vals[0].compose(RationalPoly([1, 1])) + vals[0].scale(-1)
-        if k == "COMPOSE":
-            outer, inner = vals
-            fits = outer.degree * max(inner.degree, 1) <= DEGREE_CAP
-            return outer.compose(inner) if fits else None
-        out = vals[0]
-        for sign, v in zip(signs[1:], vals[1:]):
-            if k == "MUL":
-                if out.degree + v.degree > DEGREE_CAP:
-                    return None
-                out = out * v
-            else:  # every operand is within the cap, and so is their sum
-                out = out + (v if sign == 1 else v.scale(-1))
-        return out
+        return f.poly if f.kind == "POLY" else fold(f, _poly_visit)
 
-    return fold(e, visit)
+    @cached_property
+    def series(self) -> Optional[MahlerSeries]:
+        """f's interpolation series at p, or None where f has no polynomial."""
+        f, p = self.f, self.p
+        if isinstance(f, MahlerSeries):
+            if f.p != p:
+                raise ValueError(f"series is {f.p}-adic, asked about p={p}")
+            return f
+        return None if self.poly is None else series_from_poly(self.poly, p)
+
+    @cached_property
+    def lam(self) -> int:  # of a RationalPoly's rho/lambda pair; other maps have none
+        if isinstance(self.f, RationalPoly):
+            return rho_lambda(self.f, self.p)[1]
+        raise ValueError("CLASS_A certification needs lam; pass it in the FunctionClass")
+
+    @cached_property
+    def compatible(self) -> bool:
+        """The T2_1 verdict: exact for a polynomial or series; for a tree, by
+        closure from its POLY leaves and p-integral constants, checked in
+        the order a walk meets them; False for a callable."""
+        f, p = self.f, self.p
+        if isinstance(f, (MahlerSeries, RationalPoly)):
+            return is_compatible(self.series)
+        return (isinstance(f, FnExpr)
+                and all(_facts(leaf, p).compatible for leaf in list(self.leaves)[:self.bad_const])
+                and self.bad_const is None)
+
+    @cached_property
+    def class_b(self) -> bool:  # see is_class_b
+        p = self.p
+        if (not isinstance(self.f, (FnExpr, RationalPoly)) or self.bitwise
+                or self.bad_const is not None
+                or any(c.denominator % p == 0 for leaf in self.leaves for c in leaf.coeffs)):
+            return False
+        try:
+            return all(v == 1 if kind == "POW" else v != 0 for kind, arg in self.units
+                       for v in map(compile_map(arg, Modulus(p, 1)), range(p)))
+        except (ValueError, ArithmeticError):
+            return False
+
+    @cached_property
+    def cls(self) -> FunctionClass:
+        """f's place in the hierarchy; see infer_class."""
+        f, p, poly = self.f, self.p, self.poly
+        if isinstance(f, MahlerSeries):
+            self.series._require_criteria_ready()
+            return FunctionClass(QP_POLY_INTVAL, degree=f.degree)
+        if poly is None and self.class_b:
+            return FunctionClass(CLASS_B, rho=0, lam=1)
+        if poly is None:
+            return FunctionClass(GENERIC_COMPATIBLE)
+        # the falling and the monomial basis differ by a unimodular integer
+        # matrix, so the stored coefficients decide both tags in either basis
+        if all(c.denominator == 1 for c in poly.coeffs):
+            return FunctionClass(Z_POLY, degree=poly.degree, rho=0, lam=1)
+        if all(c.denominator % p != 0 for c in poly.coeffs):
+            return FunctionClass(CLASS_B, degree=poly.degree, rho=0, lam=1)
+        require_degree_cap(poly.degree)  # before the change of basis, quadratic in it
+        self.series._require_integer_valued()
+        rho, lam = rho_lambda(poly, p)
+        return FunctionClass(QP_POLY_INTVAL, degree=poly.degree, rho=rho, lam=lam)
+
+
+_cached_facts = lru_cache(maxsize=128)(_Facts)  # the bound of expr._generated
+
+
+def _facts(f: MapLike, p: int) -> _Facts:
+    """f's record at p; a callable, maybe unhashable, gets a new one."""
+    return (_cached_facts if isinstance(f, (FnExpr, RationalPoly, MahlerSeries)) else _Facts)(f, p)
 
 
 def infer_class(f: MapLike, p: int) -> FunctionClass:
@@ -366,31 +468,16 @@ def infer_class(f: MapLike, p: int) -> FunctionClass:
     CLASS_A           via rho/lambda for rational polynomials (odd p route)
     GENERIC_COMPATIBLE  everything else; brute checks only
     """
-    if isinstance(f, RationalPoly):
-        # the falling and the monomial basis differ by a unimodular integer
-        # matrix, so the stored coefficients decide both tags in either basis
-        if all(c.denominator == 1 for c in f.coeffs):
-            return FunctionClass(Z_POLY, degree=f.degree, rho=0, lam=1)
-        if all(c.denominator % p != 0 for c in f.coeffs):
-            return FunctionClass(CLASS_B, degree=f.degree, rho=0, lam=1)
-        require_degree_cap(f.degree)  # before the change of basis, quadratic in it
-        series = series_from_poly(f, p)
-        series._require_integer_valued()
-        rho, lam = rho_lambda(f, p)
-        return FunctionClass(QP_POLY_INTVAL, degree=f.degree, rho=rho, lam=lam)
-    if isinstance(f, MahlerSeries):
-        if f.p != p:
-            raise ValueError(f"series is {f.p}-adic, asked about p={p}")
-        f._require_criteria_ready()
-        return FunctionClass(QP_POLY_INTVAL, degree=f.degree)
-    if isinstance(f, FnExpr):
-        poly = _poly_from_expr(f)
-        if poly is not None:
-            return infer_class(poly, p)
-        if is_class_b(f, p):
-            return FunctionClass(CLASS_B, rho=0, lam=1)
-        return FunctionClass(GENERIC_COMPATIBLE)
-    return FunctionClass(GENERIC_COMPATIBLE)
+    return _facts(f, p).cls
+
+
+def is_class_b(e: FnExpr, p: int) -> bool:
+    """Membership in the polynomial/rational/exponential closure at p:
+    p-integral polynomials, inversions of pointwise units, powers of 1-unit
+    bases, and sums/products/compositions of those; no bitwise node.  POW
+    and INV arguments are checked on Z/p after the structural facts, which
+    1-Lipschitz closure makes decisive; an evaluation error is a miss."""
+    return _facts(e, p).class_b
 
 
 def _split_scale(node: FnExpr):
@@ -402,15 +489,6 @@ def _split_scale(node: FnExpr):
         if b.kind == "CONST":
             return b.value, a
     return Fraction(1), node
-
-
-def _compatible_leaves(e: FnExpr, p: int) -> bool:
-    """Polynomial leaves must pass the coefficient test and constants must
-    be p-integral; every other node kind respects congruences by
-    construction."""
-    return all(is_compatible(series_from_poly(node.poly, p)) if node.kind == "POLY"
-               else node.value.denominator % p != 0
-               for node in nodes(e) if node.kind in ("POLY", "CONST"))
 
 
 def _shift_family(e: FnExpr, p: int) -> Optional[str]:
@@ -438,7 +516,7 @@ def _shift_family(e: FnExpr, p: int) -> Optional[str]:
         rest.append((sign * q, core))
     if not saw_var:
         return None
-    if any(ord_p(q, p) < 1 or not _compatible_leaves(core, p) for q, core in rest):
+    if any(ord_p(q, p) < 1 or not _facts(core, p).compatible for q, core in rest):
         return None
     if (var_coeff == 1 and ord_p(consts, p) == 0
             and all(core.kind == "DELTA" for _, core in rest)):
@@ -446,28 +524,6 @@ def _shift_family(e: FnExpr, p: int) -> Optional[str]:
     if ord_p(var_coeff, p) == 0 and ord_p(consts, p) >= 0:
         return "measure"
     return None
-
-
-def _as_series(f: MapLike, p: int) -> MahlerSeries:
-    if isinstance(f, MahlerSeries):
-        if f.p != p:
-            raise ValueError(f"series is {f.p}-adic, asked about p={p}")
-        return f
-    if isinstance(f, FnExpr):
-        poly = _poly_from_expr(f)
-        if poly is not None:
-            return series_from_poly(poly, p)
-    if isinstance(f, RationalPoly):
-        return series_from_poly(f, p)
-    raise ValueError("coefficient route needs a polynomial or interpolation series")
-
-
-def _lam_for(f: MapLike, p: int, cls: FunctionClass) -> int:
-    if cls.lam is not None:
-        return cls.lam
-    if isinstance(f, RationalPoly):
-        return rho_lambda(f, p)[1]
-    raise ValueError("CLASS_A certification needs lam; pass it in the FunctionClass")
 
 
 def _probe_modulus(p: int, cap: Optional[int]) -> Modulus:
@@ -538,10 +594,10 @@ def _slices_pass(prop: str, f: MapLike, m: Modulus, table: Optional[array],
     Only a pass is decided here; False leaves the verdict, and its witness,
     to the check.  The tests need a T-function: a tree with a lane table
     has only odd-denominator constants and no POLY leaf, and a "measure"
-    shape (`bijective`) has compatible leaves, so either passes
-    `_compatible_leaves`.  Without a lane table, ergodicity of a "measure"
-    shape reads the compiled map's values at 0..2^(k-1)-1, the half of
-    the table its parities need.
+    shape (`bijective`) has compatible leaves, so either has the T2_1
+    fact `_Facts.compatible`.  Without a lane table, ergodicity of a
+    "measure" shape reads the compiled map's values at 0..2^(k-1)-1, the
+    half of the table its parities need.
     """
     if table is not None:  # so p = 2
         if prop == MEASURE_PRESERVING or not bijective:
@@ -596,7 +652,7 @@ def _certificate(prop: str, f: MapLike, p: int, cls: Optional[FunctionClass],
     t0 = time.perf_counter()
     elapsed = lambda: (time.perf_counter() - t0) * 1000.0
     if cls is None:
-        cls = infer_class(f, p)
+        cls = _facts(f, p).cls
     check, probe_key, shapes, (coeff_theorem, coeff_test) = _PROPERTIES[prop]
     row = _THRESHOLDS.get((prop, cls.tag))
     if row is None:
@@ -618,7 +674,10 @@ def _certificate(prop: str, f: MapLike, p: int, cls: Optional[FunctionClass],
     theorem, threshold = row
     size = None
     if cls.tag in (QP_POLY_INTVAL, CLASS_A):  # read off the interpolation series
-        series = _as_series(f, p)
+        facts = _facts(f, p)
+        series = facts.series
+        if series is None:
+            raise ValueError("coefficient route needs a polynomial or interpolation series")
         if cls.tag == CLASS_A and p == 2:
             return Certificate(prop, PROVEN if coeff_test(series) else REFUTED,
                                coeff_theorem, Modulus(2, 1), None, elapsed())
@@ -626,7 +685,7 @@ def _certificate(prop: str, f: MapLike, p: int, cls: Optional[FunctionClass],
             return Certificate(prop, REFUTED, "T2_1", Modulus(p, 1),
                                {"reason": "not compatible"}, elapsed())
         if cls.tag == CLASS_A:
-            size = _lam_for(f, p, cls)
+            size = cls.lam if cls.lam is not None else facts.lam
         else:
             size = cls.degree if cls.degree is not None else series.degree
     m = Modulus(p, threshold(p, size))
@@ -695,13 +754,10 @@ def compatibility_certificate(f: MapLike, p: int, cap: Optional[int] = None) -> 
     """
     t0 = time.perf_counter()
     elapsed = lambda: (time.perf_counter() - t0) * 1000.0
-    if isinstance(f, (MahlerSeries, RationalPoly)):
-        series = _as_series(f, p)
-        ok = is_compatible(series)
-        return Certificate(COMPATIBLE, PROVEN if ok else REFUTED, "T2_1",
+    facts = _facts(f, p)
+    if isinstance(f, (MahlerSeries, RationalPoly)) or facts.compatible:
+        return Certificate(COMPATIBLE, PROVEN if facts.compatible else REFUTED, "T2_1",
                            Modulus(p, 1), None, elapsed())
-    if isinstance(f, FnExpr) and _compatible_leaves(f, p):
-        return Certificate(COMPATIBLE, PROVEN, "T2_1", Modulus(p, 1), None, elapsed())
     m = _probe_modulus(p, cap)
     fn = compile_map(f, m)
     table = array("q", map(fn, range(p)))

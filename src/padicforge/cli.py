@@ -57,11 +57,12 @@ from .certify import (
     equiprobable_mod,
     ergodicity_certificate,
     infer_class,
+    is_class_b,
     jacobian_equiprobable_certificate,
     measure_preservation_certificate,
     polynomial_bijectivity_certificate,
     transitive_mod,
-    _poly_from_expr,
+    _facts,
 )
 from .core import CompositeModulus, Modulus, ResidueInt, mod_inverse
 from .expr import compile_map
@@ -70,7 +71,6 @@ from .funcalg import (
     build_composite_generator,
     build_ergodic,
     const,
-    is_class_b,
     mul,
     parse_dsl,
     var,
@@ -93,7 +93,6 @@ from .mahler import (
     is_ergodic_2adic,
     is_ergodic_sufficient_oddp,
     is_measure_preserving_2adic,
-    series_from_poly,
 )
 
 EXIT_OK = 0
@@ -174,10 +173,9 @@ def _class_json(cls) -> dict:
 
 def _coefficient_criteria(fn, p: int) -> Optional[dict]:
     """Coefficient verdicts when the expression folds to a polynomial."""
-    poly = _poly_from_expr(fn)
-    if poly is None:
+    series = _facts(fn, p).series
+    if series is None:
         return None
-    series = series_from_poly(poly, p)
     out = {"compatible": is_compatible(series)}
     if p == 2:
         out["measure_preserving"] = is_measure_preserving_2adic(series)

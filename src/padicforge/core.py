@@ -183,17 +183,6 @@ def ord_p(n, p):
     return e
 
 
-def digits(x: ResidueInt):
-    """Base-p digit vector of x, least significant first, padded to length k."""
-    out = []
-    r = x.residue
-    p = x.modulus.p
-    for _ in range(x.modulus.k):
-        out.append(r % p)
-        r //= p
-    return out
-
-
 def mod_inverse(u: ResidueInt):
     """Multiplicative inverse of a unit mod p^k."""
     if u.residue % u.modulus.p == 0:

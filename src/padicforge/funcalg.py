@@ -1,9 +1,7 @@
 """Expression algebra for generator construction: builders, DSL, constructors.
 
-The node type FnExpr and its compile-once evaluation live in `expr` and
-are re-exported here.  POW bases must be 1-units: evaluation checks the
-base at every point, and `is_class_b` checks it on Z/p at the prime asked
-about, since 1 + p*g is a 1-unit at p and need not be at another prime.
+The node type FnExpr, its walks and its compile-once evaluation live in
+`expr`; class-B membership is a fact `certify` reads off a tree.
 """
 
 import json
@@ -11,17 +9,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Modulus, ResidueInt, digits, ord_p
-from .expr import _BITWISE, KINDS, BitwiseOddPrime, FnExpr, compile_map, evaluator, fold, nodes
+from .core import ord_p
+from .expr import _BITWISE, KINDS, FnExpr, fold, nodes
 from .mahler import DEGREE_CAP, RationalPoly
 
 
 class CDivisibleByP(ValueError):
     """Linear coefficient of a construction is not a unit."""
-
-
-class LengthMismatch(ValueError):
-    """Triangle shorter than the digit count it is asked to produce."""
 
 
 class DslError(ValueError):
@@ -95,38 +89,6 @@ def delta(e):
 def compose(outer, inner):
     """AST for x -> outer(inner(x))."""
     return FnExpr("COMPOSE", (outer, inner))
-
-
-def _holds_mod_p(e: FnExpr, p: int, pred) -> bool:
-    """pred holds at every value of e on Z/p; an evaluation error is a miss."""
-    try:
-        fn = compile_map(e, Modulus(p, 1))
-        return all(pred(fn(r)) for r in range(p))
-    except (ValueError, ArithmeticError):
-        return False
-
-
-def is_class_b(e: FnExpr, p: int) -> bool:
-    """Membership in the polynomial/rational/exponential closure at p.
-
-    Polynomials with p-integral coefficients, inversions of pointwise
-    units, powers of 1-unit bases, and sums/products/compositions of
-    those.  Bitwise nodes are outside.  Semantic POW/INV checks run mod p
-    only; 1-Lipschitz closure makes that decisive.  They run after the
-    structural walk.
-    """
-    semantic = []
-    for node in nodes(e):
-        kind = node.kind
-        if kind in _BITWISE or (kind == "CONST" and node.value.denominator % p == 0):
-            return False
-        if kind == "POLY" and any(c.denominator % p == 0 for c in node.poly.coeffs):
-            return False
-        if kind == "POW":
-            semantic.append((node.children[0], lambda v: v == 1))
-        elif kind == "INV":
-            semantic.append((node.children[0], lambda v: v != 0))
-    return all(_holds_mod_p(arg, p, pred) for arg, pred in semantic)
 
 
 def build_measure_preserving(v: FnExpr, c, d, p: int) -> FnExpr:
@@ -211,19 +173,6 @@ class BoolTriangle:
         monomial contributes an even number of ones.
         """
         return frozenset(range(i)) in self.psi[i]
-
-
-def triangle_eval(t: BoolTriangle, x: ResidueInt) -> ResidueInt:
-    m = x.modulus
-    if m.p != 2:
-        raise BitwiseOddPrime("digit triangles act on base-2 expansions")
-    if t.length < m.k:
-        raise LengthMismatch(f"triangle has {t.length} digits, modulus needs {m.k}")
-    bits = digits(x)
-    out = 0
-    for i in range(m.k):
-        out |= (t.digit(i, bits) ^ bits[i]) << i
-    return ResidueInt(out, m)
 
 
 # --- DSL ---------------------------------------------------------------------

@@ -182,6 +182,13 @@ class MahlerSeries:
     def degree(self):
         return len(self.coeffs) - 1
 
+    def __hash__(self):  # cached, as RationalPoly's: certify keys a record on it
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.coeffs, self.p))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     def _require_integer_valued(self):
         for i, c in enumerate(self.coeffs):
             if c.denominator % self.p == 0:

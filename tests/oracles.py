@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 
 from padicforge.core import ResidueInt, mod_inverse, unit_pow
-from padicforge.funcalg import BitwiseOddPrime
+from padicforge.expr import BitwiseOddPrime
 from padicforge.mahler import NotIntegerValued
 
 _BITWISE = frozenset(("XOR", "AND", "OR", "NEG"))
@@ -413,3 +413,32 @@ def primes_below(limit):
         else:
             primes.append(n)  # 2, before any prime is known
     return primes
+
+
+class LengthMismatch(ValueError):
+    """Triangle shorter than the digit count it is asked to produce."""
+
+
+def digits(x: ResidueInt):
+    """Base-p digit vector of x, least significant first, padded to length k."""
+    out = []
+    r = x.residue
+    p = x.modulus.p
+    for _ in range(x.modulus.k):
+        out.append(r % p)
+        r //= p
+    return out
+
+
+def triangle_eval(t, x: ResidueInt) -> ResidueInt:
+    """The map of the digit triangle t (a BoolTriangle) at x, digit by digit."""
+    m = x.modulus
+    if m.p != 2:
+        raise BitwiseOddPrime("digit triangles act on base-2 expansions")
+    if t.length < m.k:
+        raise LengthMismatch(f"triangle has {t.length} digits, modulus needs {m.k}")
+    bits = digits(x)
+    out = 0
+    for i in range(m.k):
+        out |= (t.digit(i, bits) ^ bits[i]) << i
+    return ResidueInt(out, m)

@@ -37,16 +37,14 @@ from padicforge.certify import (
     triangle_ergodicity_certificate,
 )
 from padicforge.core import Modulus, ResidueInt
+from padicforge.expr import compile_map, evaluator
 from padicforge.funcalg import (
     BoolTriangle,
     add,
     build_ergodic,
-    compile_map,
     const,
-    evaluator,
     mul,
     parse_dsl,
-    triangle_eval,
     var,
 )
 from padicforge.mahler import (
@@ -66,6 +64,7 @@ from oracles import (
     is_transitive,
     preserves_congruences,
     random_integer_valued_poly,
+    triangle_eval,
     zero_cycle_length,
 )
 

@@ -4,11 +4,12 @@ import math
 import random
 import sys
 from array import array
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from padicforge import certify
+from padicforge import certify, expr
 from padicforge.certify import (
     CLASS_A,
     CLASS_B,
@@ -30,6 +31,7 @@ from padicforge.certify import (
     equiprobable_mod,
     ergodicity_certificate,
     infer_class,
+    is_class_b,
     jacobian_equiprobable_certificate,
     measure_preservation_certificate,
     polynomial_bijectivity_certificate,
@@ -47,9 +49,9 @@ from padicforge.funcalg import (
     delta,
     expr_from_json,
     expr_to_json,
-    is_class_b,
     mul,
     parse_dsl,
+    poly_node,
     var,
 )
 from padicforge.mahler import (
@@ -968,11 +970,235 @@ class TestBitSliceProbes:
             REFUTED, "BRUTE_ONLY", (2, 3), {"reason": "not bijective"})
 
 
+def _outcome(call, *args):
+    """A call's result as (tag, degree, rho, lam), (verdict, theorem, k,
+    witness), or (exception type, message) where it raises."""
+    try:
+        got = call(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(got, FunctionClass):
+        return got.tag, got.degree, got.rho, got.lam
+    return got.verdict, got.theorem, got.checked_modulus.k, got.witness
+
+
+# name -> (map, prime, explicit class tag or None)
+RAISE_CASES = {
+    "half-binomial@2": (lambda: parse_dsl("(1/2)*(x*x - x)"), 2, None),
+    "quarter-leaf-xor@2": (lambda: parse_dsl("(1/4)*ff(x,2) xor x"), 2, None),
+    "quarter-leaf@3": (lambda: parse_dsl("1 + x + (1/4)*ff(x,2)"), 3, None),
+    "degree-100@2": (lambda: RationalPoly([1] * 101), 2, None),
+    "3-adic-series@2": (lambda: series_from_poly(RationalPoly([1, 1, 1]), 3), 2, None),
+    "third-leaf-classA@3": (lambda: parse_dsl("1 + x + (1/3)*ff(x,3)"), 3, CLASS_A),
+    "third-poly-classA@3": (lambda: RationalPoly([1, 1, Fraction(1, 3)]), 3, CLASS_A),
+    "ninth-leaf-classA@3": (lambda: parse_dsl("1 + x + (1/3)*ff(x,9)"), 3, CLASS_A),
+    "leaf-before-half@2": (lambda: parse_dsl("((1/4)*ff(x,2) + 1/2) xor x"), 2, None),
+    "half-before-leaf@2": (lambda: parse_dsl("(1/2 + (1/4)*ff(x,2)) xor x"), 2, None),
+    "degree-65-leaf@2": (lambda: add(poly_node(RationalPoly([1] * 66)), var()), 2, None),
+    "shift-core-raises@2": (
+        lambda: parse_dsl("1 + x + 2*delta((1/4)*ff(x,2) xor x)"), 2, None),
+    "shift-miss-then-core@2": (
+        lambda: parse_dsl("1 + x + (x xor 3) + 2*delta((1/4)*ff(x,2) xor x)"), 2, None),
+    "shift-core-then-miss@2": (
+        lambda: parse_dsl("1 + x + 2*delta((1/4)*ff(x,2) xor x) + (x xor 3)"), 2, None),
+    "callable@2": (lambda: (lambda x: 3 * x + 1), 2, None),
+}
+
+# (infer_class, compatibility, measure preservation, ergodicity) per case
+RAISE_OUTCOMES = {
+    'half-binomial@2': (
+        ('QP_POLY_INTVAL', 2, 1, 2),
+        ('NotAUnit', '2 is divisible by 2'),
+        ('REFUTED', 'T2_1', 1, {'reason': 'not compatible'}),
+        ('REFUTED', 'T2_1', 1, {'reason': 'not compatible'}),
+    ),
+    'quarter-leaf-xor@2': (
+        ('GENERIC_COMPATIBLE', None, None, None),
+        ('NotIntegerValued', 'coefficient a_2 = 1/2 is not a 2-adic integer'),
+        ('NotIntegerValued', 'value at 2 has denominator divisible by 2'),
+        ('REFUTED', 'BRUTE_ONLY', 14, {'cycle_through_zero': 1}),
+    ),
+    'quarter-leaf@3': (
+        ('CLASS_B', 2, 0, 1),
+        ('PROVEN', 'T2_1', 1, None),
+        ('REFUTED', 'T4_9', 2, {'collision': [0, 3]}),
+        ('REFUTED', 'T4_9', 3, {'reason': 'not bijective'}),
+    ),
+    'degree-100@2': (
+        ('Z_POLY', 100, 0, 1),
+        ('DegreeCapExceeded', 'degree 100 above criteria cap 64'),
+        ('REFUTED', 'C3_10', 2, {'collision': [0, 1]}),
+        ('REFUTED', 'T4_9', 3, {'reason': 'not bijective'}),
+    ),
+    '3-adic-series@2': (
+        ('ValueError', 'series is 3-adic, asked about p=2'),
+        ('ValueError', 'series is 3-adic, asked about p=2'),
+        ('ValueError', 'series is 3-adic, asked about p=2'),
+        ('ValueError', 'series is 3-adic, asked about p=2'),
+    ),
+    'third-leaf-classA@3': (
+        ('QP_POLY_INTVAL', 3, 1, 2),
+        ('REFUTED', 'BRUTE_ONLY', 8, {'input_residue': 0, 'level': 1}),
+        ('REFUTED', 'T2_1', 1, {'reason': 'not compatible'}),
+        ('REFUTED', 'T2_1', 1, {'reason': 'not compatible'}),
+    ),
+    'third-poly-classA@3': (
+        ('NotIntegerValued', 'coefficient a_1 = 4/3 is not a 3-adic integer'),
+        ('NotIntegerValued', 'coefficient a_1 = 4/3 is not a 3-adic integer'),
+        ('NotIntegerValued', 'coefficient a_1 = 4/3 is not a 3-adic integer'),
+        ('NotIntegerValued', 'coefficient a_1 = 4/3 is not a 3-adic integer'),
+    ),
+    'ninth-leaf-classA@3': (
+        ('QP_POLY_INTVAL', 9, 1, 2),
+        ('PROVEN', 'T2_1', 1, None),
+        ('ValueError', 'CLASS_A certification needs lam; pass it in the FunctionClass'),
+        ('ValueError', 'CLASS_A certification needs lam; pass it in the FunctionClass'),
+    ),
+    'leaf-before-half@2': (
+        ('GENERIC_COMPATIBLE', None, None, None),
+        ('NotIntegerValued', 'coefficient a_2 = 1/2 is not a 2-adic integer'),
+        ('NotAUnit', '2 is divisible by 2'),
+        ('NotAUnit', '2 is divisible by 2'),
+    ),
+    'half-before-leaf@2': (
+        ('GENERIC_COMPATIBLE', None, None, None),
+        ('NotAUnit', '2 is divisible by 2'),
+        ('NotAUnit', '2 is divisible by 2'),
+        ('NotAUnit', '2 is divisible by 2'),
+    ),
+    'degree-65-leaf@2': (
+        ('CLASS_B', None, 0, 1),
+        ('DegreeCapExceeded', 'degree 65 above criteria cap 64'),
+        ('REFUTED', 'T4_9', 2, {'collision': [0, 2]}),
+        ('REFUTED', 'T4_9', 3, {'reason': 'not bijective'}),
+    ),
+    'shift-core-raises@2': (
+        ('GENERIC_COMPATIBLE', None, None, None),
+        ('NotIntegerValued', 'coefficient a_2 = 1/2 is not a 2-adic integer'),
+        ('NotIntegerValued', 'coefficient a_2 = 1/2 is not a 2-adic integer'),
+        ('NotIntegerValued', 'coefficient a_2 = 1/2 is not a 2-adic integer'),
+    ),
+    'shift-miss-then-core@2': (
+        ('GENERIC_COMPATIBLE', None, None, None),
+        ('NotIntegerValued', 'coefficient a_2 = 1/2 is not a 2-adic integer'),
+        ('NotIntegerValued', 'value at 2 has denominator divisible by 2'),
+        ('NotIntegerValued', 'value at 7 has denominator divisible by 2'),
+    ),
+    'shift-core-then-miss@2': (
+        ('GENERIC_COMPATIBLE', None, None, None),
+        ('NotIntegerValued', 'coefficient a_2 = 1/2 is not a 2-adic integer'),
+        ('NotIntegerValued', 'coefficient a_2 = 1/2 is not a 2-adic integer'),
+        ('NotIntegerValued', 'coefficient a_2 = 1/2 is not a 2-adic integer'),
+    ),
+    'callable@2': (
+        ('GENERIC_COMPATIBLE', None, None, None),
+        ('UNKNOWN', 'BRUTE_ONLY', 14, {'compatible_up_to': 14}),
+        ('UNKNOWN', 'BRUTE_ONLY', 14, {'bijective_up_to': 14}),
+        ('REFUTED', 'BRUTE_ONLY', 14, {'cycle_through_zero': 8192}),
+    ),
+}
+
+
+class TestWhereEachCallRaises:
+    """Which public call raises, and with what, is decided by the facts read
+    off the map; these outcomes are pinned, raises and all."""
+
+    @pytest.mark.parametrize("name", list(RAISE_CASES))
+    def test_outcomes_are_pinned(self, name):
+        build, p, tag = RAISE_CASES[name]
+        cls = None if tag is None else FunctionClass(tag)
+        for _ in range(2):  # a second round reads whatever the first left cached
+            f = build()
+            got = (_outcome(infer_class, f, p), _outcome(compatibility_certificate, f, p),
+                   _outcome(measure_preservation_certificate, f, p, cls),
+                   _outcome(ergodicity_certificate, f, p, cls))
+            assert got == RAISE_OUTCOMES[name]
+
+
+# (map, prime, whether it folds to a polynomial) per certify route: Z_POLY,
+# QP_POLY_INTVAL, class B with POW, a bitwise shift family (L2_5), and two
+# BRUTE_ONLY probes (compatibility of a polynomial tree, ergodicity of a
+# bitwise tree)
+SPY_CASES = [
+    (lambda: parse_dsl("1 + 4*x + 3*x*x*x"), 3, True),
+    (lambda: parse_dsl("1 + x + (5/18)*ff(x,6)"), 2, True),
+    (lambda: parse_dsl("1 + x + 4*(1+2*x)^x"), 2, False),
+    (lambda: build_ergodic(parse_dsl("x xor (2*x + 1)"), 1, 2), 2, False),
+    (lambda: parse_dsl("1 + x + (5/18)*ff(x,6)"), 3, True),
+    (lambda: parse_dsl("1 + x + 2*((x*x) xor ((x + 32) and x))"), 2, False),
+]
+
+
+class TestOneFactRecordPerMapAndPrime:
+    """Certifying a map as the CLI does, twice, reads each structural fact
+    from one record per (map, prime)."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        certify._cached_facts.cache_clear()
+        counts = {"fold": Counter(), "series": Counter(), "compatible": Counter()}
+
+        def spy(name, real, key):
+            def call(*args):
+                counts[name][key(*args)] += 1
+                return real(*args)
+            monkeypatch.setattr(certify, real.__name__, call)
+
+        spy("fold", certify.fold, lambda e, visit, *rest: (id(e), visit.__name__))
+        spy("series", certify.series_from_poly, lambda poly, p: (poly, p))
+        spy("compatible", certify.is_compatible, lambda series: series)
+        walk = expr.nodes
+
+        def nodes(*args):
+            assert sys._getframe(1).f_globals["__name__"] != certify.__name__
+            return walk(*args)
+
+        monkeypatch.setattr(expr, "nodes", nodes)
+        return counts
+
+    def test_each_fact_is_found_once(self, spies):
+        assert not hasattr(certify, "nodes")
+        trees = [(build(), p, polynomial) for build, p, polynomial in SPY_CASES]
+        for _ in range(2):
+            for f, p, _ in trees:
+                cls = infer_class(f, p)
+                compatibility_certificate(f, p)
+                measure_preservation_certificate(f, p, cls)
+                ergodicity_certificate(f, p, cls)
+        folds = spies["fold"]
+        for f, p, polynomial in trees:  # POW and bitwise trees get no polynomial fold
+            assert (folds[id(f), "_note"], folds[id(f), "_poly_visit"]) == (1, polynomial)
+        assert {visit for _, visit in folds} == {"_note", "_poly_visit"}
+        assert max(folds.values()) == 1  # perturbation cores too
+        assert spies["series"] and max(spies["series"].values()) == 1
+
+    def test_equal_poly_leaves_are_tested_once(self, spies):
+        f = parse_dsl("(" + " + ".join(["ff(x,64)"] * 200) + ") xor 1")
+        for _ in range(2):
+            assert infer_class(f, 2).tag == GENERIC_COMPATIBLE
+            cert = compatibility_certificate(f, 2)
+            assert (cert.verdict, cert.theorem) == (PROVEN, "T2_1")
+        assert list(spies["series"].values()) == [1]
+        assert list(spies["compatible"].values()) == [1]
+        assert list(spies["fold"].values()) == [1]
+
+
 class TestClassBMembership:
     def test_examples(self):
         assert is_class_b(parse_dsl("x*x*x + 7*x"), 5)
         assert is_class_b(parse_dsl("(1+2*x)^x"), 2)
         assert not is_class_b(parse_dsl("x xor 1"), 2)
+
+    @pytest.mark.parametrize("member, near_miss", [
+        ("1 + x + 201^x", "1 + x + 2^x"),  # a unit base that is not a 1-unit
+        ("inv(1 + 5*x)", "inv(1 + x)"),  # 0 at x = 4
+        ("(1/3)*x*x + x", "(1/5)*x*x + x"),  # a constant with p in its denominator
+        ("1 + x + (1/3)*ff(x,3)", "1 + x + (1/5)*ff(x,3) + inv(1 + 5*x)"),  # and a POLY leaf
+        ("1 + x + 5*(x*x)", "1 + x + 5*neg(x)"),  # a bitwise node
+    ])
+    def test_each_side_condition_has_a_near_miss(self, member, near_miss):
+        assert is_class_b(parse_dsl(member), 5)
+        assert not is_class_b(parse_dsl(near_miss), 5)
 
 
 class TestTriangleCertificate:

@@ -21,7 +21,8 @@ from padicforge import expr
 from padicforge import funcalg as fa
 from padicforge.certify import MultiPoly
 from padicforge.core import BaseNotOneUnit, Modulus, NotAUnit
-from padicforge.funcalg import BitwiseOddPrime, compile_map, evaluator, parse_dsl
+from padicforge.expr import BitwiseOddPrime, compile_map, evaluator
+from padicforge.funcalg import parse_dsl
 from padicforge.mahler import MahlerSeries, NotIntegerValued, RationalPoly
 
 X = fa.var()

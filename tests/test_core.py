@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from oracles import primes_below
+from oracles import digits, primes_below
 
 from padicforge.core import (
     INFINITE,
@@ -10,7 +10,6 @@ from padicforge.core import (
     Modulus,
     NotAUnit,
     ResidueInt,
-    digits,
     is_prime,
     mod_inverse,
     ord_p,

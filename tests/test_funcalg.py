@@ -7,7 +7,14 @@ from fractions import Fraction
 
 import pytest
 from corpus import dsl_cases, random_compatible_ast
-from oracles import is_bijection, is_transitive, preserves_congruences, value_table
+from oracles import (
+    LengthMismatch,
+    is_bijection,
+    is_transitive,
+    preserves_congruences,
+    triangle_eval,
+    value_table,
+)
 
 from padicforge import expr
 from padicforge import funcalg as fa
@@ -17,28 +24,24 @@ from padicforge.certify import (
     PROVEN,
     Z_POLY,
     infer_class,
+    is_class_b,
     triangle_ergodicity_certificate,
 )
 from padicforge.core import BaseNotOneUnit, Modulus, NotAUnit, ResidueInt
+from padicforge.expr import BitwiseOddPrime, compile_map, evaluator
 from padicforge.funcalg import (
     _MAX_NESTING,
-    BitwiseOddPrime,
     BoolTriangle,
     CDivisibleByP,
     DslError,
     DslSyntaxError,
-    LengthMismatch,
     UnknownIdentifier,
     build_composite_generator,
     build_ergodic,
     build_measure_preserving,
-    compile_map,
-    evaluator,
     expr_from_json,
     expr_to_json,
-    is_class_b,
     parse_dsl,
-    triangle_eval,
 )
 from padicforge.genlib import GeneratorSpec
 from padicforge.mahler import RationalPoly
