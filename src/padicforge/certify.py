@@ -7,12 +7,13 @@ certificate constructors decide a property at every precision from a
 single finite check at a class-dependent threshold modulus, and record
 which result licensed the extrapolation.  Ergodicity and measure
 preservation share one dispatch: the (property, class) table `_THRESHOLDS`
-gives each recognized class its theorem and threshold, and `_PROPERTIES`
-gives each property its finite check and fallbacks.  What they read off
-the map (its polynomial, series, class and T2_1 verdict) is one cached
-record per (map, prime), `_Facts`, from one fold of the tree.  When a
-function falls outside every recognized class the certificate honestly
-degrades to UNKNOWN.
+gives each recognized class its theorem and threshold, `_PROPERTIES` gives
+each property its fallbacks, and every route ends in one finite check,
+`_check`, which reads bit slices first at p = 2.  What they read off the
+map (its polynomial, series, class, T2_1 verdict and shift-family shape)
+is one cached record per (map, prime), `_Facts`, from one fold of the
+tree.  When a function falls outside every recognized class the
+certificate honestly degrades to UNKNOWN.
 """
 
 from __future__ import annotations
@@ -119,33 +120,23 @@ def _require_cap(m: Modulus, cap: Optional[int]):
 def bijective_mod(f: MapLike, m: Modulus, cap: Optional[int] = None):
     """Is x -> f(x) a permutation of Z/m?  Returns (bool, witness).
 
-    The witness on failure is a colliding pair (x, y) with f(x) == f(y),
-    found by a second partial scan so no preimage index is stored.  Where
-    `expr.lane_table` computes f's whole table, the scans read it instead
-    of calling f, and find the same pair.
+    The witness on failure is a colliding pair (y, x), y < x, where x is
+    the first input whose value repeats, found by a second partial scan so
+    no preimage index is stored.  Where `expr.lane_table` computes f's
+    whole table, the scans read it instead of calling f, and find the same
+    pair; such a map is a T-function, so the level test of its bit slices
+    first decides a pass.
     """
     _require_cap(m, cap)
-    return _bijective_scan(f, m, lane_table(f, m))
-
-
-def _bijective_scan(f: MapLike, m: Modulus, table: Optional[array]):
-    """bijective_mod past its cap, reading `table`, f's lane table mod m,
-    where there is one."""
-    seen = bytearray(m.value)
-    if table is not None:
-        for x, v in enumerate(table):
-            if seen[v]:
-                return False, (table.index(v), x)
-            seen[v] = 1
+    table = lane_table(f, m)
+    if table is not None and _slices_bijective(table, m.k):
         return True, None
-    fn = compile_map(f, m)
+    fn = compile_map(f, m) if table is None else table.__getitem__
+    seen = bytearray(m.value)
     for x in range(m.value):
         v = fn(x)
         if seen[v]:
-            for y in range(x):
-                if fn(y) == v:
-                    return False, (y, x)
-            raise AssertionError("collision without earlier preimage")
+            return False, (next(y for y in range(x) if fn(y) == v), x)
         seen[v] = 1
     return True, None
 
@@ -420,13 +411,18 @@ class _Facts:
         p = self.p
         if (not isinstance(self.f, (FnExpr, RationalPoly)) or self.bitwise
                 or self.bad_const is not None
-                or any(c.denominator % p == 0 for leaf in self.leaves for c in leaf.coeffs)):
+                or any(c.denominator % p == 0 for leaf in self.leaves for c in leaf.coeffs)
+                or self.units and p > DEFAULT_STATE_CAP):  # Z/p too large to scan
             return False
         try:
             return all(v == 1 if kind == "POW" else v != 0 for kind, arg in self.units
                        for v in map(compile_map(arg, Modulus(p, 1)), range(p)))
         except (ValueError, ArithmeticError):
             return False
+
+    @cached_property
+    def shape(self) -> Optional[str]:  # see _shift_family
+        return _shift_family(self.f, self.p) if isinstance(self.f, FnExpr) else None
 
     @cached_property
     def cls(self) -> FunctionClass:
@@ -476,7 +472,9 @@ def is_class_b(e: FnExpr, p: int) -> bool:
     p-integral polynomials, inversions of pointwise units, powers of 1-unit
     bases, and sums/products/compositions of those; no bitwise node.  POW
     and INV arguments are checked on Z/p after the structural facts, which
-    1-Lipschitz closure makes decisive; an evaluation error is a miss."""
+    1-Lipschitz closure makes decisive; an evaluation error is a miss, and
+    so is a POW or INV node at a p above DEFAULT_STATE_CAP, where Z/p is
+    not scanned."""
     return _facts(e, p).class_b
 
 
@@ -534,26 +532,6 @@ def _probe_modulus(p: int, cap: Optional[int]) -> Modulus:
     return Modulus(p, k)
 
 
-def _transitive_check(f: MapLike, m: Modulus, table: Optional[array]):
-    """(transitive mod m, witness on failure), reading f's lane table if given."""
-    try:
-        ok, length = _transitive_walk(f, m, table)
-    except NotBijective:
-        return False, {"reason": "not bijective"}
-    return ok, None if ok else {"cycle_through_zero": length}
-
-
-def _bijective_check(f: MapLike, m: Modulus, table: Optional[array]):
-    """(bijective mod m, witness on failure), reading f's lane table if given."""
-    ok, witness = _bijective_scan(f, m, table)
-    return ok, None if ok else {"collision": list(witness)}
-
-
-def _run_check(check, f: MapLike, m: Modulus, cap: Optional[int]):
-    _require_cap(m, cap)
-    return check(f, m, lane_table(f, m))
-
-
 # At p = 2 a compatible map is a T-function: bit i of f(x) depends only on
 # x mod 2^(i+1).  So f is bijective mod 2^k iff at every level i < k, bit i
 # of f(y) and of f(y + 2^i) differ for all y < 2^i (Klimov and Shamir,
@@ -587,23 +565,26 @@ def _slices_single_cycle(table: array, k: int) -> bool:
                for i in range(k))
 
 
-def _slices_pass(prop: str, f: MapLike, m: Modulus, table: Optional[array],
-                 bijective: bool) -> bool:
-    """Do f's bit slices show that it passes prop's check at m = 2^k?
+def _slices_transitive(f: MapLike, m: Modulus, table: Optional[array]) -> bool:
+    """Do f's bit slices show that f is a single cycle mod m = 2^k?
 
     Only a pass is decided here; False leaves the verdict, and its witness,
-    to the check.  The tests need a T-function: a tree with a lane table
+    to the walk.  The tests need a T-function: a tree with a lane table
     has only odd-denominator constants and no POLY leaf, and a "measure"
-    shape (`bijective`) has compatible leaves, so either has the T2_1
-    fact `_Facts.compatible`.  Without a lane table, ergodicity of a
-    "measure" shape reads the compiled map's values at 0..2^(k-1)-1, the
-    half of the table its parities need.
+    shape (`_Facts.shape`) has compatible leaves, so either has the T2_1
+    fact `_Facts.compatible`.  A "measure" shape is bijective, so its
+    level test is skipped; without a lane table it reads the compiled
+    map's values at 0..2^(k-1)-1, the half of the table its parities need.
     """
-    if table is not None:  # so p = 2
-        if prop == MEASURE_PRESERVING or not bijective:
-            bijective = _slices_bijective(table, m.k)
-        return bijective and (prop == MEASURE_PRESERVING or _slices_single_cycle(table, m.k))
-    if m.p != 2 or prop == MEASURE_PRESERVING or not bijective:
+    if m.p != 2:
+        return False
+    try:
+        measure = _facts(f, 2).shape == "measure"
+    except ValueError:  # raised where a route reads the shape; the walk decides here
+        return False
+    if table is not None:
+        return (measure or _slices_bijective(table, m.k)) and _slices_single_cycle(table, m.k)
+    if not measure:
         return False
     fn = compile_map(f, m)
     try:
@@ -613,6 +594,23 @@ def _slices_pass(prop: str, f: MapLike, m: Modulus, table: Optional[array],
     if sys.byteorder == "big":
         table.byteswap()
     return _slices_single_cycle(table, m.k)
+
+
+def _check(prop: str, f: MapLike, m: Modulus, cap: Optional[int]):
+    """prop's finite check at m: (passes, witness on failure).  Every route
+    runs it; the ergodicity walk reads the lane table its slices read."""
+    if prop == MEASURE_PRESERVING:
+        ok, pair = bijective_mod(f, m, cap)
+        return ok, None if ok else {"collision": list(pair)}
+    _require_cap(m, cap)
+    table = lane_table(f, m)
+    if _slices_transitive(f, m, table):
+        return True, None
+    try:
+        ok, length = _transitive_walk(f, m, table)
+    except NotBijective:
+        return False, {"reason": "not bijective"}
+    return ok, None if ok else {"cycle_through_zero": length}
 
 
 def _t4_9_ergodic(p, _):
@@ -636,12 +634,10 @@ _THRESHOLDS = {
     (MEASURE_PRESERVING, CLASS_A): ("T4_1", lambda p, lam: lam + 2),
 }
 
-# property -> (finite check, BRUTE_ONLY witness key, accepted shift shapes,
-#              p = 2 CLASS_A coefficient test)
+# property -> (BRUTE_ONLY witness key, accepted shift shapes, p = 2 CLASS_A test)
 _PROPERTIES = {
-    ERGODIC: (_transitive_check, "transitive_up_to", ("ergodic",),
-              ("T2_3", is_ergodic_2adic)),
-    MEASURE_PRESERVING: (_bijective_check, "bijective_up_to", ("ergodic", "measure"),
+    ERGODIC: ("transitive_up_to", ("ergodic",), ("T2_3", is_ergodic_2adic)),
+    MEASURE_PRESERVING: ("bijective_up_to", ("ergodic", "measure"),
                          ("T2_2", is_measure_preserving_2adic)),
 }
 
@@ -653,22 +649,18 @@ def _certificate(prop: str, f: MapLike, p: int, cls: Optional[FunctionClass],
     elapsed = lambda: (time.perf_counter() - t0) * 1000.0
     if cls is None:
         cls = _facts(f, p).cls
-    check, probe_key, shapes, (coeff_theorem, coeff_test) = _PROPERTIES[prop]
+    probe_key, shapes, (coeff_theorem, coeff_test) = _PROPERTIES[prop]
     row = _THRESHOLDS.get((prop, cls.tag))
     if row is None:
-        shape = _shift_family(f, p) if isinstance(f, FnExpr) else None
-        if shape in shapes:
+        if _facts(f, p).shape in shapes:
             # the construction is confirmed at the CLASS_B threshold; a
             # failed confirmation refutes there, with the check's witness
             m = Modulus(p, _THRESHOLDS[prop, CLASS_B][1](p, None))
-            ok, witness = _run_check(check, f, m, cap)
+            ok, witness = _check(prop, f, m, cap)
             return Certificate(prop, PROVEN if ok else REFUTED, "L2_5" if ok else "BRUTE_ONLY",
                                m, witness, elapsed())
         m = _probe_modulus(p, cap)
-        _require_cap(m, cap)
-        table = lane_table(f, m)  # built once; the check reads it too
-        ok, witness = ((True, None) if _slices_pass(prop, f, m, table, shape == "measure")
-                       else check(f, m, table))
+        ok, witness = _check(prop, f, m, cap)
         return Certificate(prop, UNKNOWN if ok else REFUTED, "BRUTE_ONLY", m,
                            {probe_key: m.k} if ok else witness, elapsed())
     theorem, threshold = row
@@ -689,7 +681,7 @@ def _certificate(prop: str, f: MapLike, p: int, cls: Optional[FunctionClass],
         else:
             size = cls.degree if cls.degree is not None else series.degree
     m = Modulus(p, threshold(p, size))
-    ok, witness = _run_check(check, f, m, cap)
+    ok, witness = _check(prop, f, m, cap)
     return Certificate(prop, PROVEN if ok else REFUTED, theorem, m, witness, elapsed())
 
 
@@ -707,7 +699,7 @@ def ergodicity_certificate(f: MapLike, p: int, cls: Optional[FunctionClass] = No
     is ergodic by construction at every prime (L2_5); should the match's
     check fail, that check's witness REFUTES.  Anything else gets a
     bounded brute probe: transitive there is UNKNOWN (no theorem extends
-    it), a short cycle is REFUTED.  At p = 2 the probe first tests bit
+    it), a short cycle is REFUTED.  At p = 2 every check first tests bit
     slices: a map bijective by its d + c*x + q*v shape, or by the slice
     test of measure_preservation_certificate on its lane table, is
     transitive mod 2^k iff f(0) is odd and each bit i < k is set at an
@@ -733,7 +725,7 @@ def measure_preservation_certificate(f: MapLike, p: int, cls: Optional[FunctionC
     is bijective at every precision by construction (L2_5), and REFUTED
     with the check's witness should the match's check fail; otherwise a
     bounded probe, UNKNOWN or REFUTED only.  At p = 2, on a map with a
-    lane table, the probe first tests bit slices: the map, a T-function,
+    lane table, every check first tests bit slices: the map, a T-function,
     is bijective mod 2^k iff bit i of f(y) and of f(y + 2^i) differ for
     every y < 2^i at each level i < k.  A failed test leaves the collision
     to the scan, which reads the same table.

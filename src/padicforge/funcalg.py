@@ -158,13 +158,6 @@ class BoolTriangle:
     def length(self):
         return len(self.psi)
 
-    def digit(self, i, bits):
-        """psi_i evaluated on the digit vector bits[0..i-1]."""
-        acc = 0
-        for mono in self.psi[i]:
-            acc ^= all(bits[j] for j in mono)
-        return acc
-
     def has_odd_weight(self, i):
         """Parity of the truth table of psi_i.
 

@@ -56,8 +56,7 @@ MUTANTS = [
     Mutant("t4_9-ergodic-at-p2", "certify.py",
            "return 3 if p in (2, 3) else 2", "return 2", (GOLDEN,)),
     Mutant("probe-keys-swapped", "certify.py",
-           '(_transitive_check, "transitive_up_to",', '(_transitive_check, "bijective_up_to",',
-           (GOLDEN,)),
+           'ERGODIC: ("transitive_up_to",', 'ERGODIC: ("bijective_up_to",', (GOLDEN,)),
     Mutant("shift-refutation-labelled-l2_5", "certify.py",
            '"L2_5" if ok else "BRUTE_ONLY"', '"L2_5"',
            (f"{SLICES}::test_misreported_shift_shape_is_refuted_by_its_check",)),
@@ -82,6 +81,8 @@ MUTANTS = [
     Mutant("inv-argument-not-checked-unit", "certify.py",
            'else v != 0 for kind, arg in self.units', 'else True for kind, arg in self.units',
            CLASS_B),
+    Mutant("class-b-prime-bound-at-2", "certify.py",
+           "self.units and p > DEFAULT_STATE_CAP", "self.units and p > 1", (GOLDEN,)),
     Mutant("poly-leaves-uncapped", "certify.py",
            "return node.poly if node.poly.degree <= DEGREE_CAP else None", "return node.poly",
            ("tests/test_cli.py::TestHostileInput::"
@@ -93,17 +94,27 @@ MUTANTS = [
            (f"{SLICES}::test_evaluation_error_raises_as_the_walk_raises",)),
     Mutant("parity-level-0-skipped", "certify.py",
            "               for i in range(k))", "               for i in range(1, k))", (SLICES,)),
+    Mutant("shape-error-not-left-to-the-walk", "certify.py",
+           "    except ValueError:  # raised where a route reads the shape; the walk decides here",
+           "    except ArithmeticError:  # raised where a route reads the shape",
+           (RAISES,)),
     Mutant("quarter-table", "certify.py",
            "range(m.value >> 1)", "range(m.value >> 2)", (SLICES,)),
     Mutant("second-lane-table", "certify.py",
-           "else check(f, m, table))", "else check(f, m, lane_table(f, m)))",
+           "_transitive_walk(f, m, table)", "_transitive_walk(f, m, lane_table(f, m))",
            (f"{SLICES}::test_one_lane_table_per_probe",)),
     Mutant("level-test-skipped", "certify.py",
-           "bijective = _slices_bijective(table, m.k)", "bijective = True", (SLICES, GOLDEN)),
+           "(measure or _slices_bijective(table, m.k))", "True", (SLICES, GOLDEN)),
+    Mutant("shape-read-inverted", "certify.py",
+           'measure = _facts(f, 2).shape == "measure"', 'measure = _facts(f, 2).shape != "measure"',
+           (f"{SLICES}::test_measure_shape_reads_half_a_table",)),
     Mutant("level-test-top-level-skipped", "certify.py",
            "    for i in range(k):\n        n, bit", "    for i in range(k - 1):\n        n, bit",
            (SLICES,)),
     # the checkers on lane tables
+    Mutant("bijective-on-every-lane-table", "certify.py",
+           "if table is not None and _slices_bijective(table, m.k):", "if table is not None:",
+           (GOLDEN, "tests/test_certify.py::TestCheckersOnLanes")),
     Mutant("transitive-on-any-return-to-0", "certify.py",
            "            if not x:\n                return step == m.value, step",
            "            if not x:\n                return True, step",

@@ -430,6 +430,14 @@ def digits(x: ResidueInt):
     return out
 
 
+def triangle_digit(t, i, bits):
+    """psi_i of the digit triangle t evaluated on the digit vector bits[0..i-1]."""
+    acc = 0
+    for mono in t.psi[i]:
+        acc ^= all(bits[j] for j in mono)
+    return acc
+
+
 def triangle_eval(t, x: ResidueInt) -> ResidueInt:
     """The map of the digit triangle t (a BoolTriangle) at x, digit by digit."""
     m = x.modulus
@@ -440,5 +448,5 @@ def triangle_eval(t, x: ResidueInt) -> ResidueInt:
     bits = digits(x)
     out = 0
     for i in range(m.k):
-        out |= (t.digit(i, bits) ^ bits[i]) << i
+        out |= (triangle_digit(t, i, bits) ^ bits[i]) << i
     return ResidueInt(out, m)

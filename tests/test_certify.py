@@ -207,7 +207,8 @@ class TestCheckersOnLanes:
 
     SOURCES = ["1 + x + 2*delta(x xor (2*x + 1))", "x xor 1", "x or 1", "2*x", "x and 7",
                "3 + 5*x + 2*(x xor (4*x + 1))", "1 + 3*x + 2*(x or 6)", "neg(x)", "5 - x",
-               "x xor (x and 6)", "(x or 1) xor 6", "1 + x + 2*(x and 1)"]
+               "x xor (x and 6)", "(x or 1) xor 6", "1 + x + 2*(x and 1)",
+               "1 + 2*x + 4*(x xor 1)"]  # its first collision comes after 2^(k-1)
 
     def test_same_results_as_pointwise(self):
         rng, trees = random.Random(8100), []
@@ -949,6 +950,31 @@ class TestBitSliceProbes:
         cert = certificate(parse_dsl(source), 2)
         assert cert.theorem == "BRUTE_ONLY" and built == [Modulus(2, 14)]
 
+    def test_parities_of_a_collision_do_not_pass_it(self):
+        # 1 + x + (x and 1) sends 1 and 2 to 3, yet bit i of its values is
+        # set at an odd number of y < 2^i at every level: only the level
+        # test stops the probe from passing it
+        f = parse_dsl("1 + x + (x and 1)")
+        assert _slices_single_cycle(lane_table(f, Modulus(2, 14)), 14)
+        assert cell(ergodicity_certificate(f, 2)) == (
+            REFUTED, "BRUTE_ONLY", (2, 14), {"reason": "not bijective"})
+
+    def test_measure_shape_reads_half_a_table(self, monkeypatch):
+        # a product of two non-constants has no lane table, and its
+        # d + c*x + q*v shape makes it bijective: the parities of its first
+        # 2^(k-1) values decide it, and no walk runs
+        evaluated = []
+
+        def spy(f, m):
+            fn = compile_map(f, m)
+            return lambda x: evaluated.append(x) or fn(x)
+
+        monkeypatch.setattr(certify, "compile_map", spy)
+        f = parse_dsl("1 + x + 4*((x xor 3)*(x and 5))")
+        assert cell(ergodicity_certificate(f, 2)) == (
+            UNKNOWN, "BRUTE_ONLY", (2, 14), {"transitive_up_to": 14})
+        assert 0 < len(evaluated) <= 1 << 13
+
     def test_evaluation_error_raises_as_the_walk_raises(self):
         # bijective by its shape, undefined at every odd x: the half table
         # meets x = 1 first, the walk x = 3, and the walk's error is raised
@@ -963,6 +989,7 @@ class TestBitSliceProbes:
 
     def test_misreported_shift_shape_is_refuted_by_its_check(self, monkeypatch):
         monkeypatch.setattr(certify, "_shift_family", lambda e, p: "ergodic")
+        monkeypatch.setattr(certify, "_cached_facts", certify._Facts)  # the shape is cached
         f = parse_dsl("x or 1")
         assert cell(measure_preservation_certificate(f, 2)) == (
             REFUTED, "BRUTE_ONLY", (2, 2), {"collision": [0, 1]})
@@ -1002,6 +1029,8 @@ RAISE_CASES = {
     "shift-core-then-miss@2": (
         lambda: parse_dsl("1 + x + 2*delta((1/4)*ff(x,2) xor x) + (x xor 3)"), 2, None),
     "callable@2": (lambda: (lambda x: 3 * x + 1), 2, None),
+    # Z_POLY, so the shape is read only by the ergodicity check's slice test
+    "shift-core-raises-in-z-poly@2": (lambda: parse_dsl("1 + x + 4*((1/4)*ff(x,2) + x)"), 2, None),
 }
 
 # (infer_class, compatibility, measure preservation, ergodicity) per case
@@ -1096,6 +1125,12 @@ RAISE_OUTCOMES = {
         ('UNKNOWN', 'BRUTE_ONLY', 14, {'bijective_up_to': 14}),
         ('REFUTED', 'BRUTE_ONLY', 14, {'cycle_through_zero': 8192}),
     ),
+    'shift-core-raises-in-z-poly@2': (
+        ('Z_POLY', 2, 0, 1),
+        ('NotIntegerValued', 'coefficient a_2 = 1/2 is not a 2-adic integer'),
+        ('NotIntegerValued', 'value at 2 has denominator divisible by 2'),
+        ('NotIntegerValued', 'value at 6 has denominator divisible by 2'),
+    ),
 }
 
 
@@ -1136,7 +1171,7 @@ class TestOneFactRecordPerMapAndPrime:
     @pytest.fixture
     def spies(self, monkeypatch):
         certify._cached_facts.cache_clear()
-        counts = {"fold": Counter(), "series": Counter(), "compatible": Counter()}
+        counts = {name: Counter() for name in ("fold", "series", "compatible", "shape")}
 
         def spy(name, real, key):
             def call(*args):
@@ -1147,6 +1182,7 @@ class TestOneFactRecordPerMapAndPrime:
         spy("fold", certify.fold, lambda e, visit, *rest: (id(e), visit.__name__))
         spy("series", certify.series_from_poly, lambda poly, p: (poly, p))
         spy("compatible", certify.is_compatible, lambda series: series)
+        spy("shape", certify._shift_family, lambda e, p: (id(e), p))
         walk = expr.nodes
 
         def nodes(*args):
@@ -1171,6 +1207,7 @@ class TestOneFactRecordPerMapAndPrime:
         assert {visit for _, visit in folds} == {"_note", "_poly_visit"}
         assert max(folds.values()) == 1  # perturbation cores too
         assert spies["series"] and max(spies["series"].values()) == 1
+        assert spies["shape"] and max(spies["shape"].values()) == 1  # once per (tree, p)
 
     def test_equal_poly_leaves_are_tested_once(self, spies):
         f = parse_dsl("(" + " + ".join(["ff(x,64)"] * 200) + ") xor 1")

@@ -471,6 +471,14 @@ class TestHostileInput:
         cls, seconds = reference_seconds(lambda: infer_class(f, 2))
         assert cls == FunctionClass(GENERIC_COMPATIBLE) and seconds < 0.1
 
+    @pytest.mark.parametrize("source", ["1 + x + (1 + {p}*x)^x", "1 + x + inv(1 + {p}*x)"])
+    def test_unit_node_at_a_huge_prime_exits_3_at_once(self, capsys, source):
+        # Z/p is too large to scan for class B, and so is the probe's modulus
+        p = "100000000000000000039"
+        rc, seconds = reference_seconds(lambda: main(["certify", source.format(p=p), "-p", p]))
+        assert rc == 3 and seconds < 1.0
+        assert f"{p}^1 states exceeds cap" in capsys.readouterr().err
+
     def test_falling_factorial_degree_capped_at_parse(self, capsys):
         argv = ["check", "ff(x, 100000)", "-p", "2", "-k", "3"]
         rc, seconds = reference_seconds(lambda: main(argv))

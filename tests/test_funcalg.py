@@ -12,6 +12,7 @@ from oracles import (
     is_bijection,
     is_transitive,
     preserves_congruences,
+    triangle_digit,
     triangle_eval,
     value_table,
 )
@@ -314,7 +315,7 @@ def test_triangle_weight_vs_truth_table():
             t = BoolTriangle(tuple([[]] * nvars + [chosen]))
             weight = 0
             for bits in itertools.product((0, 1), repeat=nvars):
-                weight += t.digit(nvars, list(bits))
+                weight += triangle_digit(t, nvars, list(bits))
             assert t.has_odd_weight(nvars) == (weight % 2 == 1)
 
 
