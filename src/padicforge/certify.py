@@ -9,7 +9,7 @@ which result licensed the extrapolation.  Ergodicity and measure
 preservation share one dispatch: the (property, class) table `_THRESHOLDS`
 gives each recognized class its theorem and threshold, `_PROPERTIES` gives
 each property its fallbacks, and every route ends in one finite check,
-`_check`, which reads bit slices first at p = 2.  What they read off the
+`_check`, one call to a public checker.  What they read off the
 map (its polynomial, series, class, T2_1 verdict and shift-family shape)
 is one cached record per (map, prime), `_Facts`, from one fold of the
 tree.  When a function falls outside every recognized class the
@@ -28,7 +28,7 @@ from itertools import product
 from typing import Callable, Optional, Sequence, Union
 
 from .core import Modulus, ord_p
-from .expr import _BITWISE, FnExpr, compile_map, fold, lane_table, operands
+from .expr import _BITWISE, _LANE_STATES, FnExpr, compile_map, fold, lane_table, operands
 from .funcalg import BoolTriangle
 from .mahler import (
     DEGREE_CAP,
@@ -148,17 +148,14 @@ def transitive_mod(f: MapLike, m: Modulus, cap: Optional[int] = None):
     so at most (distinct states + 1) evaluations.  A state other than 0
     seen again means the map cannot be a permutation, and NotBijective,
     naming that state and step, is raised rather than reporting a
-    misleading short cycle.  Where `expr.lane_table` computes f's whole
-    table, the walk reads it: while 0 returns within m steps no state is
-    marked, and otherwise the marking walk is replayed on the table.
+    misleading short cycle.  At p = 2 and 2^10..2^16 states bit slices
+    first decide a pass with no walk; on f's lane table the walk marks no
+    state while 0 returns within m steps, else replays the marking walk.
     """
     _require_cap(m, cap)
-    return _transitive_walk(f, m, lane_table(f, m))
-
-
-def _transitive_walk(f: MapLike, m: Modulus, table: Optional[array]):
-    """transitive_mod past its cap, reading `table`, f's lane table mod m,
-    where there is one."""
+    table = lane_table(f, m)
+    if _slices_transitive(f, m, table):
+        return True, m.value
     if table is not None:
         x = 0
         for step in range(1, m.value + 1):  # no state recurs before 0 does
@@ -572,18 +569,21 @@ def _slices_transitive(f: MapLike, m: Modulus, table: Optional[array]) -> bool:
     to the walk.  The tests need a T-function: a tree with a lane table
     has only odd-denominator constants and no POLY leaf, and a "measure"
     shape (`_Facts.shape`) has compatible leaves, so either has the T2_1
-    fact `_Facts.compatible`.  A "measure" shape is bijective, so its
+    fact `_Facts.compatible`.  The parities run first, so a short cycle
+    fails at its first level.  A "measure" shape is bijective, so its
     level test is skipped; without a lane table it reads the compiled
     map's values at 0..2^(k-1)-1, the half of the table its parities need.
     """
-    if m.p != 2:
+    # below 2^10 states the shape match costs more than the walk; above
+    # 2^16 the half table's array("I") would overflow 2^32 and grow with m
+    if m.p != 2 or not _LANE_STATES[0] <= m.value <= _LANE_STATES[1]:
         return False
     try:
         measure = _facts(f, 2).shape == "measure"
     except ValueError:  # raised where a route reads the shape; the walk decides here
         return False
     if table is not None:
-        return (measure or _slices_bijective(table, m.k)) and _slices_single_cycle(table, m.k)
+        return _slices_single_cycle(table, m.k) and (measure or _slices_bijective(table, m.k))
     if not measure:
         return False
     fn = compile_map(f, m)
@@ -598,16 +598,12 @@ def _slices_transitive(f: MapLike, m: Modulus, table: Optional[array]) -> bool:
 
 def _check(prop: str, f: MapLike, m: Modulus, cap: Optional[int]):
     """prop's finite check at m: (passes, witness on failure).  Every route
-    runs it; the ergodicity walk reads the lane table its slices read."""
+    runs it, through the public checker of its property."""
     if prop == MEASURE_PRESERVING:
         ok, pair = bijective_mod(f, m, cap)
         return ok, None if ok else {"collision": list(pair)}
-    _require_cap(m, cap)
-    table = lane_table(f, m)
-    if _slices_transitive(f, m, table):
-        return True, None
     try:
-        ok, length = _transitive_walk(f, m, table)
+        ok, length = transitive_mod(f, m, cap)
     except NotBijective:
         return False, {"reason": "not bijective"}
     return ok, None if ok else {"cycle_through_zero": length}
@@ -699,11 +695,12 @@ def ergodicity_certificate(f: MapLike, p: int, cls: Optional[FunctionClass] = No
     is ergodic by construction at every prime (L2_5); should the match's
     check fail, that check's witness REFUTES.  Anything else gets a
     bounded brute probe: transitive there is UNKNOWN (no theorem extends
-    it), a short cycle is REFUTED.  At p = 2 every check first tests bit
-    slices: a map bijective by its d + c*x + q*v shape, or by the slice
-    test of measure_preservation_certificate on its lane table, is
-    transitive mod 2^k iff f(0) is odd and each bit i < k is set at an
-    odd number of y < 2^i.  The lane table, or else the map's values at
+    it), a short cycle is REFUTED.  At p = 2 the probe's check tests bit
+    slices first, as `transitive_mod` does on 2^10..2^16 states: a map
+    bijective by its d + c*x + q*v shape, or by the slice test of
+    measure_preservation_certificate on its lane table, is transitive mod
+    2^k iff f(0) is odd and each bit i < k is set at an odd number of
+    y < 2^i.  The lane table, or else the map's values at
     0..2^(k-1)-1, is read once; a failed test leaves the witness to the
     walk, which reads the same lane table.
     """

@@ -63,6 +63,7 @@ from .certify import (
     polynomial_bijectivity_certificate,
     transitive_mod,
     _facts,
+    _require_cap,
 )
 from .core import CompositeModulus, Modulus, ResidueInt, mod_inverse
 from .expr import compile_map
@@ -335,8 +336,7 @@ def cmd_analyze(args) -> Tuple[dict, int]:
         if isinstance(m, CompositeModulus):
             raise ValueError("affine analysis needs a prime-power modulus")
         walk_cap = SOLVER_PERIOD_CAP if cap is None else min(cap, SOLVER_PERIOD_CAP)
-        if m.value > walk_cap:
-            raise CapExceeded(f"{m} states exceeds cap {walk_cap}")
+        _require_cap(m, walk_cap)
         seed = args.seed or 0
         if not 0 <= seed < m.value:
             raise ValueError(f"seed {seed} outside 0..{m.value - 1}")

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Union
 
 from .certify import (
-    CapExceeded,
-    DEFAULT_STATE_CAP,
     PROVEN,
     REFUTED,
     MapLike,
+    _require_cap,
     bijective_mod,
     ergodicity_certificate,
 )
@@ -174,10 +173,8 @@ def full_period_census(spec: GeneratorSpec, cap: Optional[int] = None) -> dict:
     True iff all observed output counts are equal and the whole output
     space was hit.
     """
-    cap = cap if cap is not None else DEFAULT_STATE_CAP
+    _require_cap(spec.modulus, cap)
     total = spec.modulus.value
-    if total > cap:
-        raise CapExceeded(f"{spec.modulus} states exceeds cap {cap}")
     state = GeneratorState(spec)
     counts = Counter()
     period = None

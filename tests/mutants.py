@@ -97,11 +97,16 @@ MUTANTS = [
     Mutant("shape-error-not-left-to-the-walk", "certify.py",
            "    except ValueError:  # raised where a route reads the shape; the walk decides here",
            "    except ArithmeticError:  # raised where a route reads the shape",
-           (RAISES,)),
+           (f"{RAISES}::test_shape_error_is_left_to_the_walk_on_the_lanes",)),
+    Mutant("slices-outside-lane-range", "certify.py",
+           "not _LANE_STATES[0] <= m.value <= _LANE_STATES[1]:",
+           "not m.value <= _LANE_STATES[1]:",
+           ("tests/test_certify.py::TestOneFactRecordPerMapAndPrime::"
+            "test_threshold_routes_match_no_shape",)),
     Mutant("quarter-table", "certify.py",
            "range(m.value >> 1)", "range(m.value >> 2)", (SLICES,)),
     Mutant("second-lane-table", "certify.py",
-           "_transitive_walk(f, m, table)", "_transitive_walk(f, m, lane_table(f, m))",
+           "if _slices_transitive(f, m, table):", "if _slices_transitive(f, m, lane_table(f, m)):",
            (f"{SLICES}::test_one_lane_table_per_probe",)),
     Mutant("level-test-skipped", "certify.py",
            "(measure or _slices_bijective(table, m.k))", "True", (SLICES, GOLDEN)),

@@ -975,6 +975,19 @@ class TestBitSliceProbes:
             UNKNOWN, "BRUTE_ONLY", (2, 14), {"transitive_up_to": 14})
         assert 0 < len(evaluated) <= 1 << 13
 
+    def test_public_checker_reads_half_a_table(self, monkeypatch):
+        # transitive_mod decides the same map from the same half table
+        evaluated = []
+
+        def spy(f, m):
+            fn = compile_map(f, m)
+            return lambda x: evaluated.append(x) or fn(x)
+
+        monkeypatch.setattr(certify, "compile_map", spy)
+        f = parse_dsl("1 + x + 4*((x xor 3)*(x and 5))")
+        assert transitive_mod(f, Modulus(2, 14)) == (True, 1 << 14)
+        assert 0 < len(evaluated) <= 1 << 13
+
     def test_evaluation_error_raises_as_the_walk_raises(self):
         # bijective by its shape, undefined at every odd x: the half table
         # meets x = 1 first, the walk x = 3, and the walk's error is raised
@@ -1149,6 +1162,13 @@ class TestWhereEachCallRaises:
                    _outcome(ergodicity_certificate, f, p, cls))
             assert got == RAISE_OUTCOMES[name]
 
+    def test_shape_error_is_left_to_the_walk_on_the_lanes(self):
+        # 2^10 is the least modulus whose check reads the shape: its error
+        # is caught there, and the walk raises its own first
+        f = parse_dsl("1 + x + 4*((1/4)*ff(x,2) + x)")
+        with pytest.raises(NotIntegerValued, match="^value at 6 has denominator divisible by 2$"):
+            transitive_mod(f, Modulus(2, 10))
+
 
 # (map, prime, whether it folds to a polynomial) per certify route: Z_POLY,
 # QP_POLY_INTVAL, class B with POW, a bitwise shift family (L2_5), and two
@@ -1208,6 +1228,18 @@ class TestOneFactRecordPerMapAndPrime:
         assert max(folds.values()) == 1  # perturbation cores too
         assert spies["series"] and max(spies["series"].values()) == 1
         assert spies["shape"] and max(spies["shape"].values()) == 1  # once per (tree, p)
+
+    @pytest.mark.parametrize("source", ["1 + 3*x + 2*x*x", "1 + x + 4*(1 + 2*x)^x"])
+    def test_threshold_routes_match_no_shape(self, spies, source):
+        # Z_POLY and CLASS_B routes check at 2^2 and 2^3, below the lane
+        # range, where no check reads the shift shape
+        f = parse_dsl(source)
+        cls = infer_class(f, 2)
+        assert cls.tag in (Z_POLY, CLASS_B)
+        compatibility_certificate(f, 2)
+        measure_preservation_certificate(f, 2, cls)
+        ergodicity_certificate(f, 2, cls)
+        assert not spies["shape"]
 
     def test_equal_poly_leaves_are_tested_once(self, spies):
         f = parse_dsl("(" + " + ".join(["ff(x,64)"] * 200) + ") xor 1")
