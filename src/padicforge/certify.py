@@ -523,10 +523,7 @@ def _shift_family(e: FnExpr, p: int) -> Optional[str]:
 
 def _probe_modulus(p: int, cap: Optional[int]) -> Modulus:
     budget = min(cap if cap is not None else DEFAULT_STATE_CAP, GENERIC_PROBE_BUDGET)
-    k = 1
-    while p ** (k + 1) <= budget:
-        k += 1
-    return Modulus(p, k)
+    return Modulus(p, max(floor_log(budget, p), 1))
 
 
 # At p = 2 a compatible map is a T-function: bit i of f(x) depends only on

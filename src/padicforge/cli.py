@@ -31,6 +31,7 @@ import os
 import signal
 import sys
 import time
+from functools import partial
 from importlib import resources
 from typing import Callable, List, Optional, Tuple
 
@@ -77,9 +78,11 @@ from .funcalg import (
     var,
 )
 from .genlib import (
+    GeneratorSpec,
     NotBinaryModulus,
     NotCertified,
     _factors,
+    _output_modulus,
     emit_blocks,
     full_period_census,
     make_generator,
@@ -116,17 +119,13 @@ def report_schema() -> dict:
 
 
 def _resolve_cap(args) -> Optional[int]:
-    if args.cap_states is not None:
-        if args.cap_states <= 0:
-            raise ValueError("--cap-states must be positive")
-        return args.cap_states
-    raw = os.environ.get("PADIC_FORGE_CAP")
-    if raw:
-        cap = int(raw)
-        if cap <= 0:
-            raise ValueError("PADIC_FORGE_CAP must be positive")
-        return cap
-    return None
+    name, cap = "--cap-states", args.cap_states
+    if cap is None:
+        raw = os.environ.get("PADIC_FORGE_CAP")
+        name, cap = "PADIC_FORGE_CAP", int(raw) if raw else None
+    if cap is not None and cap <= 0:
+        raise ValueError(f"{name} must be positive")
+    return cap
 
 
 def _resolve_modulus(args):
@@ -256,9 +255,11 @@ def cmd_certify(args) -> Tuple[dict, int]:
     return report, code
 
 
-def _spec_blob_from_file(path: str) -> Optional[dict]:
-    """Parsed JSON when the file holds a generator spec, else None."""
-    with open(path, "rb") as fh:
+def _spec_from_file(args, cap: Optional[int]) -> Optional[GeneratorSpec]:
+    """The generator spec in --file, or None when the file holds no JSON
+    object.  A spec fixes the modulus and the seed: -p/-k/-m and --seed
+    beside one are refused."""
+    with open(args.file, "rb") as fh:
         raw = fh.read()
     try:
         blob = json.loads(raw)
@@ -266,20 +267,19 @@ def _spec_blob_from_file(path: str) -> Optional[dict]:
         return None
     if not isinstance(blob, dict):
         return None
-    return blob
+    if args.p is not None or args.k is not None or args.m is not None:
+        raise ValueError("the spec file fixes the modulus; drop -p/-k/-m")
+    if args.seed is not None:
+        raise ValueError("the spec file fixes the seed; drop --seed")
+    return spec_from_json(blob, cap)
 
 
 def cmd_gen(args) -> Tuple[dict, int]:
     cap = _resolve_cap(args)
     if args.count <= 0:
         raise ValueError("--count must be positive")
-    blob = _spec_blob_from_file(args.file) if args.file else None
-    if blob is not None:
-        if args.p is not None or args.k is not None or args.m is not None:
-            raise ValueError("the spec file fixes the modulus; drop -p/-k/-m")
-        if args.seed is not None:
-            raise ValueError("the spec file fixes the seed; drop --seed")
-        spec = spec_from_json(blob, cap)
+    spec = _spec_from_file(args, cap) if args.file else None
+    if spec is not None:
         source = f"{args.file} (generator spec)"
     else:
         source = _load_source(args)
@@ -314,15 +314,16 @@ def cmd_analyze(args) -> Tuple[dict, int]:
     if args.file is not None and args.source is not None:
         raise ValueError("give a sequence source inline or with --file, not both")
     if args.file is not None:
-        blob = _spec_blob_from_file(args.file)
-        if blob is not None:
-            spec = spec_from_json(blob, cap)
-            m = spec.out_modulus if spec.out_fn is not None else spec.modulus
+        spec = _spec_from_file(args, cap)
+        if spec is not None:
+            m = _output_modulus(spec)
             if isinstance(m, CompositeModulus):
                 raise ValueError("affine analysis needs a prime-power modulus")
             seq = sequence_from_generator(spec)
             source = f"{args.file} (generator spec)"
         else:
+            if args.seed is not None:
+                raise ValueError("a binary file has no seed; drop --seed")
             m = _resolve_modulus(args)
             if isinstance(m, CompositeModulus):
                 raise ValueError("binary input needs -p 2 -k with k a multiple of 8")
@@ -404,9 +405,10 @@ def _row_complement_sum_identity() -> Optional[str]:
     return None
 
 
-def _row_xor_shift_generator() -> Optional[str]:
-    gen = build_ergodic(parse_dsl("x xor (2*x + 1)"), 1, 2)
-    for k in (4, 10, 16):
+def _row_ergodic_generator(source: str, c: int, ks) -> Optional[str]:
+    """build_ergodic(source, c, 2) is a single cycle mod 2^k for each k in ks."""
+    gen = build_ergodic(parse_dsl(source), c, 2)
+    for k in ks:
         ok, orbit = transitive_mod(gen, Modulus(2, k))
         if not ok:
             return f"orbit mod 2^{k} has length {orbit}, want {1 << k}"
@@ -431,15 +433,6 @@ def _row_affine_profile_bounded() -> Optional[str]:
     profile = complexity_growth_profile(RationalPoly([1, 5]), 2, range(1, 9))
     bad = [(k, c) for k, c in profile if c > 2]
     return None if not bad else f"profile exceeds 2 at {bad}"
-
-
-def _row_squares_xor_mask_generator() -> Optional[str]:
-    gen = build_ergodic(parse_dsl("(x*x) xor ((x + 32) and x)"), 7, 2)
-    for k in (4, 8, 10):
-        ok, orbit = transitive_mod(gen, Modulus(2, k))
-        if not ok:
-            return f"orbit mod 2^{k} has length {orbit}, want {1 << k}"
-    return None
 
 
 def _row_affine_transitivity_rule() -> Optional[str]:
@@ -467,16 +460,10 @@ def _row_cube_mix_equiprobable() -> Optional[str]:
     return None
 
 
-def _row_jacobian_unit_certificate() -> Optional[str]:
-    f = MultiPoly(2, {(1, 0): 1, (0, 1): 3, (0, 2): 6, (0, 3): 4})
-    cert = jacobian_equiprobable_certificate([f], 2)
-    return None if cert.verdict == PROVEN else f"verdict {cert.verdict}, want PROVEN"
-
-
-def _row_jacobian_vanishing_unknown() -> Optional[str]:
-    f = MultiPoly(2, {(1, 0): 2, (0, 3): 1})
-    cert = jacobian_equiprobable_certificate([f], 2)
-    return None if cert.verdict == UNKNOWN else f"verdict {cert.verdict}, want UNKNOWN"
+def _row_jacobian(terms: dict, want: str) -> Optional[str]:
+    """The Jacobian certificate of the two-variable map with these terms is want."""
+    cert = jacobian_equiprobable_certificate([MultiPoly(2, terms)], 2)
+    return None if cert.verdict == want else f"verdict {cert.verdict}, want {want}"
 
 
 def _unit_power_shift(p: int) -> RationalPoly:
@@ -495,17 +482,10 @@ def _row_unit_power_shift_collision() -> Optional[str]:
     return None
 
 
-def _row_unit_power_shift_refuted() -> Optional[str]:
+def _row_unit_power_shift_certificate(certificate) -> Optional[str]:
+    """certificate(1 + x^p, p) is REFUTED at p = 2, 3 and 5."""
     for p in (2, 3, 5):
-        cert = polynomial_bijectivity_certificate(_unit_power_shift(p), p)
-        if cert.verdict != REFUTED:
-            return f"p={p}: verdict {cert.verdict}, want REFUTED"
-    return None
-
-
-def _row_unit_power_shift_measure() -> Optional[str]:
-    for p in (2, 3, 5):
-        cert = measure_preservation_certificate(_unit_power_shift(p), p)
+        cert = certificate(_unit_power_shift(p), p)
         if cert.verdict != REFUTED:
             return f"p={p}: verdict {cert.verdict}, want REFUTED"
     return None
@@ -594,18 +574,24 @@ def _repro_rows():
         ("negative-cube-root-mod-16", "section1", _row_negative_cube_root),
         ("xor-and-octet", "section1", _row_xor_and_octet),
         ("complement-13-mod-8", "section1", _row_complement_13),
-        ("xor-shift-generator", "section1", _row_xor_shift_generator),
+        ("xor-shift-generator", "section1",
+         partial(_row_ergodic_generator, "x xor (2*x + 1)", 1, (4, 10, 16))),
         ("second-order-affine-recurrence", "section1", _row_second_order_affine),
         ("affine-profile-bounded", "section1", _row_affine_profile_bounded),
         ("complement-sum-identity", "section2", _row_complement_sum_identity),
-        ("squares-xor-mask-generator", "section2", _row_squares_xor_mask_generator),
+        ("squares-xor-mask-generator", "section2",
+         partial(_row_ergodic_generator, "(x*x) xor ((x + 32) and x)", 7, (4, 8, 10))),
         ("affine-transitivity-rule", "section3", _row_affine_transitivity_rule),
         ("cube-mix-equiprobable", "section3", _row_cube_mix_equiprobable),
-        ("jacobian-unit-certificate", "section3", _row_jacobian_unit_certificate),
-        ("jacobian-vanishing-unknown", "section3", _row_jacobian_vanishing_unknown),
+        ("jacobian-unit-certificate", "section3",
+         partial(_row_jacobian, {(1, 0): 1, (0, 1): 3, (0, 2): 6, (0, 3): 4}, PROVEN)),
+        ("jacobian-vanishing-unknown", "section3",
+         partial(_row_jacobian, {(1, 0): 2, (0, 3): 1}, UNKNOWN)),
         ("unit-power-shift-collision", "section4", _row_unit_power_shift_collision),
-        ("unit-power-shift-refuted", "section4", _row_unit_power_shift_refuted),
-        ("unit-power-shift-measure", "section4", _row_unit_power_shift_measure),
+        ("unit-power-shift-refuted", "section4",
+         partial(_row_unit_power_shift_certificate, polynomial_bijectivity_certificate)),
+        ("unit-power-shift-measure", "section4",
+         partial(_row_unit_power_shift_certificate, measure_preservation_certificate)),
         ("one-unit-exponential-class", "section4", _row_one_unit_exponential_class),
         ("parity-flip-series-criteria", "section5", _row_parity_flip_series_criteria),
         ("falling-factorial-sextic", "section5", _row_falling_factorial_sextic),

@@ -43,7 +43,7 @@ from operator import and_, mul, or_, xor
 from typing import Callable
 
 from .core import Modulus, ResidueInt, mod_inverse, unit_pow
-from .mahler import MahlerSeries, NotIntegerValued, RationalPoly, WrongPrime
+from .mahler import MahlerSeries, NotIntegerValued, RationalPoly, WrongPrime, _poly_from_series
 
 KINDS = frozenset(
     "VAR CONST ADD SUB MUL XOR AND OR NEG POW INV POLY DELTA COMPOSE".split()
@@ -410,11 +410,11 @@ def compile_map(f, m: Modulus) -> Callable[[int], int]:
     here.  Evaluation errors raise when the failing node is evaluated,
     exactly as node-by-node evaluation raises them.
     """
-    if isinstance(f, MahlerSeries):  # C(x, i) = (x)_i / i!
+    if isinstance(f, MahlerSeries):
         if m.p != f.p:
             raise WrongPrime(f"series is {f.p}-adic, modulus is {m.p}-adic")
         f._require_integer_valued()
-        f = RationalPoly([c / math.factorial(i) for i, c in enumerate(f.coeffs)], "falling")
+        f = _poly_from_series(f)
     if isinstance(f, (FnExpr, RationalPoly)):
         return _generated(f, m)
     if callable(f):

@@ -140,8 +140,13 @@ class GeneratorState:
         return self._output(self._states(count))
 
 
+def _output_modulus(spec: GeneratorSpec) -> AnyModulus:
+    """The modulus of the spec's words: the output map's, or the state's."""
+    return spec.out_modulus if spec.out_fn is not None else spec.modulus
+
+
 def _word_bits(spec: GeneratorSpec) -> int:
-    m = spec.out_modulus if spec.out_fn is not None else spec.modulus
+    m = _output_modulus(spec)
     if not isinstance(m, Modulus) or m.p != 2:
         raise NotBinaryModulus("byte emission needs a 2-power output modulus")
     if m.k < 8:
@@ -183,7 +188,7 @@ def full_period_census(spec: GeneratorSpec, cap: Optional[int] = None) -> dict:
         if period is None and spec.seed in states:
             period = done + states.index(spec.seed) + 1
         counts.update(state._output(states))
-    out_space = (spec.out_modulus.value if spec.out_fn is not None else total)
+    out_space = _output_modulus(spec).value
     uniform = len(counts) == out_space and len(set(counts.values())) == 1
     return {
         "period": period,

@@ -47,28 +47,17 @@ def floor_log(n, p):
 
 
 @lru_cache(maxsize=None)
-def _stirling2_row(n):
-    # S2(n, k): x^n = sum_k S2(n,k) * (x)_k
+def _stirling_row(n, basis):
+    """Row n of the Stirling numbers into basis: S2(n, k) with
+    x^n = sum_k S2(n,k) * (x)_k into "falling", signed s1(n, k) with
+    (x)_n = sum_k s1(n,k) * x^k into "monomial"."""
     if n == 0:
         return (1,)
-    prev = _stirling2_row(n - 1)
+    prev = _stirling_row(n - 1, basis)
     row = [0] * (n + 1)
-    for k in range(n):
-        row[k] += k * prev[k]
-        row[k + 1] += prev[k]
-    return tuple(row)
-
-
-@lru_cache(maxsize=None)
-def _stirling1_row(n):
-    # signed s1(n, k): (x)_n = sum_k s1(n,k) * x^k
-    if n == 0:
-        return (1,)
-    prev = _stirling1_row(n - 1)
-    row = [0] * (n + 1)
-    for k in range(n):
-        row[k] -= (n - 1) * prev[k]
-        row[k + 1] += prev[k]
+    for k, c in enumerate(prev):
+        row[k] += (k if basis == "falling" else 1 - n) * c
+        row[k + 1] += c
     return tuple(row)
 
 
@@ -104,24 +93,21 @@ class RationalPoly:
         return len(self.coeffs) - 1
 
     def to_monomial(self):
-        if self.basis == "monomial":
-            return self
-        out = [Fraction(0)] * (self.degree + 1)
-        for n, c in enumerate(self.coeffs):
-            if c:
-                for k, s in enumerate(_stirling1_row(n)):
-                    out[k] += c * s
-        return RationalPoly(out, "monomial")
+        return self._rebased("monomial")
 
     def to_falling(self):
-        if self.basis == "falling":
+        return self._rebased("falling")
+
+    def _rebased(self, basis):
+        """self in basis, one Stirling row of it for each of self's coefficients."""
+        if self.basis == basis:
             return self
         out = [Fraction(0)] * (self.degree + 1)
         for n, c in enumerate(self.coeffs):
             if c:
-                for k, s in enumerate(_stirling2_row(n)):
+                for k, s in enumerate(_stirling_row(n, basis)):
                     out[k] += c * s
-        return RationalPoly(out, "falling")
+        return RationalPoly(out, basis)
 
     def __hash__(self):  # cached: hashing a long tuple of Fractions is slow, and
         h = self.__dict__.get("_hash")  # compile_map's cache hashes every polynomial it gets
@@ -229,6 +215,12 @@ def series_from_poly(poly: RationalPoly, p):
     )
 
 
+def _poly_from_series(series: MahlerSeries):
+    """The falling-factorial polynomial of a series, since C(x, i) = (x)_i / i!;
+    the inverse of series_from_poly."""
+    return RationalPoly([c / math.factorial(i) for i, c in enumerate(series.coeffs)], "falling")
+
+
 def is_compatible(series: MahlerSeries):
     """Coefficient test for the 1-Lipschitz property.
 
@@ -267,13 +259,7 @@ def is_ergodic_2adic(series: MahlerSeries):
     """
     if series.p != 2:
         raise WrongPrime("ergodicity coefficient test is 2-adic only")
-    series._require_criteria_ready()
-    a = series.coeffs
-    if ord_p(a[0], 2) != 0:
-        return False
-    if len(a) < 2 or ord_p(a[1] - 1, 2) < 2:
-        return False
-    return all(ord_p(a[i], 2) >= floor_log(i + 1, 2) + 1 for i in range(2, len(a)))
+    return _ergodic_coefficients(series, 2)
 
 
 def is_ergodic_sufficient_oddp(series: MahlerSeries):
@@ -286,12 +272,14 @@ def is_ergodic_sufficient_oddp(series: MahlerSeries):
     """
     if series.p == 2:
         raise WrongPrime("the odd-p sufficient test does not apply at p = 2")
+    return _ergodic_coefficients(series, 1)
+
+
+def _ergodic_coefficients(series: MahlerSeries, a1_order):
+    """Both ergodicity tests, with a_1 = 1 mod p^a1_order; see is_ergodic_2adic."""
     series._require_criteria_ready()
-    p = series.p
-    a = series.coeffs
-    if ord_p(a[0], p) != 0:
-        return False
-    if len(a) < 2 or ord_p(a[1] - 1, p) < 1:
+    p, a = series.p, series.coeffs
+    if ord_p(a[0], p) != 0 or len(a) < 2 or ord_p(a[1] - 1, p) < a1_order:
         return False
     return all(ord_p(a[i], p) >= floor_log(i + 1, p) + 1 for i in range(2, len(a)))
 

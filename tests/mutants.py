@@ -142,6 +142,21 @@ MUTANTS = [
     Mutant("p-part-constant-folded", "expr.py",
            "if len(coeffs) == 1 and p_part == 1:", "if len(coeffs) == 1:",
            ("tests/test_compile.py::test_random_rational_polys_match_oracle",)),
+    # the probe's depth and the coefficient criteria
+    Mutant("probe-modulus-one-power-high", "certify.py",
+           "max(floor_log(budget, p), 1))", "max(floor_log(budget, p), 1) + 1)",
+           (f"{SLICES}::test_one_lane_table_per_probe",)),
+    Mutant("ergodic-a1-mod-2-at-p2", "mahler.py",
+           "return _ergodic_coefficients(series, 2)", "return _ergodic_coefficients(series, 1)",
+           ("tests/test_mahler.py::test_ergodic_2adic_examples",)),
+    Mutant("ergodic-tail-bound-at-i", "mahler.py",
+           "floor_log(i + 1, p)", "floor_log(i, p)",
+           ("tests/test_mahler.py::test_ergodic_2adic_examples",)),
+    # the CLI reads a spec file's modulus and seed from the file alone
+    Mutant("spec-file-seed-accepted", "cli.py",
+           'if args.seed is not None:\n        raise ValueError("the spec file fixes the seed',
+           'if False:\n        raise ValueError("the spec file fixes the seed',
+           ("tests/test_cli.py::TestGen::test_spec_file_conflicts_with_modulus_flags",)),
     # analyze's relation solve on one Howell basis
     Mutant("relation-coefficient-off-by-one", "analysis.py",
            "Relation(r, tuple(z[:r]), z[r])", "Relation(r, (z[0] + 1,) + tuple(z[1:r]), z[r])",

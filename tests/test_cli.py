@@ -262,8 +262,15 @@ class TestGen:
         spec = make_generator(parse_dsl(XORGEN), Modulus(2, 16), 3)
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec_to_json(spec)))
-        assert main(["gen", "--file", str(path), "-p", "2", "-k", "8"]) == 2
-        assert main(["gen", "--file", str(path), "--seed", "1"]) == 2
+        for command in ("gen", "analyze"):
+            assert main([command, "--file", str(path), "-p", "2", "-k", "8"]) == 2
+            assert b"the spec file fixes the modulus" in capsysbinary.readouterr().err
+            assert main([command, "--file", str(path), "--seed", "1"]) == 2
+            assert b"the spec file fixes the seed" in capsysbinary.readouterr().err
+        binary = tmp_path / "words.bin"
+        binary.write_bytes(bytes(range(16)))
+        assert main(["analyze", "--file", str(binary), "-p", "2", "-k", "8", "--seed", "1"]) == 2
+        assert b"a binary file has no seed" in capsysbinary.readouterr().err
 
     def test_count_must_be_positive(self, capsysbinary):
         assert main(["gen", "-p", "2", "-k", "16", "--count", "0", XORGEN]) == 2

@@ -260,6 +260,9 @@ def test_ergodic_2adic_examples():
     assert is_transitive(value_table(lambda x: 3 + x, 16))
     assert is_ergodic_2adic(MahlerSeries((1, 5), 2))
     assert is_transitive(value_table(lambda x: 1 + 5 * x, 16))
+    # i=3 needs ord >= floor(log2 4) + 1 = 3, not floor(log2 3) + 1 = 2
+    assert not is_ergodic_2adic(MahlerSeries((1, 1, 0, 4), 2))
+    assert not is_transitive(value_table(lambda x: 1 + x + 4 * math.comb(x, 3), 16))
 
 
 def test_ergodic_2adic_matches_brute():
