@@ -13,7 +13,9 @@ each property its fallbacks, and every route ends in one finite check,
 map (its polynomial, series, class, T2_1 verdict and shift-family shape)
 is one cached record per (map, prime), `_Facts`, from one fold of the
 tree.  When a function falls outside every recognized class the
-certificate honestly degrades to UNKNOWN.
+certificate honestly degrades to UNKNOWN.  Polynomial systems (C3_8,
+and C3_10 for a square one) take one Hensel test, `_hensel_miss`: a
+census mod p, then the Jacobian's rank over GF(p) at every point.
 """
 
 from __future__ import annotations
@@ -255,28 +257,44 @@ def equiprobable_mod(F: Sequence[MultiPoly], n_in: int, m: Modulus, cap: Optiona
     return ok, census
 
 
+def _hensel_miss(F: Sequence[MultiPoly], p: int, cap: Optional[int] = None) -> Optional[dict]:
+    """None when F mod p is equiprobable and its Jacobian has rank len(F)
+    over GF(p) at every point of (Z/p)^n; else the first miss as a witness."""
+    n_in = F[0].arity
+    ok, census = equiprobable_mod(F, n_in, Modulus(p, 1), cap)
+    if not ok:
+        return {"reason": "not equiprobable mod p", "census": census}
+    jacobian = [[g.partial(i).compile_mod(p) for i in range(n_in)] for g in F]
+    for point in (t[::-1] for t in product(range(p), repeat=n_in)):  # point[0] fastest
+        pivots = []  # Gaussian elimination mod p: (column, 1 / entry, row) per independent row
+        for row in jacobian:
+            v = [d(point) for d in row]
+            for col, inv, pivot in pivots:
+                v = [(a - v[col] * inv * b) % p for a, b in zip(v, pivot)] if v[col] else v
+            col = next((i for i, a in enumerate(v) if a), None)
+            if col is not None:
+                pivots.append((col, pow(v[col], -1, p), v))
+        if (rank := len(pivots)) < len(F):
+            return ({"reason": "all partials vanish", "point": list(point)} if len(F) == 1 else
+                    {"reason": "jacobian rank", "point": list(point), "rank": rank})
+    return None
+
+
 def jacobian_equiprobable_certificate(F: Sequence[MultiPoly], p: int) -> Certificate:
     """PROVEN equiprobability at every p^k, or UNKNOWN.
 
-    Two conditions, both mod p: the reduced map must be equiprobable, and
-    at no point of (Z/p)^n may the partial derivatives of every component
-    all vanish at once.  Either failure drops to UNKNOWN; this route never
-    refutes, since the sufficient condition is not necessary.
+    Two conditions, both mod p, which Hensel lifting carries to every p^k:
+    the reduced map must be equiprobable, and its Jacobian must have rank
+    len(F) over GF(p) at every point of (Z/p)^n.  A miss drops to UNKNOWN
+    with its witness: the census, or the first rank-deficient point as
+    {"reason": "all partials vanish", "point"} for one component and
+    {"reason": "jacobian rank", "point", "rank"} for more.  This route
+    never refutes, since the sufficient condition is not necessary.
     """
     t0 = time.perf_counter()
-    m1 = Modulus(p, 1)
-    n_in = F[0].arity
-    ok, census = equiprobable_mod(F, n_in, m1)
-    elapsed = lambda: (time.perf_counter() - t0) * 1000.0
-    if not ok:
-        return Certificate(EQUIPROBABLE, UNKNOWN, "C3_8", m1,
-                           {"reason": "not equiprobable mod p", "census": census}, elapsed())
-    partials = [g.partial(i).compile_mod(p) for g in F for i in range(n_in)]
-    for point in (t[::-1] for t in product(range(p), repeat=n_in)):  # point[0] fastest
-        if all(d(point) == 0 for d in partials):
-            return Certificate(EQUIPROBABLE, UNKNOWN, "C3_8", m1,
-                               {"reason": "all partials vanish", "point": list(point)}, elapsed())
-    return Certificate(EQUIPROBABLE, PROVEN, "C3_8", m1, None, elapsed())
+    miss = _hensel_miss(F, p)
+    return Certificate(EQUIPROBABLE, UNKNOWN if miss else PROVEN, "C3_8", Modulus(p, 1), miss,
+                       (time.perf_counter() - t0) * 1000.0)
 
 
 def polynomial_bijectivity_certificate(f, p: int, cap: Optional[int] = None) -> Certificate:
@@ -285,7 +303,9 @@ def polynomial_bijectivity_certificate(f, p: int, cap: Optional[int] = None) -> 
     Decided exactly by bijectivity mod p^2: an if-and-only-if, so both
     PROVEN and REFUTED verdicts are available.  Accepts a univariate
     RationalPoly (denominators must be units mod p) or a square system
-    of MultiPoly components checked as a map on (Z/p^2)^n.
+    of MultiPoly components.  A system is bijective mod p^2 exactly when
+    it passes jacobian_equiprobable_certificate's test mod p, whose first
+    miss is the REFUTED witness.
     """
     if isinstance(f, RationalPoly):  # the Z_POLY cell of _THRESHOLDS
         for c in f.to_monomial().coeffs:
@@ -293,17 +313,12 @@ def polynomial_bijectivity_certificate(f, p: int, cap: Optional[int] = None) -> 
                 raise ValueError(f"coefficient {c} is not a p-adic integer at p={p}")
         return _certificate(MEASURE_PRESERVING, f, p, FunctionClass(Z_POLY), cap)
     t0 = time.perf_counter()
-    m2 = Modulus(p, 2)
-    elapsed = lambda: (time.perf_counter() - t0) * 1000.0
-    # square multivariate system
     F = list(f)
-    n = F[0].arity
-    if len(F) != n:
+    if len(F) != F[0].arity:
         raise ValueError("bijectivity needs a square system")
-    ok, census = equiprobable_mod(F, n, m2, cap)
-    if ok:
-        return Certificate(MEASURE_PRESERVING, PROVEN, "C3_10", m2, None, elapsed())
-    return Certificate(MEASURE_PRESERVING, REFUTED, "C3_10", m2, {"census": census}, elapsed())
+    miss = _hensel_miss(F, p, cap)
+    return Certificate(MEASURE_PRESERVING, REFUTED if miss else PROVEN, "C3_10", Modulus(p, 2),
+                       miss, (time.perf_counter() - t0) * 1000.0)
 
 
 def _poly_visit(node, vals, signs):  # see _Facts.poly

@@ -255,30 +255,30 @@ def cmd_certify(args) -> Tuple[dict, int]:
     return report, code
 
 
-def _spec_from_file(args, cap: Optional[int]) -> Optional[GeneratorSpec]:
+def _spec_from_file(args, cap: Optional[int]) -> Tuple[Optional[GeneratorSpec], bytes]:
     """The generator spec in --file, or None when the file holds no JSON
-    object.  A spec fixes the modulus and the seed: -p/-k/-m and --seed
-    beside one are refused."""
+    object, and the file's bytes.  A spec fixes the modulus and the seed:
+    -p/-k/-m and --seed beside one are refused."""
     with open(args.file, "rb") as fh:
         raw = fh.read()
     try:
         blob = json.loads(raw)
     except (json.JSONDecodeError, UnicodeDecodeError):
-        return None
+        return None, raw
     if not isinstance(blob, dict):
-        return None
+        return None, raw
     if args.p is not None or args.k is not None or args.m is not None:
         raise ValueError("the spec file fixes the modulus; drop -p/-k/-m")
     if args.seed is not None:
         raise ValueError("the spec file fixes the seed; drop --seed")
-    return spec_from_json(blob, cap)
+    return spec_from_json(blob, cap), raw
 
 
 def cmd_gen(args) -> Tuple[dict, int]:
     cap = _resolve_cap(args)
     if args.count <= 0:
         raise ValueError("--count must be positive")
-    spec = _spec_from_file(args, cap) if args.file else None
+    spec = _spec_from_file(args, cap)[0] if args.file else None
     if spec is not None:
         source = f"{args.file} (generator spec)"
     else:
@@ -314,7 +314,7 @@ def cmd_analyze(args) -> Tuple[dict, int]:
     if args.file is not None and args.source is not None:
         raise ValueError("give a sequence source inline or with --file, not both")
     if args.file is not None:
-        spec = _spec_from_file(args, cap)
+        spec, raw = _spec_from_file(args, cap)
         if spec is not None:
             m = _output_modulus(spec)
             if isinstance(m, CompositeModulus):
@@ -327,8 +327,7 @@ def cmd_analyze(args) -> Tuple[dict, int]:
             m = _resolve_modulus(args)
             if isinstance(m, CompositeModulus):
                 raise ValueError("binary input needs -p 2 -k with k a multiple of 8")
-            with open(args.file, "rb") as fh:
-                seq = sequence_from_bytes(fh.read(), m)
+            seq = sequence_from_bytes(raw, m)
             source = f"{args.file} (binary)"
     else:
         source = _load_source(args)

@@ -28,6 +28,21 @@ class BaseNotOneUnit(ValueError):
     """Exponentiation base is not congruent to 1 modulo p (odd modulo 2)."""
 
 
+def _iroot(n, e):
+    """floor(n^(1/e)) for n >= 1, by Newton's method from above, started
+    from a float estimate where the root is in float range."""
+    log_root = math.log(n) / e
+    if log_root < 700:  # below e^700 the estimate is within 1e-13 of the root
+        x = int(math.exp(log_root) * (1 + 1e-12)) + 1
+    else:
+        x = 1 << -(-n.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + n // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
 def _brief(n):
     """n in decimal or, past 30 digits, its sign, first 12 digits and digit
     count: an error message must not raise past the int-to-str limit."""
@@ -43,6 +58,7 @@ _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _BASES_PRODUCT = math.prod(_PRIME_BASES)
 _PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
 _TRIAL_BOUND = 2**16  # CompositeModulus.from_int divides out the primes below it
+_MAX_MODULUS_BITS = 2**20  # p^k past it would take unbounded time and memory to build
 
 
 def is_prime(n):
@@ -75,6 +91,9 @@ class Modulus:
             raise ValueError(f"modulus base {self.p} is not prime")
         if self.k < 1:
             raise ValueError("modulus exponent must be positive")
+        if self.k * self.p.bit_length() > _MAX_MODULUS_BITS:
+            raise ValueError(f"modulus {self.p}^{_brief(self.k)} has more than"
+                             f" {_MAX_MODULUS_BITS} bits")
         object.__setattr__(self, "value", self.p**self.k)
 
     def residue(self, x):
@@ -126,7 +145,8 @@ class CompositeModulus:
     @classmethod
     def from_int(cls, m):
         """Factor m into prime-power components: trial division by the primes
-        below _TRIAL_BOUND, then what is left must be 1 or a prime."""
+        below _TRIAL_BOUND, then what is left must be 1 or a prime power q^e
+        (q above the bound, so e <= bit_length / 16)."""
         if m < 2:
             raise ValueError("composite modulus must be at least 2")
         factors = []
@@ -139,10 +159,12 @@ class CompositeModulus:
             if k:  # p is prime: its prime factors are divided out
                 factors.append(Modulus(p, k))
         if n > 1:
-            if not is_prime(n):
+            roots = ((_iroot(n, e), e) for e in range(n.bit_length() // 16, 1, -1))
+            q, e = next(((q, e) for q, e in roots if q**e == n and is_prime(q)), (n, 1))
+            if e == 1 and not is_prime(n):
                 raise ValueError(f"cannot factor {_brief(m)}: {_brief(n)} has no prime factor"
-                                 f" below {_TRIAL_BOUND} and is not prime")
-            factors.append(Modulus(n, 1))
+                                 f" below {_TRIAL_BOUND} and is not a prime power")
+            factors.append(Modulus(q, e))
         return cls(tuple(factors))
 
     def radical(self):

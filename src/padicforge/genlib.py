@@ -11,7 +11,7 @@ block of words at a time.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, List, Optional, Union
 
 from .certify import (
@@ -75,6 +75,8 @@ class GeneratorSpec:
             raise ValueError(f"seed {self.seed} outside 0..{self.modulus.value - 1}")
         if (self.out_fn is None) != (self.out_modulus is None):
             raise ValueError("out_fn and out_modulus come together")
+        if self.out_modulus is not None and not isinstance(self.out_modulus, Modulus):
+            raise ValueError("output modulus must be a prime power")
         if self.out_modulus is not None and self.modulus.value % self.out_modulus.value:
             raise ValueError("output modulus must divide the state modulus")
 
@@ -90,27 +92,31 @@ def make_generator(state_fn: MapLike, modulus: AnyModulus, seed: int, *,
     prime factor of the modulus; the output map, when present, must be
     bijective on its output modulus.  Anything weaker raises
     NotCertified, naming the offending factor, so accepting an
-    uncertified generator is always an explicit caller decision.
+    uncertified generator is always an explicit caller decision.  The
+    spec's own rules (GeneratorSpec) run before any certificate.
     """
-    certs = ()
-    if not unchecked:
-        collected = []
-        for factor in _factors(modulus):
-            cert = ergodicity_certificate(state_fn, factor.p, cap=cap)
-            if cert.verdict != PROVEN:
-                raise NotCertified(
-                    f"state map is {cert.verdict} at p={factor.p}"
-                    " (pass unchecked=True to accept it anyway)", cert.verdict)
-            collected.append(cert)
-        if out_fn is not None:
-            ok, witness = bijective_mod(out_fn, out_modulus, cap)
-            if not ok:
-                raise NotCertified(
-                    f"output map collides on {witness} mod"
-                    f" {out_modulus.p}^{out_modulus.k}", REFUTED)
-        certs = tuple(collected)
-    return GeneratorSpec(state_fn, modulus, seed, out_fn, out_modulus,
-                         unchecked, certs)
+    return _certified(GeneratorSpec(state_fn, modulus, seed, out_fn, out_modulus, unchecked),
+                      cap)
+
+
+def _certified(spec: GeneratorSpec, cap: Optional[int]) -> GeneratorSpec:
+    """spec with its certificates; see make_generator."""
+    if spec.unchecked:
+        return spec
+    certs = []
+    for factor in _factors(spec.modulus):
+        cert = ergodicity_certificate(spec.state_fn, factor.p, cap=cap)
+        if cert.verdict != PROVEN:
+            raise NotCertified(
+                f"state map is {cert.verdict} at p={factor.p}"
+                " (pass unchecked=True to accept it anyway)", cert.verdict)
+        certs.append(cert)
+    if spec.out_fn is not None:
+        ok, witness = bijective_mod(spec.out_fn, spec.out_modulus, cap)
+        if not ok:
+            raise NotCertified(
+                f"output map collides on {witness} mod {spec.out_modulus}", REFUTED)
+    return replace(spec, certificates=tuple(certs))
 
 
 class GeneratorState:
@@ -216,18 +222,25 @@ def spec_to_json(spec: GeneratorSpec) -> dict:
 
 def spec_from_json(blob: dict, cap: Optional[int] = None) -> GeneratorSpec:
     """Rebuild a generator from its JSON form, re-certifying unless flagged.
-    A missing or mistyped field raises ValueError("malformed generator spec")."""
+    A missing or mistyped field, or a spec that breaks GeneratorSpec's
+    rules, raises ValueError("malformed generator spec")."""
     try:
         out_fn = expr_from_json(blob["out_fn"]) if "out_fn" in blob else None
         out_modulus = _modulus_from_json(blob["out_modulus"]) if "out_modulus" in blob else None
         state_fn, modulus, seed = (expr_from_json(blob["state_fn"]),
                                    _modulus_from_json(blob["modulus"]), blob["seed"])
+        unchecked = blob.get("unchecked", False)
         if type(seed) is not int:
             raise TypeError(f"seed {seed!r} is not an integer")
+        if type(unchecked) is not bool:
+            raise TypeError(f"unchecked {unchecked!r} is not a boolean")
     except (LookupError, TypeError, AttributeError, ArithmeticError) as exc:
         raise ValueError(f"malformed generator spec: {type(exc).__name__}: {exc}") from None
-    return make_generator(state_fn, modulus, seed, out_fn=out_fn, out_modulus=out_modulus,
-                          unchecked=bool(blob.get("unchecked", False)), cap=cap)
+    try:
+        spec = GeneratorSpec(state_fn, modulus, seed, out_fn, out_modulus, unchecked)
+    except ValueError as exc:
+        raise ValueError(f"malformed generator spec: {exc}") from None
+    return _certified(spec, cap)
 
 
 def _modulus_to_json(m: AnyModulus) -> dict:

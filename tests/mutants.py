@@ -60,6 +60,13 @@ MUTANTS = [
     Mutant("shift-refutation-labelled-l2_5", "certify.py",
            '"L2_5" if ok else "BRUTE_ONLY"', '"L2_5"',
            (f"{SLICES}::test_misreported_shift_shape_is_refuted_by_its_check",)),
+    # the Hensel test of polynomial systems
+    Mutant("jacobian-rank-at-least-one", "certify.py",
+           "if (rank := len(pivots)) < len(F):", "if (rank := len(pivots)) < 1:",
+           ("tests/test_certify.py::TestTwoComponentSystems",)),
+    Mutant("system-miss-proven", "certify.py",
+           'REFUTED if miss else PROVEN, "C3_10"', 'PROVEN, "C3_10"',
+           ("tests/test_certify.py::TestPolynomialBijectivityCertificate::test_square_system",)),
     # the shift family's side conditions
     Mutant("shift-scale-of-order-0", "certify.py",
            "ord_p(q, p) < 1 or", "ord_p(q, p) < 0 or", (GOLDEN,)),
@@ -157,6 +164,13 @@ MUTANTS = [
            'if args.seed is not None:\n        raise ValueError("the spec file fixes the seed',
            'if False:\n        raise ValueError("the spec file fixes the seed',
            ("tests/test_cli.py::TestGen::test_spec_file_conflicts_with_modulus_flags",)),
+    # a spec file's own rules, and prime powers past trial division
+    Mutant("unchecked-read-through-bool", "genlib.py",
+           "if type(unchecked) is not bool:", "if False:",
+           ("tests/test_cli.py::TestMalformedSpec::test_rule_break_exits_2_before_any_certificate",)),
+    Mutant("prime-power-cofactor-not-rooted", "core.py",
+           "for e in range(n.bit_length() // 16, 1, -1)", "for e in range(0)",
+           ("tests/test_core.py::test_composite_modulus_factors_past_trial_division",)),
     # analyze's relation solve on one Howell basis
     Mutant("relation-coefficient-off-by-one", "analysis.py",
            "Relation(r, tuple(z[:r]), z[r])", "Relation(r, (z[0] + 1,) + tuple(z[1:r]), z[r])",

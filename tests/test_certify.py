@@ -6,6 +6,7 @@ import sys
 from array import array
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -308,6 +309,45 @@ class TestJacobianCertificate:
     def test_partial_derivative(self):
         g = MultiPoly(2, {(1, 0): 1, (0, 1): 3, (0, 2): 6, (0, 3): 4}).partial(1)
         assert g.terms == {(0, 0): 3, (0, 1): 12, (0, 2): 12}
+
+    def test_rank_one_system_is_not_proven(self):
+        # (x, y^p): equiprobable mod p and x's partial never vanishes, but
+        # y^p mod p^2 depends on y mod p alone, so the map collapses mod p^2
+        for p in (2, 3, 5):
+            F = [MultiPoly(2, {(1, 0): 1}), MultiPoly(2, {(0, p): 1})]
+            cert = jacobian_equiprobable_certificate(F, p)
+            assert (cert.verdict, cert.theorem, cert.checked_modulus) == (UNKNOWN, "C3_8",
+                                                                          Modulus(p, 1))
+            assert cert.witness == {"reason": "jacobian rank", "point": [0, 0], "rank": 1}
+            cert = polynomial_bijectivity_certificate(F, p)
+            assert (cert.verdict, cert.theorem, cert.checked_modulus) == (REFUTED, "C3_10",
+                                                                          Modulus(p, 2))
+            assert cert.witness == {"reason": "jacobian rank", "point": [0, 0], "rank": 1}
+            assert not equiprobable_mod(F, 2, Modulus(p, 2))[0]
+
+
+FAMILY_MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
+class TestTwoComponentSystems:
+    """Every system (f, g) in x, y whose components are sums of a nonempty
+    set of the monomials 1, x, y, x^2, xy, y^2: 63^2 = 3,969 systems."""
+
+    @pytest.mark.parametrize("p, proven", [(2, 144), (3, 80)])
+    def test_every_system_against_the_census(self, p, proven):
+        parts = [MultiPoly(2, dict.fromkeys(subset, 1)) for r in range(1, 7)
+                 for subset in combinations(FAMILY_MONOMIALS, r)]
+        wrong, seen = [], 0
+        for F in product(parts, repeat=2):
+            bijective = equiprobable_mod(F, 2, Modulus(p, 2))[0]
+            if (polynomial_bijectivity_certificate(F, p).verdict == PROVEN) != bijective:
+                wrong.append(("C3_10", F))
+            if jacobian_equiprobable_certificate(F, p).verdict == PROVEN:
+                seen += 1
+                if not (bijective and equiprobable_mod(F, 2, Modulus(p, 3))[0]):
+                    wrong.append(("C3_8", F))
+        assert wrong == []
+        assert seen == proven
 
 
 class TestPolynomialBijectivityCertificate:

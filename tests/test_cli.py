@@ -1,9 +1,11 @@
 """CLI surface: exit codes, report schema conformance, byte output."""
 
+import copy
 import hashlib
 import json
 import math
 import os
+import random
 import re
 import statistics
 import subprocess
@@ -303,16 +305,29 @@ class TestAnalyze:
         monkeypatch.undo()
         assert main(["analyze", "-p", "2", "-k", "6", "--rmax", "64", XORGEN]) == 0
 
-    def test_binary_file(self, capsys, tmp_path):
+    def test_binary_file(self, capsys, tmp_path, monkeypatch):
         spec = make_generator(parse_dsl(XORGEN), Modulus(2, 16), 3)
         path = tmp_path / "stream.bin"
         path.write_bytes(emit_bytes(spec, 64))
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
         rc, blob = run_json(
             capsys,
             ["analyze", "--file", str(path), "-p", "2", "-k", "16", "--json"])
         assert rc == 0
-        assert blob["words"] == 64
-        assert blob["source"].endswith("(binary)")
+        assert opened == [str(path)]  # one read: the bytes the spec test read are the words
+        assert blob == {
+            "kind": "analyze", "source": f"{path} (binary)", "words": 64,
+            "modulus": {"p": 2, "k": 16}, "period": 64,
+            "linear_complexity": {"none_found_up_to": 32},
+            "unit_complexity": {"none_found_up_to": 32},
+            "bit_periods": [2, 4, 8, 16, 32, 64, 64, 64, 64, 1, 64, 1, 1, 1, 1, 1],
+            "census_ok": False}
 
     def test_spec_file_full_period(self, capsys, tmp_path):
         spec = make_generator(parse_dsl("1 + 5*x"), Modulus(2, 6), 0)
@@ -507,6 +522,14 @@ class TestInputBoundary:
         assert main(["check", "1+x", "-p", str(2**89 - 1), "-k", "1"]) == 2
         assert "cannot decide whether" in capsys.readouterr().err
 
+    def test_prime_power_past_trial_division(self, capsys):
+        for argv in (["-m", str(65537**2)], ["-p", "65537", "-k", "2"]):
+            assert main(["check", "1 + x", *argv]) == 3
+            assert capsys.readouterr().err == "error: 65537^2 states exceeds cap 16777216\n"
+        assert main(["check", "1 + x", "-m", str(65537 * 65539)]) == 2
+        assert capsys.readouterr().err == ("error: cannot factor 4295229443: 4295229443 has no"
+                                           " prime factor below 65536 and is not a prime power\n")
+
     def test_huge_modulus_is_shortened_in_the_error(self, capsys):
         assert main(["check", "1+x", "-m", str(10**4000 + 1)]) == 2
         err = capsys.readouterr().err
@@ -557,6 +580,8 @@ def data_file(tmp_path):
     (["analyze", "--file", data_file, "-m", "12"], None,
      "binary input needs -p 2 -k with k a multiple of 8"),
     (["analyze", "1+x", "-p", "2", "-k", "4", "--seed", "16"], None, "seed 16 outside 0..15"),
+    (["check", "1+x", "-p", "3", "-k", str(10**20)], None,
+     "modulus 3^100000000000000000000 has more than 1048576 bits"),
 ])
 def test_argument_check_exits_2_with_its_message(capsys, monkeypatch, tmp_path,
                                                  argv, cap_env, message):
@@ -607,6 +632,24 @@ MALFORMED_SPECS = {
 }
 
 
+XOR_ONE = json.dumps([{"kind": "VAR"}, {"kind": "CONST", "value": [1, 1]}, {"kind": "XOR"}])
+
+# specs that break GeneratorSpec's own rules, which run before any certificate
+SPEC_RULE_BREAKS = {
+    "out_fn without out_modulus": (
+        {"state_fn": VALID_STATE_FN, "modulus": {"p": 2, "k": 8}, "seed": 0, "out_fn": XOR_ONE},
+        "out_fn and out_modulus come together"),
+    "composite out_modulus": (
+        {"state_fn": VALID_STATE_FN, "modulus": {"factors": [[2, 3], [5, 1]]}, "seed": 0,
+         "out_fn": json.dumps([{"kind": "VAR"}]), "out_modulus": {"factors": [[2, 3], [5, 1]]}},
+        "output modulus must be a prime power"),
+    # read through bool(), "false" would let the refuted state map x xor 1 through
+    "string unchecked": (
+        {"state_fn": XOR_ONE, "modulus": {"p": 2, "k": 8}, "seed": 0, "unchecked": "false"},
+        "TypeError: unchecked 'false' is not a boolean"),
+}
+
+
 class TestPastTheDigitLimit:
     """2^20000 has 6021 decimal digits, past the default int-to-str limit
     of 4300: no message or generated line may write it in decimal."""
@@ -649,6 +692,18 @@ class TestMalformedSpec:
         captured = capsysbinary.readouterr()
         assert captured.out == b"" and captured.err.startswith(b"error: ")
 
+    @pytest.mark.parametrize("name", sorted(SPEC_RULE_BREAKS))
+    @pytest.mark.parametrize("command", ["gen", "analyze"])
+    def test_rule_break_exits_2_before_any_certificate(self, capsysbinary, tmp_path, command,
+                                                       name):
+        blob, message = SPEC_RULE_BREAKS[name]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(blob))
+        assert main([command, "--file", str(path)]) == 2
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err == f"error: malformed generator spec: {message}\n".encode()
+
     @pytest.mark.parametrize("command", ["gen", "analyze"])
     def test_file_nested_100000_deep_exits_2(self, capsysbinary, tmp_path, command):
         path = tmp_path / "deep.json"
@@ -671,6 +726,66 @@ class TestMalformedSpec:
                                     "modulus": {"p": 2, "k": 8}, "seed": 0}))
         assert main(["gen", "--file", str(path), "--count", "3"]) == 0
         assert capsysbinary.readouterr().out == bytes([1, 2, 3])
+
+
+FUZZ_BASE = {"state_fn": VALID_STATE_FN, "modulus": {"p": 2, "k": 8}, "seed": 3,
+             "out_fn": XOR_ONE, "out_modulus": {"p": 2, "k": 8}}
+FUZZ_VALUES = (None, True, False, 1.5, "x", "false", [], [1, 2], {}, 10**40, -1, 0)
+FUZZ_MODULI = ({"factors": [[2, 3], [5, 1]]}, {"factors": [[2, 8]]}, {"factors": [[3, 1], [2, 1]]},
+               {"factors": []}, {"factors": [[4, 1]]}, {"p": 4, "k": 2}, {"p": 1, "k": 1},
+               {"p": 9, "k": 1}, {"p": 3, "k": 5}, {"p": 2, "k": 0}, {"p": 2, "k": 4})
+FUZZ_NODES = ({"kind": "NEG"}, {"kind": "ADD"}, {"kind": "SIN"}, {}, {"kind": "CONST"},
+              {"kind": "CONST", "value": [1]}, {"kind": "CONST", "value": [1, 0]},
+              {"kind": "CONST", "value": ["1", 1]}, {"kind": "CONST", "value": [10**40, 3]},
+              {"kind": "VAR", "children": [5]}, {"kind": "POW"}, {"kind": "INV"}, 5, "VAR", None, [])
+
+
+def fuzzed_spec(rng: random.Random) -> dict:
+    """FUZZ_BASE with one field dropped, swapped for a value of another type,
+    given another modulus, or with its postfix node docs broken."""
+    spec = copy.deepcopy(FUZZ_BASE)
+    how = rng.randrange(4)
+    if how == 0:
+        where = rng.choice([spec, spec["modulus"], spec["out_modulus"]])
+        del where[rng.choice(sorted(where))]
+    elif how == 1:
+        key = rng.choice(sorted(spec) + ["unchecked", "p", "k"])
+        where = spec[rng.choice(["modulus", "out_modulus"])] if key in ("p", "k") else spec
+        where[key] = rng.choice(FUZZ_VALUES)
+    elif how == 2:
+        spec[rng.choice(["modulus", "out_modulus"])] = rng.choice(FUZZ_MODULI)
+    else:
+        key = rng.choice(["state_fn", "out_fn"])
+        nodes, op = json.loads(spec[key]), rng.randrange(4)
+        if op == 0:
+            del nodes[rng.randrange(len(nodes))]
+        elif op == 1:
+            nodes.insert(rng.randrange(len(nodes) + 1), rng.choice(FUZZ_NODES))
+        elif op == 2:
+            rng.choice(nodes)[rng.choice(["kind", "value", "children"])] = rng.choice(FUZZ_VALUES)
+        spec[key] = json.dumps(nodes) if op < 3 else rng.choice(
+            ["[{", '{"kind": "ADD", "children": [{"kind": "VAR"}]}', "[]", "{}", "3"])
+    return spec
+
+
+def test_fuzzed_spec_files_end_in_a_documented_exit_code(capsysbinary, tmp_path):
+    """400 seeded mutations of a valid spec file, each through gen and
+    analyze: every run ends in 0, 2, 3, 4 or 5 within a second."""
+    rng, path, bad = random.Random(20261020), tmp_path / "spec.json", []
+    for case in range(400):
+        spec = fuzzed_spec(rng)
+        path.write_text(json.dumps(spec))
+        for argv in (["gen", "--file", str(path), "--count", "16"], ["analyze", "--file", str(path)]):
+            t0 = time.perf_counter()
+            try:
+                rc = main(argv)
+            except Exception as exc:  # a traceback is the finding
+                rc = f"{type(exc).__name__}: {exc}"
+            seconds = time.perf_counter() - t0
+            capsysbinary.readouterr()
+            if rc not in (0, 2, 3, 4, 5) or seconds > 1.0:
+                bad.append((case, argv[0], spec, rc, round(seconds, 3)))
+    assert bad == []
 
 
 class TestParser:

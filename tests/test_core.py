@@ -25,6 +25,13 @@ def test_modulus_construction():
         Modulus(4, 2)
     with pytest.raises(ValueError):
         Modulus(5, 0)
+    # p^k is built eagerly, so an exponent past the bit bound is refused first
+    assert Modulus(2, 2**19 - 1).value == 1 << 2**19 - 1
+    with pytest.raises(ValueError, match=r"^modulus 3\^100000000000000000000 has more than"
+                                         " 1048576 bits$"):
+        Modulus(3, 10**20)
+    with pytest.raises(ValueError, match=r"^modulus 2\^100000000000\.\.\. \(41 digits\) has"):
+        Modulus(2, 10**40)
 
 
 def test_residue_range_checked():
@@ -194,8 +201,15 @@ def test_is_prime_decides_large_n_up_to_its_bound_and_refuses_above():
 def test_composite_modulus_factors_past_trial_division():
     big = 100000000000000000039
     assert CompositeModulus.from_int(8 * big).factors == (Modulus(2, 3), Modulus(big, 1))
-    with pytest.raises(ValueError, match="cannot factor 4295098369"):
-        CompositeModulus.from_int(65537**2)  # no factor below 2^16, and not prime
+    # a cofactor past trial division may be an exact power of a prime
+    assert CompositeModulus.from_int(65537**2).factors == (Modulus(65537, 2),)
+    assert CompositeModulus.from_int(12 * 65537**3).factors == (
+        Modulus(2, 2), Modulus(3, 1), Modulus(65537, 3))
+    assert CompositeModulus.from_int(big**2).factors == (Modulus(big, 2),)
+    with pytest.raises(ValueError, match="cannot factor 4295229443"):
+        CompositeModulus.from_int(65537 * 65539)  # two primes past the trial bound
+    with pytest.raises(ValueError, match="cannot factor 18448995968014090249"):
+        CompositeModulus.from_int((65537 * 65539) ** 2)  # a square, but not of a prime
 
 
 def test_errors_shorten_huge_numbers_to_leading_digits_and_count():
@@ -204,9 +218,9 @@ def test_errors_shorten_huge_numbers_to_leading_digits_and_count():
         is_prime(10**4000 + 1)
     assert str(exc.value) == f"cannot decide whether 100000000000... (4001 digits) is prime: {bound}"
     with pytest.raises(ValueError) as exc:
-        CompositeModulus.from_int(10**40 * 65537**2)
-    assert str(exc.value) == ("cannot factor 429509836900... (50 digits): 4295098369 has no"
-                              " prime factor below 65536 and is not prime")
+        CompositeModulus.from_int(10**40 * 65537 * 65539)
+    assert str(exc.value) == ("cannot factor 429522944300... (50 digits): 4295229443 has no"
+                              " prime factor below 65536 and is not a prime power")
     # up to 30 digits a number is written out
     with pytest.raises(ValueError, match=f"^cannot decide whether {2**89 - 1} is prime"):
         is_prime(2**89 - 1)
