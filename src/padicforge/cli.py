@@ -14,7 +14,10 @@ analyze  computes the affine-complexity report of a sequence: the orbit of
          a DSL expression, the output of a serialized generator spec, or a
          raw little-endian binary file.
 repro    replays the worked-example regression table and fails the run if
-         any row disagrees with its recorded outcome.
+         any row disagrees with its recorded outcome.  A row's observation,
+         plain values the library computes now, must equal the outcome it
+         records; a row that fails says "got <observed>, want <recorded>",
+         or "raised <Type>: <message>" when the observation raises.
 
 Exit codes: 0 success, 1 repro row failure, 2 parse or configuration
 error, 3 state cap exceeded, 4 a requested certificate came back UNKNOWN,
@@ -33,7 +36,8 @@ import sys
 import time
 from functools import partial
 from importlib import resources
-from typing import Callable, List, Optional, Tuple
+from operator import attrgetter, itemgetter
+from typing import List, Optional, Tuple
 
 from .analysis import (
     SOLVER_PERIOD_CAP,
@@ -81,6 +85,7 @@ from .genlib import (
     GeneratorSpec,
     NotBinaryModulus,
     NotCertified,
+    _check_seed,
     _factors,
     _output_modulus,
     emit_blocks,
@@ -151,15 +156,19 @@ def _resolve_primes(args) -> List[int]:
     return [args.p]
 
 
-def _load_source(args) -> str:
+def _load_source(args, raw: Optional[bytes] = None) -> str:
+    """The inline source, or the text of --file; raw is its bytes when already read."""
     if args.source is not None and args.file is not None:
         raise ValueError("give the function inline or with --file, not both")
     if args.source is not None:
         return args.source
-    if args.file is not None:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            return fh.read()
-    raise ValueError("a function is required, inline or with --file")
+    if args.file is None:
+        raise ValueError("a function is required, inline or with --file")
+    if raw is None:
+        with open(args.file, "rb") as fh:
+            raw = fh.read()
+    # newlines as text mode reads them: \r\n and \r become \n
+    return raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _class_json(cls) -> dict:
@@ -278,11 +287,13 @@ def cmd_gen(args) -> Tuple[dict, int]:
     cap = _resolve_cap(args)
     if args.count <= 0:
         raise ValueError("--count must be positive")
-    spec = _spec_from_file(args, cap)[0] if args.file else None
+    spec = raw = None
+    if args.file is not None and args.source is None:  # beside a source, _load_source refuses
+        spec, raw = _spec_from_file(args, cap)
     if spec is not None:
         source = f"{args.file} (generator spec)"
     else:
-        source = _load_source(args)
+        source = _load_source(args, raw)
         fn = parse_dsl(source)
         modulus = _resolve_modulus(args)
         spec = make_generator(fn, modulus, args.seed or 0, cap=cap)
@@ -338,8 +349,7 @@ def cmd_analyze(args) -> Tuple[dict, int]:
         walk_cap = SOLVER_PERIOD_CAP if cap is None else min(cap, SOLVER_PERIOD_CAP)
         _require_cap(m, walk_cap)
         seed = args.seed or 0
-        if not 0 <= seed < m.value:
-            raise ValueError(f"seed {seed} outside 0..{m.value - 1}")
+        _check_seed(seed, m)
         step = compile_map(fn, m)
         seq = orbit(step, m, seed)
         if len(seq) == m.value and step(seq[-1]) != seed:
@@ -354,277 +364,168 @@ def cmd_analyze(args) -> Tuple[dict, int]:
 
 # ---------------------------------------------------------------- repro
 
-# Each row replays one worked example and returns None on agreement or a
-# short description of the disagreement.  Rows are grouped so subsets can
-# be selected with --only.
+# The worked-example table: (name, group, observe, want).  observe() returns
+# what the library computes now, as plain values, and want is the recorded
+# outcome; cmd_repro judges every row by observed == want.  A rule checked
+# over many inputs observes the inputs that break it, so it records [].
+# --only selects one group.
 
 
-def _parity_flip(modval: int) -> Callable[[int], int]:
-    """x - 3 on evens, x + 5 on odds; single cycle mod every power of two."""
-    return lambda x: (x - 3 if x % 2 == 0 else x + 5) % modval
-
-
-def _parity_flip_series(degree: int = 14) -> MahlerSeries:
-    coeffs = [-3, 9] + [(-1) ** (j + 1) * 2 ** (j + 2) for j in range(2, degree + 1)]
-    return MahlerSeries(tuple(coeffs), 2)
-
-
-def _row_inverse_3_mod_16() -> Optional[str]:
-    m16 = Modulus(2, 4)
-    got = mod_inverse(ResidueInt(3, m16)).residue
-    return None if got == 11 else f"3^-1 mod 16 gave {got}, want 11"
-
-
-def _row_negative_cube_root() -> Optional[str]:
-    m16 = Modulus(2, 4)
-    got = (pow(3, 11, 16),
-           mod_inverse(ResidueInt(pow(3, 5, 16), m16)).residue,
-           pow(11, 3, 16))
-    return None if got == (11, 11, 3) else f"got {got}, want (11, 11, 3)"
-
-
-def _row_xor_and_octet() -> Optional[str]:
-    m = Modulus(2, 3)
-    got = (compile_map(parse_dsl("1 xor 3"), m)(0), compile_map(parse_dsl("2 and 7"), m)(0))
-    return None if got == (2, 2) else f"got {got}, want (2, 2)"
-
-
-def _row_complement_13() -> Optional[str]:
-    got = compile_map(parse_dsl("neg(13)"), Modulus(2, 3))(0)
-    return None if got == 2 else f"NEG(13) mod 8 gave {got}, want 2"
-
-
-def _row_complement_sum_identity() -> Optional[str]:
-    for k in (3, 8, 12):
-        m = Modulus(2, k)
-        f = compile_map(parse_dsl("x + neg(x)"), m)
-        for z in (0, 1, 5, min(100, m.value - 1), m.value - 1):
-            if f(z) != m.value - 1:
-                return f"z + NEG(z) mod 2^{k} at z={z} gave {f(z)}"
-    return None
-
-
-def _row_ergodic_generator(source: str, c: int, ks) -> Optional[str]:
-    """build_ergodic(source, c, 2) is a single cycle mod 2^k for each k in ks."""
-    gen = build_ergodic(parse_dsl(source), c, 2)
-    for k in ks:
-        ok, orbit = transitive_mod(gen, Modulus(2, k))
-        if not ok:
-            return f"orbit mod 2^{k} has length {orbit}, want {1 << k}"
-    return None
-
-
-def _row_second_order_affine() -> Optional[str]:
-    m = Modulus(2, 8)
-    for a, b in ((3, 5), (7, 13), (5, 9)):
-        step = compile_map(add(const(a), mul(const(b), var())), m)
-        seq = orbit(step, m)
-        rel = Relation(2, (-b % m.value, (1 + b) % m.value), 0)
-        if not rel.verify(seq, m):
-            return f"x_(n+2) = (1+b)x_(n+1) - b*x_n fails for a={a}, b={b}"
-        rep = affine_linear_complexity(seq, m, r_max=4)
-        if not isinstance(rep.linear_complexity, int) or rep.linear_complexity > 2:
-            return f"complexity for a={a}, b={b} is {rep.linear_complexity}, want <= 2"
-    return None
-
-
-def _row_affine_profile_bounded() -> Optional[str]:
-    profile = complexity_growth_profile(RationalPoly([1, 5]), 2, range(1, 9))
-    bad = [(k, c) for k, c in profile if c > 2]
-    return None if not bad else f"profile exceeds 2 at {bad}"
-
-
-def _row_affine_transitivity_rule() -> Optional[str]:
-    m = Modulus(2, 5)
+def _affine_rule_breaks() -> List[Tuple[int, int]]:
+    """(a, b) mod 2^5 where a + b*x breaks the rule: transitive iff a odd and b = 1 mod 4."""
+    m, breaks = Modulus(2, 5), []
     for a in range(m.value):
         for b in range(m.value):
             try:
                 got, _ = transitive_mod(add(const(a), mul(const(b), var())), m)
             except NotBijective:
                 got = False
-            want = a % 2 == 1 and b % 4 == 1
-            if got != want:
-                return f"a={a}, b={b}: transitive is {got}, the rule says {want}"
-    return None
+            if got != (a % 2 == 1 and b % 4 == 1):
+                breaks.append((a, b))
+    return breaks
 
 
-def _row_cube_mix_equiprobable() -> Optional[str]:
-    mix = MultiPoly(2, {(1, 0): 2, (0, 3): 1})
-    for n in range(1, 9):
-        ok, census = equiprobable_mod([mix], 2, Modulus(2, n))
-        if not ok:
-            return f"fibers mod 2^{n}: {census}"
-        if census["expected_fiber"] != 1 << n:
-            return f"expected fiber mod 2^{n} is {census['expected_fiber']}"
-    return None
+def _orbit_relations(cases) -> List[tuple]:
+    """Per (step, m, rel): whether rel holds on the orbit of 0 under step mod m,
+    and the orbit's least affine order."""
+    out = []
+    for step, m, rel in cases:
+        seq = orbit(step, m)
+        out.append((rel.verify(seq, m),
+                    affine_linear_complexity(seq, m, r_max=4).linear_complexity))
+    return out
 
 
-def _row_jacobian(terms: dict, want: str) -> Optional[str]:
-    """The Jacobian certificate of the two-variable map with these terms is want."""
-    cert = jacobian_equiprobable_certificate([MultiPoly(2, terms)], 2)
-    return None if cert.verdict == want else f"verdict {cert.verdict}, want {want}"
+def _parity_flip(modval: int, x: int) -> int:
+    """x - 3 on evens, x + 5 on odds; single cycle mod every power of two."""
+    return (x - 3 if x % 2 == 0 else x + 5) % modval
 
 
-def _unit_power_shift(p: int) -> RationalPoly:
-    return RationalPoly([1] + [0] * (p - 1) + [1])
+# verdict, theorem and checked modulus of a certificate
+_outcome = attrgetter("verdict", "theorem", "checked_modulus.p", "checked_modulus.k")
 
-
-def _row_unit_power_shift_collision() -> Optional[str]:
-    for p in (2, 3, 5):
-        f = _unit_power_shift(p)
-        ok, _ = bijective_mod(f, Modulus(p, 1))
-        if not ok:
-            return f"1 + x^{p} is not bijective mod {p}"
-        ok, witness = bijective_mod(f, Modulus(p, 2))
-        if ok or witness is None:
-            return f"1 + x^{p} looked bijective mod {p}^2"
-    return None
-
-
-def _row_unit_power_shift_certificate(certificate) -> Optional[str]:
-    """certificate(1 + x^p, p) is REFUTED at p = 2, 3 and 5."""
-    for p in (2, 3, 5):
-        cert = certificate(_unit_power_shift(p), p)
-        if cert.verdict != REFUTED:
-            return f"p={p}: verdict {cert.verdict}, want REFUTED"
-    return None
-
-
-def _row_one_unit_exponential_class() -> Optional[str]:
-    ok = is_class_b(parse_dsl("(1 + 2*x)^x"), 2)
-    return None if ok else "(1+2x)^x not recognized in the one-unit closure"
-
-
-def _row_parity_flip_series_criteria() -> Optional[str]:
-    values = [x - 3 if x % 2 == 0 else x + 5 for x in range(16)]
-    series = coeffs_from_values(values, 2)
-    if not is_compatible(series):
-        return "interpolation coefficients fail the compatibility test"
-    if not is_ergodic_2adic(series):
-        return "interpolation coefficients fail the ergodicity test"
-    return None
-
-
-def _row_falling_factorial_sextic() -> Optional[str]:
-    cert = ergodicity_certificate(parse_dsl("1 + x + (5/18)*ff(x,6)"), 2)
-    got = (cert.verdict, cert.theorem, cert.checked_modulus.k)
-    want = (PROVEN, "P4_7", 5)
-    return None if got == want else f"got {got}, want {want}"
-
-
-def _row_exponential_201_certificate() -> Optional[str]:
-    cert = ergodicity_certificate(parse_dsl("1 + x + 201^x"), 5)
-    got = (cert.verdict, cert.theorem, cert.checked_modulus.p, cert.checked_modulus.k)
-    want = (PROVEN, "T4_9", 5, 2)
-    return None if got == want else f"got {got}, want {want}"
-
-
-def _row_inversive_composite_period() -> Optional[str]:
-    m = CompositeModulus.from_int(10_000)
-    fn = build_composite_generator(
-        RationalPoly([1]), RationalPoly([0, 2]), RationalPoly([-1]), m)
-    spec = make_generator(fn, m, 1)
-    census = full_period_census(spec)
-    if census["period"] != 10_000 or not census["uniform"]:
-        return f"period {census['period']}, uniform {census['uniform']}"
-    return None
-
-
-def _row_quintic_two_prime_transitivity() -> Optional[str]:
-    """Transitive mod 2^k for every k; mod 5^2 the 5-cycle splits (orbit 20)."""
-    f = RationalPoly([1, -127, 0, -152, 0, 152])
-    for k in range(1, 7):
-        ok, orbit = transitive_mod(f, Modulus(2, k))
-        if not ok:
-            return (f"not transitive mod 2^{k}:"
-                    f" the orbit of 0 has length {orbit} of {2 ** k}")
-    got = (transitive_mod(f, Modulus(5, 1)), transitive_mod(f, Modulus(5, 2)))
-    want = ((True, 5), (False, 20))
-    return None if got == want else f"mod 5 and 5^2 got {got}, want {want}"
-
-
-def _row_parity_flip_recurrence() -> Optional[str]:
-    rel = Relation(2, (1, 0), 2)
-    orbits = {}
-    for k in range(2, 13):
-        m = Modulus(2, k)
-        orbits[k] = orbit(_parity_flip(m.value), m)
-        if not rel.verify(orbits[k], m):
-            return f"x_(n+2) = x_n + 2 fails mod 2^{k}"
-    for k in range(2, 13):
-        m = Modulus(2, k)
-        rep = affine_linear_complexity(orbits[k], m, r_max=4)
-        # mod 16, 8x = 8*(x mod 2), so both branches are the one map 13 + 9x
-        want = 2 if k >= 5 else 1
-        if rep.linear_complexity != want:
-            return f"complexity mod 2^{k} is {rep.linear_complexity}, want {want}"
-    return None
-
-
-def _row_parity_flip_profile() -> Optional[str]:
-    profile = complexity_growth_profile(_parity_flip_series(), 2, range(2, 11))
-    bad = [(k, c) for k, c in profile if c != (2 if k >= 5 else 1)]
-    return None if not bad else f"profile is not 1 up to 2^4 and 2 beyond: off at {bad}"
-
-
-def _repro_rows():
-    return [
-        ("inverse-3-mod-16", "section1", _row_inverse_3_mod_16),
-        ("negative-cube-root-mod-16", "section1", _row_negative_cube_root),
-        ("xor-and-octet", "section1", _row_xor_and_octet),
-        ("complement-13-mod-8", "section1", _row_complement_13),
-        ("xor-shift-generator", "section1",
-         partial(_row_ergodic_generator, "x xor (2*x + 1)", 1, (4, 10, 16))),
-        ("second-order-affine-recurrence", "section1", _row_second_order_affine),
-        ("affine-profile-bounded", "section1", _row_affine_profile_bounded),
-        ("complement-sum-identity", "section2", _row_complement_sum_identity),
-        ("squares-xor-mask-generator", "section2",
-         partial(_row_ergodic_generator, "(x*x) xor ((x + 32) and x)", 7, (4, 8, 10))),
-        ("affine-transitivity-rule", "section3", _row_affine_transitivity_rule),
-        ("cube-mix-equiprobable", "section3", _row_cube_mix_equiprobable),
-        ("jacobian-unit-certificate", "section3",
-         partial(_row_jacobian, {(1, 0): 1, (0, 1): 3, (0, 2): 6, (0, 3): 4}, PROVEN)),
-        ("jacobian-vanishing-unknown", "section3",
-         partial(_row_jacobian, {(1, 0): 2, (0, 3): 1}, UNKNOWN)),
-        ("unit-power-shift-collision", "section4", _row_unit_power_shift_collision),
-        ("unit-power-shift-refuted", "section4",
-         partial(_row_unit_power_shift_certificate, polynomial_bijectivity_certificate)),
-        ("unit-power-shift-measure", "section4",
-         partial(_row_unit_power_shift_certificate, measure_preservation_certificate)),
-        ("one-unit-exponential-class", "section4", _row_one_unit_exponential_class),
-        ("parity-flip-series-criteria", "section5", _row_parity_flip_series_criteria),
-        ("falling-factorial-sextic", "section5", _row_falling_factorial_sextic),
-        ("exponential-201-certificate", "section5", _row_exponential_201_certificate),
-        ("inversive-composite-period", "section5", _row_inversive_composite_period),
-        ("quintic-two-prime-transitivity", "section5", _row_quintic_two_prime_transitivity),
-        ("parity-flip-recurrence", "section5", _row_parity_flip_recurrence),
-        ("parity-flip-profile", "section5", _row_parity_flip_profile),
-    ]
+_REPRO_ROWS = [
+    ("inverse-3-mod-16", "section1",
+     lambda: mod_inverse(ResidueInt(3, Modulus(2, 4))).residue, 11),
+    ("negative-cube-root-mod-16", "section1",
+     lambda: (pow(3, 11, 16), mod_inverse(ResidueInt(pow(3, 5, 16), Modulus(2, 4))).residue,
+              pow(11, 3, 16)),
+     (11, 11, 3)),
+    ("xor-and-octet", "section1",
+     lambda: (compile_map(parse_dsl("1 xor 3"), Modulus(2, 3))(0),
+              compile_map(parse_dsl("2 and 7"), Modulus(2, 3))(0)),
+     (2, 2)),
+    ("complement-13-mod-8", "section1",
+     lambda: compile_map(parse_dsl("neg(13)"), Modulus(2, 3))(0), 2),
+    ("xor-shift-generator", "section1",
+     lambda: [transitive_mod(build_ergodic(parse_dsl("x xor (2*x + 1)"), 1, 2), Modulus(2, k))
+              for k in (4, 10, 16)],
+     [(True, 16), (True, 1024), (True, 65536)]),
+    ("second-order-affine-recurrence", "section1",
+     lambda: _orbit_relations(
+         (compile_map(add(const(a), mul(const(b), var())), Modulus(2, 8)), Modulus(2, 8),
+          Relation(2, (-b % 256, (1 + b) % 256), 0))
+         for a, b in ((3, 5), (7, 13), (5, 9))),
+     [(True, 1), (True, 1), (True, 1)]),
+    ("affine-profile-bounded", "section1",
+     lambda: complexity_growth_profile(RationalPoly([1, 5]), 2, range(1, 9)),
+     [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (7, 1), (8, 1)]),
+    ("complement-sum-identity", "section2",
+     lambda: [(k, z) for k in (3, 8, 12) for z in (0, 1, 5, min(100, 2**k - 1), 2**k - 1)
+              if compile_map(parse_dsl("x + neg(x)"), Modulus(2, k))(z) != 2**k - 1],
+     []),
+    ("squares-xor-mask-generator", "section2",
+     lambda: [transitive_mod(build_ergodic(parse_dsl("(x*x) xor ((x + 32) and x)"), 7, 2),
+                             Modulus(2, k))
+              for k in (4, 8, 10)],
+     [(True, 16), (True, 256), (True, 1024)]),
+    ("affine-transitivity-rule", "section3", _affine_rule_breaks, []),
+    ("cube-mix-equiprobable", "section3",
+     lambda: [(ok, census["expected_fiber"]) for ok, census in (
+         equiprobable_mod([MultiPoly(2, {(1, 0): 2, (0, 3): 1})], 2, Modulus(2, n))
+         for n in range(1, 9))],
+     [(True, 2), (True, 4), (True, 8), (True, 16), (True, 32), (True, 64), (True, 128),
+      (True, 256)]),
+    ("jacobian-unit-certificate", "section3",
+     lambda: _outcome(jacobian_equiprobable_certificate(
+         [MultiPoly(2, {(1, 0): 1, (0, 1): 3, (0, 2): 6, (0, 3): 4})], 2)),
+     (PROVEN, "C3_8", 2, 1)),
+    ("jacobian-vanishing-unknown", "section3",
+     lambda: _outcome(jacobian_equiprobable_certificate(
+         [MultiPoly(2, {(1, 0): 2, (0, 3): 1})], 2)),
+     (UNKNOWN, "C3_8", 2, 1)),
+    ("unit-power-shift-collision", "section4",
+     lambda: [(bijective_mod(RationalPoly([1] + [0] * (p - 1) + [1]), Modulus(p, 1)),
+               bijective_mod(RationalPoly([1] + [0] * (p - 1) + [1]), Modulus(p, 2)))
+              for p in (2, 3, 5)],
+     [((True, None), (False, (0, 2))), ((True, None), (False, (0, 3))),
+      ((True, None), (False, (0, 5)))]),
+    ("unit-power-shift-refuted", "section4",
+     lambda: [_outcome(polynomial_bijectivity_certificate(
+         RationalPoly([1] + [0] * (p - 1) + [1]), p)) for p in (2, 3, 5)],
+     [(REFUTED, "C3_10", 2, 2), (REFUTED, "C3_10", 3, 2), (REFUTED, "C3_10", 5, 2)]),
+    ("unit-power-shift-measure", "section4",
+     lambda: [_outcome(measure_preservation_certificate(
+         RationalPoly([1] + [0] * (p - 1) + [1]), p)) for p in (2, 3, 5)],
+     [(REFUTED, "C3_10", 2, 2), (REFUTED, "C3_10", 3, 2), (REFUTED, "C3_10", 5, 2)]),
+    ("one-unit-exponential-class", "section4",
+     lambda: is_class_b(parse_dsl("(1 + 2*x)^x"), 2), True),
+    ("parity-flip-series-criteria", "section5",
+     lambda: [test(coeffs_from_values([x - 3 if x % 2 == 0 else x + 5 for x in range(16)], 2))
+              for test in (is_compatible, is_ergodic_2adic)],
+     [True, True]),
+    ("falling-factorial-sextic", "section5",
+     lambda: _outcome(ergodicity_certificate(parse_dsl("1 + x + (5/18)*ff(x,6)"), 2)),
+     (PROVEN, "P4_7", 2, 5)),
+    ("exponential-201-certificate", "section5",
+     lambda: _outcome(ergodicity_certificate(parse_dsl("1 + x + 201^x"), 5)),
+     (PROVEN, "T4_9", 5, 2)),
+    ("inversive-composite-period", "section5",
+     lambda: itemgetter("period", "uniform")(full_period_census(make_generator(
+         build_composite_generator(RationalPoly([1]), RationalPoly([0, 2]), RationalPoly([-1]),
+                                   CompositeModulus.from_int(10_000)),
+         CompositeModulus.from_int(10_000), 1))),
+     (10_000, True)),
+    # transitive mod 2^k for every k; mod 5^2 the 5-cycle splits (orbit 20)
+    ("quintic-two-prime-transitivity", "section5",
+     lambda: [transitive_mod(RationalPoly([1, -127, 0, -152, 0, 152]), Modulus(p, k))
+              for p, k in ((2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (5, 1), (5, 2))],
+     [(True, 2), (True, 4), (True, 8), (True, 16), (True, 32), (True, 64), (True, 5),
+      (False, 20)]),
+    # x_(n+2) = x_n + 2 holds mod every 2^k; mod 16, 8x = 8*(x mod 2), so both
+    # branches are the one map 13 + 9x and the least affine order is 1 up to 2^4
+    ("parity-flip-recurrence", "section5",
+     lambda: _orbit_relations(
+         (partial(_parity_flip, 1 << k), Modulus(2, k), Relation(2, (1, 0), 2))
+         for k in range(2, 13)),
+     [(True, 1)] * 3 + [(True, 2)] * 8),
+    ("parity-flip-profile", "section5",
+     lambda: complexity_growth_profile(
+         MahlerSeries(tuple([-3, 9] + [(-1) ** (j + 1) * 2 ** (j + 2) for j in range(2, 15)]), 2),
+         2, range(2, 11)),
+     [(2, 1), (3, 1), (4, 1), (5, 2), (6, 2), (7, 2), (8, 2), (9, 2), (10, 2)]),
+]
 
 
 def cmd_repro(args) -> Tuple[dict, int]:
-    rows = _repro_rows()
-    if args.only is not None:
-        rows = [r for r in rows if r[1] == args.only]
-        if not rows:
-            groups = sorted({g for _, g, _ in _repro_rows()})
-            raise ValueError(f"no rows in group {args.only!r}; groups: {', '.join(groups)}")
+    rows = [row for row in _REPRO_ROWS if args.only in (None, row[1])]
+    if not rows:
+        groups = sorted({row[1] for row in _REPRO_ROWS})
+        raise ValueError(f"no rows in group {args.only!r}; groups: {', '.join(groups)}")
     out = []
-    failed = 0
-    for name, group, run in rows:
+    for name, group, observe, want in rows:
         t0 = time.perf_counter()
         try:
-            detail = run()
+            got = observe()
+            detail = None if got == want else f"got {got}, want {want}"
         except Exception as exc:  # a crashed row is a failed row
             detail = f"raised {type(exc).__name__}: {exc}"
-        elapsed = (time.perf_counter() - t0) * 1000.0
-        ok = detail is None
-        if not ok:
-            failed += 1
-        row = {"name": name, "group": group, "ok": ok, "elapsed_ms": round(elapsed, 2)}
+        row = {"name": name, "group": group, "ok": detail is None,
+               "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 2)}
         if detail is not None:
             row["detail"] = detail
         out.append(row)
+    failed = sum(not row["ok"] for row in out)
     report = {
         "kind": "repro",
         "rows": out,

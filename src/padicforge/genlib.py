@@ -22,7 +22,7 @@ from .certify import (
     bijective_mod,
     ergodicity_certificate,
 )
-from .core import CompositeModulus, Modulus
+from .core import CompositeModulus, Modulus, _brief
 from .expr import FnExpr, compile_map
 from .funcalg import expr_from_json, expr_to_json
 
@@ -60,6 +60,12 @@ def _factors(m: AnyModulus):
     return [m]
 
 
+def _check_seed(seed: int, m: AnyModulus) -> None:
+    """A seed is a state: 0 <= seed < m.value."""
+    if not 0 <= seed < m.value:
+        raise ValueError(f"seed {_brief(seed)} outside 0..{_brief(m.value - 1)}")
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     state_fn: MapLike
@@ -71,8 +77,7 @@ class GeneratorSpec:
     certificates: tuple = ()
 
     def __post_init__(self):
-        if not 0 <= self.seed < self.modulus.value:
-            raise ValueError(f"seed {self.seed} outside 0..{self.modulus.value - 1}")
+        _check_seed(self.seed, self.modulus)
         if (self.out_fn is None) != (self.out_modulus is None):
             raise ValueError("out_fn and out_modulus come together")
         if self.out_modulus is not None and not isinstance(self.out_modulus, Modulus):

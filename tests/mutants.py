@@ -164,6 +164,10 @@ MUTANTS = [
            'if args.seed is not None:\n        raise ValueError("the spec file fixes the seed',
            'if False:\n        raise ValueError("the spec file fixes the seed',
            ("tests/test_cli.py::TestGen::test_spec_file_conflicts_with_modulus_flags",)),
+    # repro judges every row by one comparison
+    Mutant("repro-row-always-passes", "cli.py",
+           "detail = None if got == want else", "detail = None if True else",
+           ("tests/test_cli.py::TestRepro::test_failing_rows_name_what_they_saw",)),
     # a spec file's own rules, and prime powers past trial division
     Mutant("unchecked-read-through-bool", "genlib.py",
            "if type(unchecked) is not bool:", "if False:",

@@ -277,6 +277,27 @@ class TestGen:
     def test_count_must_be_positive(self, capsysbinary):
         assert main(["gen", "-p", "2", "-k", "16", "--count", "0", XORGEN]) == 2
 
+    def test_dsl_file_is_read_once(self, capsysbinary, tmp_path, monkeypatch):
+        path = tmp_path / "map.txt"
+        path.write_bytes(XORGEN.replace(" + 2", "\r\n+ 2").encode() + b"\r\n")
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        argv = ["gen", "--file", str(path), "-p", "2", "-k", "32", "--seed", "1", "--count", "4",
+                "--json"]
+        assert main(argv) == 0
+        assert opened == [str(path)]
+        captured = capsysbinary.readouterr()
+        inline = ["gen", XORGEN, "-p", "2", "-k", "32", "--seed", "1", "--count", "4"]
+        assert main(inline) == 0
+        assert captured.out == capsysbinary.readouterr().out
+        # the report's source keeps the file's line break as text mode reads it
+        assert json.loads(captured.err)["source"] == XORGEN.replace(" + 2", "\n+ 2")
+
 
 class TestAnalyze:
     def test_linear_generator_orbit(self, capsys):
@@ -383,6 +404,29 @@ class TestRepro:
         assert rc == 0
         out = capsys.readouterr().out
         assert "ok  " in out and "0 failed" in out
+
+    def test_failing_rows_name_what_they_saw(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_REPRO_ROWS", [
+            ("agrees", "section1", lambda: [(True, 4)], [(True, 4)]),
+            ("disagrees", "section1", lambda: [(True, 4)], [(True, 8)]),
+            ("raises", "section1", lambda: 1 // 0, 0),
+        ])
+        assert main(["repro"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("ok    section1  agrees ")
+        assert lines[1].startswith("FAIL  section1  disagrees ")
+        assert lines[1].endswith(" ms  got [(True, 4)], want [(True, 8)]")
+        assert lines[2].startswith("FAIL  section1  raises ")
+        raised = "raised ZeroDivisionError: integer division or modulo by zero"
+        assert lines[2].endswith(f" ms  {raised}")
+        assert lines[3] == "1 passed, 2 failed"
+        rc, blob = run_json(capsys, ["repro", "--json"])
+        assert rc == 1
+        assert (blob["passed"], blob["failed"]) == (1, 2)
+        assert [(r["name"], r["ok"], r.get("detail")) for r in blob["rows"]] == [
+            ("agrees", True, None),
+            ("disagrees", False, "got [(True, 4)], want [(True, 8)]"),
+            ("raises", False, raised)]
 
 
 # perfbench/run.py's calibration loop and its time on the benchmark's
@@ -582,6 +626,11 @@ def data_file(tmp_path):
     (["analyze", "1+x", "-p", "2", "-k", "4", "--seed", "16"], None, "seed 16 outside 0..15"),
     (["check", "1+x", "-p", "3", "-k", str(10**20)], None,
      "modulus 3^100000000000000000000 has more than 1048576 bits"),
+    (["gen", "1+x", "--file", composite_spec, "--count", "1"], None,
+     "give the function inline or with --file, not both"),
+    # 2^20000 - 1 is past the int-to-str digit limit
+    (["gen", "1+x", "-p", "2", "-k", "20000", "--seed", "-1"], None,
+     "seed -1 outside 0..398027684033... (6021 digits)"),
 ])
 def test_argument_check_exits_2_with_its_message(capsys, monkeypatch, tmp_path,
                                                  argv, cap_env, message):
