@@ -30,7 +30,8 @@ from itertools import product
 from typing import Callable, Optional, Sequence, Union
 
 from .core import Modulus, ord_p
-from .expr import _BITWISE, _LANE_STATES, FnExpr, compile_map, fold, lane_table, operands
+from .expr import (_BITWISE, _LANE, _LANE_STATES, FnExpr, _pack, _unpack, compile_map, fold,
+                   lane_table, operands)
 from .funcalg import BoolTriangle
 from .mahler import (
     DEGREE_CAP,
@@ -125,16 +126,24 @@ def bijective_mod(f: MapLike, m: Modulus, cap: Optional[int] = None):
     The witness on failure is a colliding pair (y, x), y < x, where x is
     the first input whose value repeats, found by a second partial scan so
     no preimage index is stored.  Where `expr.lane_table` computes f's
-    whole table, the scans read it instead of calling f, and find the same
-    pair; such a map is a T-function, so the level test of its bit slices
-    first decides a pass.
+    whole table, such a map is a T-function, so the level test of its bit
+    slices on the packed lanes first decides a pass; a failure unpacks the
+    table, and the scans read it instead of calling f and find the same
+    pair.
     """
     _require_cap(m, cap)
-    table = lane_table(f, m)
-    if table is not None and _slices_bijective(table, m.k):
+    lanes = lane_table(f, m)
+    if lanes is not None and _slices_bijective(lanes, m.k):
         return True, None
-    fn = compile_map(f, m) if table is None else table.__getitem__
     seen = bytearray(m.value)
+    if lanes is not None:  # iterating the array beats calling a method per state
+        table = _unpack(lanes, m.value)
+        for x, v in enumerate(table):
+            if seen[v]:
+                return False, (table.index(v), x)
+            seen[v] = 1
+        return True, None
+    fn = compile_map(f, m)
     for x in range(m.value):
         v = fn(x)
         if seen[v]:
@@ -151,20 +160,22 @@ def transitive_mod(f: MapLike, m: Modulus, cap: Optional[int] = None):
     seen again means the map cannot be a permutation, and NotBijective,
     naming that state and step, is raised rather than reporting a
     misleading short cycle.  At p = 2 and 2^10..2^16 states bit slices
-    first decide a pass with no walk; on f's lane table the walk marks no
-    state while 0 returns within m steps, else replays the marking walk.
+    first decide a pass with no walk; on f's lane table, unpacked only
+    then, the walk marks no state while 0 returns within m steps, else
+    replays the marking walk.
     """
     _require_cap(m, cap)
-    table = lane_table(f, m)
-    if _slices_transitive(f, m, table):
+    lanes = lane_table(f, m)
+    if _slices_transitive(f, m, lanes):
         return True, m.value
-    if table is not None:
+    if lanes is not None:
+        table = _unpack(lanes, m.value)
         x = 0
         for step in range(1, m.value + 1):  # no state recurs before 0 does
             x = table[x]
             if not x:
                 return step == m.value, step
-    fn = compile_map(f, m) if table is None else table.__getitem__
+    fn = compile_map(f, m) if lanes is None else table.__getitem__
     seen = bytearray(m.value)
     seen[0] = 1  # a return to 0 ends the walk as a re-entry does
     x = 0
@@ -547,34 +558,34 @@ def _probe_modulus(p: int, cap: Optional[int]) -> Modulus:
 # CHES 2002).  A bijective f is a single cycle mod 2^k iff f(0) is odd and
 # at every level 1 <= i < k, bit i of f(y) is set for an odd number of
 # y < 2^i (Anashin, Discrete Math. Appl. 12, 2002): the orbit of 0 mod
-# 2^i then flips bit i that many times in 2^i steps.  Each level is one
-# big-integer operation over a table's lanes, read little end first.
+# 2^i then flips bit i that many times in 2^i steps.  Each level is a few
+# big-integer operations on the packed lanes of a table (lane y, 32 bits
+# wide, holds f(y); see expr.lane_table), over its first 2^(i+1) lanes.
 
-def _slice_mask(i: int, width: int) -> int:
-    """Bit i of each of 2^i lanes of `width` bytes."""
-    return int.from_bytes((1 << i).to_bytes(width, "little") * (1 << i), "little")
+@lru_cache(maxsize=16)  # one entry per level below 2^16 states
+def _slice_masks(i: int):
+    """(bit i of each of the lanes 0..2^i-1, all bits of the lanes 0..2^(i+1)-1)."""
+    ones = ((1 << (32 << i)) - 1) // _LANE
+    return ones << i, (1 << (64 << i)) - 1
 
 
-def _slices_bijective(table: array, k: int) -> bool:
-    """Is the T-function whose table mod 2^k this is bijective mod 2^k?"""
-    lanes, w = memoryview(table).cast("B"), table.itemsize
+def _slices_bijective(lanes: int, k: int) -> bool:
+    """Is the T-function whose table mod 2^k `lanes` packs bijective mod 2^k?"""
     for i in range(k):
-        n, bit = w << i, _slice_mask(i, w)
-        low, high = int.from_bytes(lanes[:n], "little"), int.from_bytes(lanes[n:2 * n], "little")
-        if (low ^ high) & bit != bit:
+        bit, low = _slice_masks(i)
+        low &= lanes  # f at 0..2^(i+1)-1: bit i of f(y) and f(y + 2^i) must differ
+        if (low ^ low >> (32 << i)) & bit != bit:
             return False
     return True
 
 
-def _slices_single_cycle(table: array, k: int) -> bool:
-    """Is a bijective T-function a single cycle mod 2^k, given a table that
-    opens with its values mod 2^k at 0..2^(k-1)-1?"""
-    lanes, w = memoryview(table).cast("B"), table.itemsize
-    return all((int.from_bytes(lanes[:w << i], "little") & _slice_mask(i, w)).bit_count() & 1
-               for i in range(k))
+def _slices_single_cycle(lanes: int, k: int) -> bool:
+    """Is a bijective T-function a single cycle mod 2^k, given packed lanes
+    that open with its values mod 2^k at 0..2^(k-1)-1?"""
+    return all((lanes & _slice_masks(i)[0]).bit_count() & 1 for i in range(k))
 
 
-def _slices_transitive(f: MapLike, m: Modulus, table: Optional[array]) -> bool:
+def _slices_transitive(f: MapLike, m: Modulus, lanes: Optional[int]) -> bool:
     """Do f's bit slices show that f is a single cycle mod m = 2^k?
 
     Only a pass is decided here; False leaves the verdict, and its witness,
@@ -594,8 +605,8 @@ def _slices_transitive(f: MapLike, m: Modulus, table: Optional[array]) -> bool:
         measure = _facts(f, 2).shape == "measure"
     except ValueError:  # raised where a route reads the shape; the walk decides here
         return False
-    if table is not None:
-        return _slices_single_cycle(table, m.k) and (measure or _slices_bijective(table, m.k))
+    if lanes is not None:
+        return _slices_single_cycle(lanes, m.k) and (measure or _slices_bijective(lanes, m.k))
     if not measure:
         return False
     fn = compile_map(f, m)
@@ -605,7 +616,7 @@ def _slices_transitive(f: MapLike, m: Modulus, table: Optional[array]) -> bool:
         return False
     if sys.byteorder == "big":
         table.byteswap()
-    return _slices_single_cycle(table, m.k)
+    return _slices_single_cycle(_pack(table), m.k)
 
 
 def _check(prop: str, f: MapLike, m: Modulus, cap: Optional[int]):

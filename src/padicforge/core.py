@@ -11,7 +11,6 @@ component is handled in its own Z/p^k.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -175,11 +174,19 @@ class CompositeModulus:
         """Residues of x modulo each prime-power component."""
         return [x % f.value for f in self.factors]
 
-    def combine(self, residues):
-        """CRT: the unique value mod m matching each component residue."""
-        if len(residues) != len(self.factors):
-            raise ValueError("one residue per factor required")
-        return sum(map(operator.mul, residues, self.basis)) % self.value
+    def combine(self, runs):
+        """CRT over a block: runs[i] lists residues mod factor i, all runs
+        of one length, and the result lists the values mod m that match
+        them, position by position.  Each factor is one pass, adding its
+        run weighted by its basis value; a last pass reduces mod m."""
+        if len(runs) != len(self.factors):
+            raise ValueError("one run per factor required")
+        (first, b), *rest = zip(runs, self.basis)
+        total = [b * r for r in first]
+        for run, b in rest:
+            total = [t + b * r for t, r in zip(total, run)]
+        v = self.value
+        return [t % v for t in total]
 
     def __str__(self):
         return " * ".join(str(f) for f in self.factors)

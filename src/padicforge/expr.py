@@ -25,9 +25,10 @@ POLY leaf: there is one evaluator for every map.
 
 `lane_table(e, m)` computes e's whole table mod m = 2^k, 2^10 <= m <= 2^16,
 as one big-integer operation per node over packed lanes, for the brute
-checkers.  It applies to trees of VAR, CONST with an odd denominator,
-ADD, SUB, a product with at most one non-constant factor, XOR, AND, OR,
-NEG, DELTA and COMPOSE, and declines (returns None) on anything else.
+checkers, and returns it packed: one int, 32 bits per value.  It applies
+to trees of VAR, CONST with an odd denominator, ADD, SUB, a product with
+at most one non-constant factor, XOR, AND, OR, NEG, DELTA and COMPOSE,
+and declines (returns None) on anything else.
 None of those nodes can raise at p = 2 (an odd denominator is a unit, and
 the bitwise nodes need only p = 2), so a table is never built where
 evaluating point by point would have raised.
@@ -166,13 +167,17 @@ def fold(e: FnExpr, visit, operands=operands):
 # keeps bitwise nodes exact.  POLY consumes the point x as given and DELTA
 # shifts it.  A POLY leaf is one loop of Horner's rule over its integer-
 # scaled coefficients (see _scaled), so its code does not grow with its
-# degree; a constant one is a literal.
+# degree; a linear one is one statement and a constant one a literal.  A
+# literal POW exponent e is written as its least absolute residue mod p^k,
+# so (...)^(-1) runs pow(a, -1, p^k), not pow(a, p^k - 1, p^k): exact for
+# every base that passes the POW test, since such a base has a^(p^k) = 1.
 #
 # Errors keep their point of evaluation.  POW and INV test their operand in
-# line and hand a failing one to core.unit_pow and core.mod_inverse, a POLY
-# leaf tests that its value is a p-adic integer, and a node that fails for
-# every input (a bitwise node at odd p, a constant whose denominator is
-# divisible by p) is a statement that raises there.
+# line and hand a failing one to core.unit_pow (with the exponent as the
+# tree has it) and core.mod_inverse, a POLY leaf tests that its value is a
+# p-adic integer, and a node that fails for every input (a bitwise node at
+# odd p, a constant whose denominator is divisible by p) is a statement
+# that raises there.
 # So an evaluation raises the same exception, with the same message, at
 # the same input and in the same left-to-right order as evaluating the
 # tree node by node, and compiling raises nothing for a well-formed tree.
@@ -294,12 +299,15 @@ class _Module:
                 coeffs, big, p_part = _scaled(node.poly, p, mv)
                 if len(coeffs) == 1 and p_part == 1:  # a literal, as a CONST folds
                     return lit(coeffs[0])
-                t, name = f"t{len(lines)}", f"C{len(self.env)}"
-                falling = node.poly.basis == "falling"
-                self.env[name] = tuple(enumerate(coeffs) if falling else coeffs)[-2::-1]
-                loop, factor = ("i, c", "(x - i)") if falling else ("c", "x")
-                lines.append(f"{t} = {lit(coeffs[-1])}")
-                lines.append(f"for {loop} in {name}: {t} = ({t} * {factor} + c) % {lit(big)}")
+                t = f"t{len(lines)}"
+                if len(coeffs) == 2:  # c0 + c1*x in either basis: one statement
+                    lines.append(f"{t} = ({lit(coeffs[1])} * x + {lit(coeffs[0])}) % {lit(big)}")
+                else:
+                    name, falling = f"C{len(self.env)}", node.poly.basis == "falling"
+                    self.env[name] = tuple(enumerate(coeffs) if falling else coeffs)[-2::-1]
+                    loop, factor = ("i, c", "(x - i)") if falling else ("c", "x")
+                    lines.append(f"{t} = {lit(coeffs[-1])}")
+                    lines.append(f"for {loop} in {name}: {t} = ({t} * {factor} + c) % {lit(big)}")
                 if p_part > 1:
                     msg = f"value at {{x}} has denominator divisible by {p}"
                     lines.append(f"if {t} % {lit(p_part)}: raise NotIntegerValued(f{msg!r})")
@@ -346,8 +354,10 @@ class _Module:
                 return lit(mv - 1 - v) if v is not None else assign(f"-1 - {a}")
             if kind == "POW":
                 a, n = settled(args[0]), args[1]
+                e = const(n)  # a literal exponent runs as its least absolute residue
+                signed = f"-{lit(mv - e)}" if e is not None and 2 * e > mv else n
                 test = f"{a} & 1" if p == 2 else f"{a} % {p} == 1"
-                return assign(f"pow({a}, {n}, {mvs}) if {test} else"
+                return assign(f"pow({a}, {signed}, {mvs}) if {test} else"
                               f" unit_pow(ResidueInt({a}, m), {n}).residue", True)
             if kind == "INV":
                 a = settled(args[0])
@@ -520,12 +530,14 @@ def _on_lanes(e: FnExpr, plan: dict, m: int) -> int:
 
 
 def lane_table(f, m: Modulus):
-    """f's values at 0..m-1 as an array("I"), computed on lanes, or None
-    where lanes do not apply: f not an FnExpr, p odd, m outside 2^10..2^16,
-    a big-endian host, or a node with no lane form (POW, INV, POLY, a
-    constant with an even denominator, a product of two non-constants)."""
+    """f's values at 0..m-1 packed as lanes, one int whose 32-bit lane x
+    (bits 32x to 32x + 31) holds f(x), or None where lanes do not apply: f
+    not an FnExpr, p odd, m outside 2^10..2^16, a big-endian host, or a
+    node with no lane form (POW, INV, POLY, a constant with an even
+    denominator, a product of two non-constants).  `_unpack(lanes, m.value)`
+    makes it an array("I") of the m values."""
     if not (_LANES_FIT and isinstance(f, FnExpr) and m.p == 2
             and _LANE_STATES[0] <= m.value <= _LANE_STATES[1]):
         return None
     plan = _lane_plan(f)
-    return None if plan is None else _unpack(_on_lanes(f, plan, m.value), m.value)
+    return None if plan is None else _on_lanes(f, plan, m.value)

@@ -4,12 +4,15 @@ A GeneratorSpec pairs a state map with its modulus, seed, and optional
 output map.  Construction certifies the state map (one certificate per
 prime factor) unless the caller explicitly opts out.  Streams advance
 through walk, one loop that returns a block of states: composite moduli
-walk each CRT component and recombine per word, and emit_blocks makes one
-block of words at a time.
+walk each CRT component as a block and recombine the block with one pass
+per factor (CompositeModulus.combine), and emit_blocks makes one block of
+words at a time, packing 1-, 2-, 4- and 8-byte words through an array.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, List, Optional, Union
@@ -42,7 +45,8 @@ class NotBinaryModulus(Exception):
 
 
 AnyModulus = Union[Modulus, CompositeModulus]
-_BLOCK = 1 << 16  # words or states per block; emit_blocks frees its word list before the join
+_BLOCK = 1 << 16  # words or states per block
+_TYPECODES = {array(t).itemsize: t for t in "BHILQ"}  # word width in bytes -> unsigned typecode
 
 
 def walk(step: Callable[[int], int], x: int, count: int) -> List[int]:
@@ -142,7 +146,7 @@ class GeneratorState:
         """The next count states, each CRT factor walked as one block."""
         runs = [walk(step, x, count) for step, x in zip(self._maps, self._parts)]
         self._parts = [run[-1] for run in runs if run] or self._parts
-        return runs[0] if len(runs) == 1 else list(map(self.spec.modulus.combine, zip(*runs)))
+        return runs[0] if len(runs) == 1 else self.spec.modulus.combine(runs)
 
     def next(self) -> int:
         return self.take(1)[0]
@@ -167,13 +171,24 @@ def _word_bits(spec: GeneratorSpec) -> int:
 
 def emit_blocks(spec: GeneratorSpec, count: int,
                 state: Optional[GeneratorState] = None) -> Iterator[bytes]:
-    """emit_bytes's bytes, one block of at most 2^16 words at a time."""
-    width = _word_bits(spec) // 8
-    mask = (1 << 8 * width) - 1
+    """emit_bytes's bytes, one block of at most 2^16 words at a time.  A
+    word of 1, 2, 4 or 8 bytes is packed through an array, byteswapped on a
+    big-endian host; other widths join each word's bytes."""
+    bits = _word_bits(spec)
+    width = bits // 8
+    code, mask = _TYPECODES.get(width), (1 << 8 * width) - 1
     state = state if state is not None else GeneratorState(spec)
     for done in range(0, count, _BLOCK):
-        yield b"".join([(w & mask).to_bytes(width, "little")
-                        for w in state.take(min(_BLOCK, count - done))])
+        words = state.take(min(_BLOCK, count - done))
+        if bits % 8:  # only the low bytes of each word are emitted
+            words = map(mask.__and__, words)
+        if code is None:
+            yield b"".join([w.to_bytes(width, "little") for w in words])
+        else:
+            block = array(code, words)
+            if sys.byteorder == "big":
+                block.byteswap()
+            yield block.tobytes()
 
 
 def emit_bytes(spec: GeneratorSpec, count: int, state: Optional[GeneratorState] = None) -> bytes:

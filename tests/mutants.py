@@ -100,7 +100,8 @@ MUTANTS = [
            "    except ArithmeticError:  # left for the walk to raise in its own order",
            (f"{SLICES}::test_evaluation_error_raises_as_the_walk_raises",)),
     Mutant("parity-level-0-skipped", "certify.py",
-           "               for i in range(k))", "               for i in range(1, k))", (SLICES,)),
+           ".bit_count() & 1 for i in range(k))", ".bit_count() & 1 for i in range(1, k))",
+           (SLICES,)),
     Mutant("shape-error-not-left-to-the-walk", "certify.py",
            "    except ValueError:  # raised where a route reads the shape; the walk decides here",
            "    except ArithmeticError:  # raised where a route reads the shape",
@@ -113,19 +114,20 @@ MUTANTS = [
     Mutant("quarter-table", "certify.py",
            "range(m.value >> 1)", "range(m.value >> 2)", (SLICES,)),
     Mutant("second-lane-table", "certify.py",
-           "if _slices_transitive(f, m, table):", "if _slices_transitive(f, m, lane_table(f, m)):",
+           "if _slices_transitive(f, m, lanes):", "if _slices_transitive(f, m, lane_table(f, m)):",
            (f"{SLICES}::test_one_lane_table_per_probe",)),
     Mutant("level-test-skipped", "certify.py",
-           "(measure or _slices_bijective(table, m.k))", "True", (SLICES, GOLDEN)),
+           "(measure or _slices_bijective(lanes, m.k))", "True", (SLICES, GOLDEN)),
     Mutant("shape-read-inverted", "certify.py",
            'measure = _facts(f, 2).shape == "measure"', 'measure = _facts(f, 2).shape != "measure"',
            (f"{SLICES}::test_measure_shape_reads_half_a_table",)),
     Mutant("level-test-top-level-skipped", "certify.py",
-           "    for i in range(k):\n        n, bit", "    for i in range(k - 1):\n        n, bit",
+           "    for i in range(k):\n        bit, low",
+           "    for i in range(k - 1):\n        bit, low",
            (SLICES,)),
     # the checkers on lane tables
     Mutant("bijective-on-every-lane-table", "certify.py",
-           "if table is not None and _slices_bijective(table, m.k):", "if table is not None:",
+           "if lanes is not None and _slices_bijective(lanes, m.k):", "if lanes is not None:",
            (GOLDEN, "tests/test_certify.py::TestCheckersOnLanes")),
     Mutant("transitive-on-any-return-to-0", "certify.py",
            "            if not x:\n                return step == m.value, step",
@@ -175,6 +177,14 @@ MUTANTS = [
     Mutant("prime-power-cofactor-not-rooted", "core.py",
            "for e in range(n.bit_length() // 16, 1, -1)", "for e in range(0)",
            ("tests/test_core.py::test_composite_modulus_factors_past_trial_division",)),
+    # block kernels: the block CRT and literal POW exponents
+    Mutant("crt-block-first-basis", "core.py",
+           "(first, b), *rest = zip(runs, self.basis)",
+           "(first, b), *rest = zip(runs, [self.basis[0]] * len(runs))",
+           ("tests/test_core.py::test_block_crt_matches_a_plain_crt",)),
+    Mutant("signed-exponent-off-by-one", "expr.py",
+           'f"-{lit(mv - e)}"', 'f"-{lit(mv - e - 1)}"',
+           ("tests/test_compile.py::test_literal_pow_exponents_match_unit_pow",)),
     # analyze's relation solve on one Howell basis
     Mutant("relation-coefficient-off-by-one", "analysis.py",
            "Relation(r, tuple(z[:r]), z[r])", "Relation(r, (z[0] + 1,) + tuple(z[1:r]), z[r])",

@@ -50,6 +50,16 @@ def as_int(value):
     return value.numerator
 
 
+def crt_value(residues, moduli):
+    """The x in [0, prod(moduli)) with x = r mod q for each residue r and
+    its modulus q (pairwise coprime), by Garner's mixed-radix steps."""
+    x, radix = 0, 1
+    for r, q in zip(residues, moduli):
+        x += radix * ((r - x) * pow(radix, -1, q) % q)
+        radix *= q
+    return x
+
+
 def value_table(fn, size):
     """[fn(0) mod size, ..., fn(size-1) mod size]."""
     return [fn(x) % size for x in range(size)]

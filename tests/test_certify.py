@@ -3,7 +3,6 @@
 import math
 import random
 import sys
-from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -890,11 +889,8 @@ class TestBruteProbeEarlyExits:
 
 
 def _lanes_of(values):
-    """values as the little-end-first 32-bit lanes the bit-slice tests read."""
-    table = array("I", values)
-    if sys.byteorder == "big":
-        table.byteswap()
-    return table
+    """values packed as the 32-bit lanes the bit-slice tests read, value y in lane y."""
+    return int.from_bytes(b"".join(v.to_bytes(4, "little") for v in values), "little")
 
 
 class TestBitSliceProbes:
@@ -978,11 +974,11 @@ class TestBitSliceProbes:
     def test_one_lane_table_per_probe(self, monkeypatch, source, prop):
         built = []
 
-        def spy(f, m):
-            table = lane_table(f, m)
-            if table is not None:
+        def spy(f, m):  # the one lane entry point: every table the checkers read
+            lanes = lane_table(f, m)
+            if lanes is not None:
                 built.append(m)
-            return table
+            return lanes
 
         monkeypatch.setattr(certify, "lane_table", spy)
         certificate = {"ergodicity": ergodicity_certificate,

@@ -20,7 +20,7 @@ from oracles import eval_tree, poly_eval_mod, random_integer_valued_poly, series
 from padicforge import expr
 from padicforge import funcalg as fa
 from padicforge.certify import MultiPoly
-from padicforge.core import BaseNotOneUnit, Modulus, NotAUnit
+from padicforge.core import BaseNotOneUnit, Modulus, NotAUnit, ResidueInt, unit_pow
 from padicforge.expr import BitwiseOddPrime, compile_map, evaluator
 from padicforge.funcalg import parse_dsl
 from padicforge.mahler import MahlerSeries, NotIntegerValued, RationalPoly
@@ -114,6 +114,55 @@ def test_cli_messages_unchanged():
     m = Modulus(5, 6)
     with pytest.raises(BaseNotOneUnit, match=r"^0 is not a 1-unit mod 5\^6$"):
         compile_map(parse_dsl("1 - 127*x - 152*x^3 + 152*x^5"), m)(0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("k", [1, 2, 5, 32])
+def test_literal_pow_exponents_match_unit_pow(p, k):
+    """A literal exponent runs as its least absolute residue mod p^k, so
+    p^k - 1 runs as -1; every 1-unit base still gets unit_pow's value."""
+    m = Modulus(p, k)
+    mv = m.value
+    rng = random.Random(100 * p + k)
+    lifts = range(mv // p) if mv <= 5**5 else [0, mv // p - 1] + [
+        rng.randrange(mv // p) for _ in range(40)]
+    bases = [1 + p * r for r in lifts]  # the 1-units: at p = 2, the odd residues
+    exponents = sorted({0, 1, mv - 1, mv - 2, mv // 2, mv // 2 + 1})
+    for e in exponents:
+        fn = compile_map(fa.pow_(X, fa.const(e)), m)
+        assert [fn(a) for a in bases] == [unit_pow(ResidueInt(a, m), e).residue for a in bases]
+    if mv > 2:
+        source = "\n".join(expr._Module(fa.pow_(X, fa.const(mv - 1)), m).defs)
+        assert f"pow(xr, -1, {mv})" in source, source
+
+
+@pytest.mark.parametrize("p, base, message", [
+    (2, 4, r"^4 is even, not a unit mod 2\^5$"),
+    (3, 2, r"^2 is not a 1-unit mod 3\^5$"),
+    (5, 10, r"^10 is not a 1-unit mod 5\^5$")])
+def test_literal_pow_exponent_keeps_the_base_test(p, base, message):
+    m = Modulus(p, 5)
+    e = fa.pow_(X, fa.const(m.value - 1))
+    with pytest.raises(BaseNotOneUnit, match=message):
+        compile_map(e, m)(base)
+    assert_matches_tree(e, m, range(m.value))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_linear_poly_leaves_match_tree_interpreter(p):
+    """A degree-1 POLY leaf is one statement; in either basis, with a
+    denominator prime to p or with p in it, it matches eval_tree at every
+    residue, inside a tree and under delta."""
+    m = Modulus(p, MAX_K[p])
+    for basis in BASES:
+        for poly in (RationalPoly([Fraction(-7, 11), Fraction(5, 13)], basis),
+                     RationalPoly([Fraction(1, 3), Fraction(5, p)], basis),
+                     RationalPoly([Fraction(3, p * p), Fraction(1, p)], basis)):
+            leaf = fa.poly_node(poly)
+            source = expr._Module(leaf, m).defs[0]
+            assert "for " not in source and " * x + " in source, source
+            for e in (leaf, fa.add(X, fa.mul(fa.const(p), leaf)), fa.delta(leaf)):
+                assert_matches_tree(e, m, range(m.value + 3))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -383,8 +432,9 @@ def lane_corpus(seed, count):
 
 
 def assert_lanes_match_tree(e, m):
-    table = expr.lane_table(e, m)
-    assert table is not None and len(table) == m.value and table.itemsize == 4
+    lanes = expr.lane_table(e, m)
+    assert lanes is not None
+    table = expr._unpack(lanes, m.value)
     with deep_recursion():
         assert list(table) == [eval_tree(e, x, m) for x in range(m.value)], (e, m)
 
@@ -422,9 +472,10 @@ def test_lane_table_of_3000_term_chains(op):
         e = build(e, term) if i % 2 else build(term, e)
     m = Modulus(2, 10)
     compiled = compile_map(e, m)
-    assert list(expr.lane_table(e, m)) == [compiled(x) for x in range(m.value)]
+    assert list(expr._unpack(expr.lane_table(e, m), m.value)) == [
+        compiled(x) for x in range(m.value)]
     for m in (Modulus(2, 10), Modulus(2, 13)):
-        table = expr.lane_table(e, m)
+        table = expr._unpack(expr.lane_table(e, m), m.value)
         with deep_recursion():
             for x in (0, 1, 2, 77, m.value // 2 + 3, m.value - 2, m.value - 1):
                 assert table[x] == eval_tree(e, x, m), (m, x)

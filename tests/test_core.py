@@ -1,7 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
-from oracles import digits, primes_below
+from oracles import crt_value, digits, primes_below
 
 from padicforge.core import (
     INFINITE,
@@ -177,7 +178,7 @@ def test_composite_modulus():
     x = 31415
     parts = cm.decompose(x)
     assert parts == [31415 % 32, 31415 % 3125]
-    assert cm.combine(parts) == x
+    assert cm.combine([[r] for r in parts]) == [x]
     with pytest.raises(ValueError):
         CompositeModulus((Modulus(5, 1), Modulus(2, 1)))  # wrong order
     with pytest.raises(ValueError):
@@ -228,5 +229,19 @@ def test_errors_shorten_huge_numbers_to_leading_digits_and_count():
 
 def test_composite_crt_roundtrip():
     cm = CompositeModulus.from_int(360)  # 2^3 * 3^2 * 5
-    for x in range(360):
-        assert cm.combine(cm.decompose(x)) == x
+    assert cm.combine(list(zip(*map(cm.decompose, range(360))))) == list(range(360))
+
+
+@pytest.mark.parametrize("m, factors", [
+    (2**5, 1), (8 * 65537, 2), (360, 3), (2**3 * 3 * 5**2 * 7, 4)])
+def test_block_crt_matches_a_plain_crt(m, factors):
+    # 8 * 65537: a factor past trial division
+    cm = CompositeModulus.from_int(m)
+    moduli = [f.value for f in cm.factors]
+    assert len(moduli) == factors
+    rng = random.Random(m)
+    for count in (0, 1, 2**16 + 1):
+        runs = [[rng.randrange(q) for _ in range(count)] for q in moduli]
+        assert cm.combine(runs) == [crt_value(rs, moduli) for rs in zip(*runs)]
+    with pytest.raises(ValueError, match="one run per factor"):
+        cm.combine([[0]] * (factors + 1))

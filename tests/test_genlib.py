@@ -5,6 +5,7 @@ import re
 import tracemalloc
 
 import pytest
+from oracles import crt_value
 
 from padicforge.certify import CapExceeded
 from padicforge.core import CompositeModulus, Modulus
@@ -124,6 +125,18 @@ class TestEmitBytes:
                               out_fn=var(), out_modulus=Modulus(2, 8))
         assert emit_bytes(spec, 3) == bytes([1, 2, 3])
 
+    @pytest.mark.parametrize("k", [8, 12, 16, 20, 24, 32, 40, 64, 72])
+    def test_packed_words_equal_a_per_word_join(self, k):
+        # 1-, 2-, 4- and 8-byte words pack through an array; masked widths
+        # (12, 20) keep their low bytes, and 3-, 5- and 9-byte words join
+        seed = random.Random(k).randrange(2**k)
+        spec = make_generator(parse_dsl(README_MAP), Modulus(2, k), seed)
+        width = k // 8
+        count = 2 ** 16 + 3 if k in (16, 24) else 3000  # across two blocks
+        words = GeneratorState(spec).take(count)
+        want = b"".join((w % 2 ** (8 * width)).to_bytes(width, "little") for w in words)
+        assert emit_bytes(spec, count) == want
+
     def test_rejections(self):
         with pytest.raises(NotBinaryModulus):
             emit_bytes(make_generator(parse_dsl("1+x"), Modulus(5, 4), 0), 1)
@@ -241,19 +254,16 @@ README_MAP = "1 + x + 2*delta(x xor (2*x + 1))"
 def plain_states(spec, count):
     """count states after the seed, one step per word: each CRT factor is
     stepped on its own and the word is rebuilt by Garner's mixed-radix
-    recombination, not by the library's CRT basis."""
+    recombination (oracles.crt_value), not by the library's CRT basis."""
     m = spec.modulus
     factors = list(m.factors) if isinstance(m, CompositeModulus) else [m]
+    moduli = [f.value for f in factors]
     steps = [compile_map(spec.state_fn, f) for f in factors]
     parts = [spec.seed % f.value for f in factors]
     out = []
     for _ in range(count):
         parts = [step(x) for step, x in zip(steps, parts)]
-        word, radix = 0, 1
-        for f, x in zip(factors, parts):
-            word += radix * ((x - word) * pow(radix, -1, f.value) % f.value)
-            radix *= f.value
-        out.append(word)
+        out.append(crt_value(parts, moduli))
     return out
 
 
@@ -312,11 +322,14 @@ class TestBlockWalk:
         make_generator(parse_dsl("x*x + 1"), Modulus(2, 17), 0, unchecked=True),
         make_generator(parse_dsl("x xor 1"), Modulus(3, 4), 2, unchecked=True),
         make_generator(parse_dsl("1 + x"), CompositeModulus.from_int(72), 5),
+        make_generator(build_composite_generator(
+            RationalPoly([1]), RationalPoly([0, 2]), RationalPoly([-1]),
+            CompositeModulus.from_int(10_000)), CompositeModulus.from_int(10_000), 9),
         make_generator(xor_gen(), Modulus(2, 8), 0, out_fn=var(), out_modulus=Modulus(2, 4)),
         make_generator(parse_dsl("x + 4"), Modulus(2, 6), 1, out_fn=parse_dsl("x xor 3"),
                        out_modulus=Modulus(2, 6), unchecked=True),
     ], ids=["ergodic", "two blocks", "identity", "never returns", "odd-p bitwise error",
-            "composite", "truncating output", "short cycle with output"])
+            "composite", "composite inversive", "truncating output", "short cycle with output"])
     def test_census_equals_a_plain_census(self, spec):
         try:
             want = plain_census(spec)
