@@ -135,19 +135,14 @@ def bijective_mod(f: MapLike, m: Modulus, cap: Optional[int] = None):
     lanes = lane_table(f, m)
     if lanes is not None and _slices_bijective(lanes, m.k):
         return True, None
+    table = None if lanes is None else _unpack(lanes, m.value)
+    fn = compile_map(f, m) if table is None else table.__getitem__
     seen = bytearray(m.value)
-    if lanes is not None:  # iterating the array beats calling a method per state
-        table = _unpack(lanes, m.value)
-        for x, v in enumerate(table):
-            if seen[v]:
-                return False, (table.index(v), x)
-            seen[v] = 1
-        return True, None
-    fn = compile_map(f, m)
     for x in range(m.value):
         v = fn(x)
         if seen[v]:
-            return False, (next(y for y in range(x) if fn(y) == v), x)
+            return False, (table.index(v) if table is not None
+                           else next(y for y in range(x) if fn(y) == v), x)
         seen[v] = 1
     return True, None
 
