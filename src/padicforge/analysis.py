@@ -8,7 +8,7 @@ demands a solution with at least one x-coefficient invertible mod p, which
 rules out relations that degenerate mod p to a statement about the constant
 term alone.  A relation proved on a row sample is always re-verified against
 the entire period before it is reported.  That check and the bit planes
-read the sequence from one byte image of 64*s-bit slots, so a block of
+read the sequence packed by core into 64*s-bit slots, so a block of
 indices costs a few big-integer operations, not a step per index and term.
 
 Z/p^k is not a field, so the solver is not Berlekamp-Massey.  One
@@ -35,15 +35,13 @@ span in Howell form over Z/p^k and decides each order without a solve.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .certify import PROVEN, CapExceeded, MapLike, ergodicity_certificate
-from .core import Modulus
+from .core import Modulus, bytes_to_words, pack_slots, slot_ones, words_to_bytes
 from .expr import compile_map
 from .genlib import GeneratorSpec, GeneratorState, NotBinaryModulus, NotCertified, walk
 
@@ -98,15 +96,15 @@ class Relation:
             window = seq[start:start + size + reach]
             while len(window) < size + reach:  # wraps more than once when reach > period
                 window += seq[:size + reach - len(window)]
-            ones = int.from_bytes(b"\1".ljust(8 * s, b"\0") * (size + reach), "little")
+            ones = slot_ones(slot, size + reach)
             below = ((1 << b) - 1) * ones
             try:
-                xs = _packed(window, slot)
+                xs = pack_slots(window, slot)
                 wide = xs & below != xs
             except OverflowError:
                 wide = True
             if wide:  # an element is negative or at least 2^b
-                xs = _packed([x % q for x in window], slot)
+                xs = pack_slots([x % q for x in window], slot)
             acc = const * ones
             for j, c in terms:
                 acc += c * (xs >> slot * j)
@@ -216,7 +214,7 @@ def _solve_howell(rows: List[List[int]], rhs: List[int], q: int):
     slot, reduce = _slot_ring(q, n + width)
     basis = {}
     for j, col in enumerate([*zip(*rows), rhs]):  # tags e_1, ..., e_(width-1), then e_0
-        tagged = _packed([v % q for v in col], slot) | 1 << slot * (n + (j + 1) % width)
+        tagged = pack_slots([v % q for v in col], slot) | 1 << slot * (n + (j + 1) % width)
         _absorb(basis, tagged, q, slot, reduce)
     lead, row = basis.get(n, (0, 0))
     if lead != 1:
@@ -234,7 +232,7 @@ def _slot_ring(q: int, length: int) -> Tuple[int, Callable[[int], int]]:
     x + 2^g - q is set, 2^g > q.  Slots are wide enough for x*mu."""
     w, g, odd = (q * q + q).bit_length(), q.bit_length(), q & (q - 1)
     slot = 64 * -(-(w + g if odd else w) // 64)
-    ones = int.from_bytes(b"\1".ljust(slot // 8, b"\0") * length, "little")
+    ones = slot_ones(slot, length)
     mask, low, off = (q - 1) * ones, ((1 << slot - w) - 1) * ones, ((1 << g) - q) * ones
     mu = (1 << w) // q
 
@@ -275,11 +273,6 @@ def _absorb(basis: dict, v: int, q: int, slot: int, reduce: Callable[[int], int]
     return grew
 
 
-def _packed(values: List[int], slot: int) -> int:
-    """values, each in [0, 2^slot), as one int with values[n] at bit slot*n."""
-    return int.from_bytes(_slot_image(values, slot // 64), "little")
-
-
 def _prefix_lower_bound(seq: Sequence[int], m: Modulus, r_max: int) -> int:
     """Least order that a short prefix of differences leaves open.
 
@@ -294,7 +287,7 @@ def _prefix_lower_bound(seq: Sequence[int], m: Modulus, r_max: int) -> int:
     top = min(r_max, (n - 1) // 2)
     diff = [(seq[(i + 1) % period] - seq[i % period]) % m.value for i in range(n - 1 + top)]
     slot, reduce = _slot_ring(m.value, n - 1)
-    diffs, window = _packed(diff, slot), (1 << slot * (n - 1)) - 1
+    diffs, window = pack_slots(diff, slot), (1 << slot * (n - 1)) - 1
     basis = {}
     for r in range(top + 1):
         if not _absorb(basis, diffs >> slot * r & window, m.value, slot, reduce) and r:
@@ -370,7 +363,7 @@ def bit_plane_periods(seq: Sequence[int], m: Modulus) -> List[int]:
 
     The buffer is one full period, so a plane's least period is the first
     d >= 1 where it recurs in itself written twice.  Plane j is read from
-    byte j//8 of every slot of one _slot_image by bytes.translate.
+    byte j//8 of every little-endian 64*s-bit word by bytes.translate.
     """
     if m.p != 2:
         raise NotBinaryModulus(f"bit planes need p = 2, modulus is {m}")
@@ -382,19 +375,9 @@ def bit_plane_periods(seq: Sequence[int], m: Modulus) -> List[int]:
 def _bit_plane_periods(seq: List[int], k: int) -> List[int]:
     """bit_plane_periods of a list that _check_buffer has passed mod 2^k."""
     s = -(-k // 64)
-    image = _slot_image(seq, s)
+    image = words_to_bytes(seq, 8 * s)
     planes = (image[j // 8::8 * s].translate(_BIT_OF_BYTE[j % 8]) for j in range(k))
     return [(plane + plane).find(plane, 1) for plane in planes]
-
-
-def _slot_image(values: List[int], s: int) -> bytes:
-    """values[n], each in [0, 2^(64*s)), in little-endian bytes 8*s*n on."""
-    if s > 1:
-        return b"".join(x.to_bytes(8 * s, "little") for x in values)
-    words = array("Q", values)
-    if sys.byteorder == "big":
-        words.byteswap()
-    return words.tobytes()
 
 
 def orbit(step: Callable[[int], int], m: Modulus, seed: int = 0) -> List[int]:
@@ -448,11 +431,10 @@ def sequence_from_generator(spec: GeneratorSpec, count: Optional[int] = None) ->
 
 
 def sequence_from_bytes(data: bytes, m: Modulus) -> List[int]:
-    """Little-endian words of k/8 bytes each; the inverse of byte emission."""
+    """Little-endian words of k/8 bytes each, read by the inverse of emit_bytes's packing."""
     if m.p != 2 or m.k % 8 != 0:
         raise NotBinaryModulus(f"byte ingestion needs p = 2 and 8 | k, modulus is {m}")
     width = m.k // 8
     if len(data) % width:
         raise ValueError(f"{len(data)} bytes is not a whole number of {width}-byte words")
-    return [int.from_bytes(data[i:i + width], "little")
-            for i in range(0, len(data), width)]
+    return list(bytes_to_words(data, width))

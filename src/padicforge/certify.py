@@ -20,7 +20,6 @@ census mod p, then the Jacobian's rank over GF(p) at every point.
 
 from __future__ import annotations
 
-import sys
 import time
 from array import array
 from dataclasses import dataclass
@@ -29,9 +28,8 @@ from functools import cached_property, lru_cache
 from itertools import product
 from typing import Callable, Optional, Sequence, Union
 
-from .core import Modulus, ord_p
-from .expr import (_BITWISE, _LANE, _LANE_STATES, FnExpr, _pack, _unpack, compile_map, fold,
-                   lane_table, operands)
+from .core import Modulus, ord_p, pack_slots, slot_ones, unpack_slots
+from .expr import _BITWISE, _LANE_STATES, FnExpr, compile_map, fold, lane_table, operands
 from .funcalg import BoolTriangle
 from .mahler import (
     DEGREE_CAP,
@@ -135,7 +133,7 @@ def bijective_mod(f: MapLike, m: Modulus, cap: Optional[int] = None):
     lanes = lane_table(f, m)
     if lanes is not None and _slices_bijective(lanes, m.k):
         return True, None
-    table = None if lanes is None else _unpack(lanes, m.value)
+    table = None if lanes is None else unpack_slots(lanes, 32, m.value)
     fn = compile_map(f, m) if table is None else table.__getitem__
     seen = bytearray(m.value)
     for x in range(m.value):
@@ -164,7 +162,7 @@ def transitive_mod(f: MapLike, m: Modulus, cap: Optional[int] = None):
     if _slices_transitive(f, m, lanes):
         return True, m.value
     if lanes is not None:
-        table = _unpack(lanes, m.value)
+        table = unpack_slots(lanes, 32, m.value)
         x = 0
         for step in range(1, m.value + 1):  # no state recurs before 0 does
             x = table[x]
@@ -287,19 +285,20 @@ def _hensel_miss(F: Sequence[MultiPoly], p: int, cap: Optional[int] = None) -> O
 
 
 def jacobian_equiprobable_certificate(F: Sequence[MultiPoly], p: int) -> Certificate:
-    """PROVEN equiprobability at every p^k, or UNKNOWN.
+    """PROVEN equiprobability at every p^k, REFUTED, or UNKNOWN.
 
     Two conditions, both mod p, which Hensel lifting carries to every p^k:
     the reduced map must be equiprobable, and its Jacobian must have rank
-    len(F) over GF(p) at every point of (Z/p)^n.  A miss drops to UNKNOWN
-    with its witness: the census, or the first rank-deficient point as
-    {"reason": "all partials vanish", "point"} for one component and
-    {"reason": "jacobian rank", "point", "rank"} for more.  This route
-    never refutes, since the sufficient condition is not necessary.
+    len(F) over GF(p) at every point of (Z/p)^n.  A census miss REFUTES with
+    the census as witness, since fibres mod p^k refine those mod p.  A rank
+    miss, the rank condition being sufficient only, drops to UNKNOWN with the
+    first rank-deficient point: {"reason": "all partials vanish", "point"}
+    for one component, {"reason": "jacobian rank", "point", "rank"} for more.
     """
     t0 = time.perf_counter()
     miss = _hensel_miss(F, p)
-    return Certificate(EQUIPROBABLE, UNKNOWN if miss else PROVEN, "C3_8", Modulus(p, 1), miss,
+    verdict = PROVEN if miss is None else REFUTED if "census" in miss else UNKNOWN
+    return Certificate(EQUIPROBABLE, verdict, "C3_8", Modulus(p, 1), miss,
                        (time.perf_counter() - t0) * 1000.0)
 
 
@@ -560,8 +559,7 @@ def _probe_modulus(p: int, cap: Optional[int]) -> Modulus:
 @lru_cache(maxsize=16)  # one entry per level below 2^16 states
 def _slice_masks(i: int):
     """(bit i of each of the lanes 0..2^i-1, all bits of the lanes 0..2^(i+1)-1)."""
-    ones = ((1 << (32 << i)) - 1) // _LANE
-    return ones << i, (1 << (64 << i)) - 1
+    return slot_ones(32, 1 << i) << i, (1 << (64 << i)) - 1
 
 
 def _slices_bijective(lanes: int, k: int) -> bool:
@@ -593,7 +591,7 @@ def _slices_transitive(f: MapLike, m: Modulus, lanes: Optional[int]) -> bool:
     map's values at 0..2^(k-1)-1, the half of the table its parities need.
     """
     # below 2^10 states the shape match costs more than the walk; above
-    # 2^16 the half table's array("I") would overflow 2^32 and grow with m
+    # 2^16 the half table, packed as lanes like a lane table, grows with m
     if m.p != 2 or not _LANE_STATES[0] <= m.value <= _LANE_STATES[1]:
         return False
     try:
@@ -606,12 +604,10 @@ def _slices_transitive(f: MapLike, m: Modulus, lanes: Optional[int]) -> bool:
         return False
     fn = compile_map(f, m)
     try:
-        table = array("I", map(fn, range(m.value >> 1)))
+        half = pack_slots(map(fn, range(m.value >> 1)), 32)
     except ValueError:  # left for the walk to raise in its own order
         return False
-    if sys.byteorder == "big":
-        table.byteswap()
-    return _slices_single_cycle(_pack(table), m.k)
+    return _slices_single_cycle(half, m.k)
 
 
 def _check(prop: str, f: MapLike, m: Modulus, cap: Optional[int]):

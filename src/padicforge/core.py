@@ -7,10 +7,12 @@ can be shared freely across threads.
 
 Composite moduli m = p_1^{k_1} ... p_s^{k_s} never get direct ring
 arithmetic: they are split into prime-power components (CRT) and each
-component is handled in its own Z/p^k.
+component is handled in its own Z/p^k.  The last section owns packed words.
 """
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -252,3 +254,47 @@ def unit_pow(u: ResidueInt, e):
         raise BaseNotOneUnit(f"{_brief(u.residue)} is not a 1-unit mod {m}")
     exp = reduce_exponent(e, m)
     return ResidueInt(pow(u.residue, exp, m.value), m)
+
+
+# --- packed words: values of a fixed width, little-endian on every host -----
+# A byte width that an array typecode has goes through that array, any other
+# word by word.  Slot n of an int packed bits wide (8 | bits) starts at bit bits*n.
+
+_TYPECODES = {array(t).itemsize: t for t in "BHILQ"}  # byte width -> unsigned typecode
+
+
+def _little(words: array) -> array:  # an array holds its items in host byte order
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def words_to_bytes(values, width: int) -> bytes:
+    """values, ints in [0, 2^(8*width)), as width-byte words; OverflowError outside."""
+    code = _TYPECODES.get(width)
+    if code is None:
+        return b"".join([v.to_bytes(width, "little") for v in values])
+    return _little(array(code, values)).tobytes()
+
+
+def bytes_to_words(data: bytes, width: int):
+    """words_to_bytes's exact inverse: an array where a typecode fits, else a list."""
+    code = _TYPECODES.get(width)
+    if code is None:
+        return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+    return _little(array(code, data))
+
+
+def pack_slots(values, bits: int) -> int:
+    """values, each in [0, 2^bits), as one int with values[n] in slot n."""
+    return int.from_bytes(words_to_bytes(values, bits // 8), "little")
+
+
+def unpack_slots(x: int, bits: int, count: int):
+    """pack_slots's inverse: the count slots of x, 0 <= x < 2^(bits*count)."""
+    return bytes_to_words(x.to_bytes(bits // 8 * count, "little"), bits // 8)
+
+
+def slot_ones(bits: int, count: int) -> int:
+    """1 in each of count slots: times it, a value below 2^bits fills them all."""
+    return int.from_bytes(b"\1".ljust(bits // 8, b"\0") * count, "little")

@@ -35,15 +35,13 @@ evaluating point by point would have raised.
 """
 
 import math
-import sys
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import and_, mul, or_, xor
 from typing import Callable
 
-from .core import Modulus, ResidueInt, mod_inverse, unit_pow
+from .core import Modulus, ResidueInt, mod_inverse, pack_slots, slot_ones, unit_pow, unpack_slots
 from .mahler import MahlerSeries, NotIntegerValued, RationalPoly, WrongPrime, _poly_from_series
 
 KINDS = frozenset(
@@ -446,29 +444,20 @@ def evaluator(e: FnExpr, m: Modulus):
 # table by one lane, its values at x + 1, since no lane-able node reads
 # more of x than its residue; COMPOSE reads its outer map's table at its
 # inner map's values.  Operands are evaluated heaviest first (Sethi and
-# Ullman), so few tables are alive at once.
+# Ullman), so few tables are alive at once; core packs them, on any host.
 # Below 2^10 states the compiled loop can be faster: walking the orbit of 0
 # under 3 + 5*x + 2*(x xor (4*x + 1)) took 0.07 ms on lanes against 0.04 ms
 # at 2^8, 0.09 ms against 0.08 ms at 2^9 and 0.13 ms against 0.18 ms at
 # 2^10 (min of 15, Python 3.11.7 on a 2-core x86-64 VM).
 _LANE_STATES = (1 << 10, 1 << 16)
 _LANE = (1 << 32) - 1
-_LANES_FIT = sys.byteorder == "little" and array("I").itemsize == 4  # an array's bytes are lanes
-
-
-def _pack(table: array) -> int:
-    return int.from_bytes(table.tobytes(), "little")
-
-
-def _unpack(lanes: int, m: int) -> array:
-    return array("I", lanes.to_bytes(4 * m, "little"))
 
 
 @lru_cache(maxsize=4)
 def _lanes(m: int):
     """(X, ONES, M): lane x holds x, 1 and m - 1."""
-    ones = ((1 << 32 * m) - 1) // _LANE
-    return _pack(array("I", range(m))), ones, (m - 1) * ones
+    ones = slot_ones(32, m)
+    return pack_slots(range(m), 32), ones, (m - 1) * ones
 
 
 def _lane_plan(e: FnExpr):
@@ -515,7 +504,8 @@ def _on_lanes(e: FnExpr, plan: dict, m: int) -> int:
         a, b = values
         if kind == "COMPOSE":
             outer, inner = (b, a) if swapped(node) else (a, b)
-            return _pack(array("I", map(_unpack(outer, m).__getitem__, _unpack(inner, m))))
+            return pack_slots(map(unpack_slots(outer, 32, m).__getitem__,
+                                  unpack_slots(inner, 32, m)), 32)
         if kind == "XOR":
             return a ^ b
         if kind == "AND":
@@ -530,14 +520,11 @@ def _on_lanes(e: FnExpr, plan: dict, m: int) -> int:
 
 
 def lane_table(f, m: Modulus):
-    """f's values at 0..m-1 packed as lanes, one int whose 32-bit lane x
-    (bits 32x to 32x + 31) holds f(x), or None where lanes do not apply: f
-    not an FnExpr, p odd, m outside 2^10..2^16, a big-endian host, or a
-    node with no lane form (POW, INV, POLY, a constant with an even
-    denominator, a product of two non-constants).  `_unpack(lanes, m.value)`
-    makes it an array("I") of the m values."""
-    if not (_LANES_FIT and isinstance(f, FnExpr) and m.p == 2
-            and _LANE_STATES[0] <= m.value <= _LANE_STATES[1]):
+    """f's values at 0..m-1 as one int whose 32-bit lane x (bits 32x to 32x + 31)
+    holds f(x), for core.unpack_slots, or None where lanes do not apply: f not
+    an FnExpr, p odd, m outside 2^10..2^16, or a node with no lane form (POW,
+    INV, POLY, an even-denominator constant, a product of two non-constants)."""
+    if not (isinstance(f, FnExpr) and m.p == 2 and _LANE_STATES[0] <= m.value <= _LANE_STATES[1]):
         return None
     plan = _lane_plan(f)
     return None if plan is None else _on_lanes(f, plan, m.value)

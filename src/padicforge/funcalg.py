@@ -181,6 +181,13 @@ _ARITY = dict.fromkeys(KINDS, 2) | {"VAR": 0, "CONST": 0, "POLY": 0,
 # of 1000.  Walks over the tree keep their own stacks; only generated code
 # nests, one function call per DELTA or COMPOSE level.
 _MAX_NESTING = 100
+# Deepest nesting of delta the parser and expr_from_json accept.  Generated
+# code calls a DELTA child at x + 1 and at x, so d nested deltas cost 2^d
+# child calls per point: `check -p 2 -k 6` of 22 levels over x xor 3 took
+# 1.4 s, so 40 would take days.  `gen -p 2 -k 32 --count 1024` of 1 + x +
+# 2*delta(...) took 0.22 s at 8 levels and 0.95 s at 12 (Python 3.11 on a
+# 2-core x86-64 VM).
+_MAX_DELTAS = 8
 # \d is a decimal digit, which int() reads, and an identifier a run of \w
 # (letters, other digits, "_"); blanks, tabs and carriage returns match
 # nothing and are skipped, and any other character matches alone.
@@ -230,6 +237,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.deltas = 0
 
     def take(self, kind=None):
         """The next token; given a kind, the next token only if of that kind."""
@@ -294,11 +302,15 @@ class _Parser:
         return e
 
     def call(self, name, line, col):
+        if name == "delta" and self.deltas == _MAX_DELTAS:
+            raise DslSyntaxError(f"delta nested deeper than {_MAX_DELTAS} levels", line, col)
+        self.deltas += name == "delta"
         self.expect("(")
         args = [self.bitexpr()]
         while self.take(","):
             args.append(self.bitexpr())
         self.expect(")")
+        self.deltas -= name == "delta"
         kind = _FUNCTIONS[name]
         count = 2 if kind == "POLY" else _ARITY[kind]
         if len(args) != count:
@@ -315,11 +327,21 @@ class _Parser:
         return poly_node(RationalPoly([0] * deg.value.numerator + [1], "falling"))
 
 
+def _nesting(node, vals, signs):
+    """(levels, DELTA levels) of node's tree, a chain counting as one level."""
+    return (1 + max((v[0] for v in vals), default=-1),
+            (node.kind == "DELTA") + max((v[1] for v in vals), default=0))
+
+
 def _depth_checked(e: FnExpr, error) -> FnExpr:
-    """e, unless its tree nests more than _MAX_NESTING levels, a chain counting
-    as one, when error(message) is raised: a map the parser accepts loads."""
-    if fold(e, lambda node, vals, signs: 1 + max(vals, default=-1)) > _MAX_NESTING:
+    """e, unless its tree nests more than _MAX_NESTING levels or more than
+    _MAX_DELTAS DELTA nodes on one path, when error(message) is raised: a
+    map the parser accepts loads."""
+    depth, deltas = fold(e, _nesting)
+    if depth > _MAX_NESTING:
         raise error(f"expression nested deeper than {_MAX_NESTING} levels")
+    if deltas > _MAX_DELTAS:
+        raise error(f"delta nested deeper than {_MAX_DELTAS} levels")
     return e
 
 
@@ -329,7 +351,8 @@ def parse_dsl(text: str) -> FnExpr:
     Grammar: infix + - * ^ with function forms xor/and/or/neg/inv/delta
     and the falling-factorial atom ff(x, n); infix xor/and/or bind loosest.
     Rational literals are written a/b.  Nesting deeper than _MAX_NESTING, in
-    source or tree, ff degrees above DEGREE_CAP and integer literals past the
+    source or tree, delta nested deeper than _MAX_DELTAS (evaluation doubles
+    per level), ff degrees above DEGREE_CAP and integer literals past the
     int-to-str digit limit are syntax errors; each DslError names its place.
     """
     parser = _Parser(text)

@@ -6,13 +6,11 @@ prime factor) unless the caller explicitly opts out.  Streams advance
 through walk, one loop that returns a block of states: composite moduli
 walk each CRT component as a block and recombine the block with one pass
 per factor (CompositeModulus.combine), and emit_blocks makes one block of
-words at a time, packing 1-, 2-, 4- and 8-byte words through an array.
+words at a time, packed by core.words_to_bytes, which sequence_from_bytes inverts.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, List, Optional, Union
@@ -25,7 +23,7 @@ from .certify import (
     bijective_mod,
     ergodicity_certificate,
 )
-from .core import CompositeModulus, Modulus, _brief
+from .core import CompositeModulus, Modulus, _brief, words_to_bytes
 from .expr import FnExpr, compile_map
 from .funcalg import expr_from_json, expr_to_json
 
@@ -46,7 +44,6 @@ class NotBinaryModulus(Exception):
 
 AnyModulus = Union[Modulus, CompositeModulus]
 _BLOCK = 1 << 16  # words or states per block
-_TYPECODES = {array(t).itemsize: t for t in "BHILQ"}  # word width in bytes -> unsigned typecode
 
 
 def walk(step: Callable[[int], int], x: int, count: int) -> List[int]:
@@ -171,24 +168,15 @@ def _word_bits(spec: GeneratorSpec) -> int:
 
 def emit_blocks(spec: GeneratorSpec, count: int,
                 state: Optional[GeneratorState] = None) -> Iterator[bytes]:
-    """emit_bytes's bytes, one block of at most 2^16 words at a time.  A
-    word of 1, 2, 4 or 8 bytes is packed through an array, byteswapped on a
-    big-endian host; other widths join each word's bytes."""
+    """emit_bytes's bytes, one block of at most 2^16 words at a time."""
     bits = _word_bits(spec)
-    width = bits // 8
-    code, mask = _TYPECODES.get(width), (1 << 8 * width) - 1
+    width, mask = bits // 8, (1 << bits - bits % 8) - 1
     state = state if state is not None else GeneratorState(spec)
     for done in range(0, count, _BLOCK):
         words = state.take(min(_BLOCK, count - done))
         if bits % 8:  # only the low bytes of each word are emitted
             words = map(mask.__and__, words)
-        if code is None:
-            yield b"".join([w.to_bytes(width, "little") for w in words])
-        else:
-            block = array(code, words)
-            if sys.byteorder == "big":
-                block.byteswap()
-            yield block.tobytes()
+        yield words_to_bytes(words, width)
 
 
 def emit_bytes(spec: GeneratorSpec, count: int, state: Optional[GeneratorState] = None) -> bytes:

@@ -64,6 +64,9 @@ MUTANTS = [
     Mutant("jacobian-rank-at-least-one", "certify.py",
            "if (rank := len(pivots)) < len(F):", "if (rank := len(pivots)) < 1:",
            ("tests/test_certify.py::TestTwoComponentSystems",)),
+    Mutant("census-miss-unknown", "certify.py",
+           'REFUTED if "census" in miss else UNKNOWN', "UNKNOWN",
+           ("tests/test_certify.py::TestJacobianCertificate::test_unbalanced_mod_p_unknown",)),
     Mutant("system-miss-proven", "certify.py",
            'REFUTED if miss else PROVEN, "C3_10"', 'PROVEN, "C3_10"',
            ("tests/test_certify.py::TestPolynomialBijectivityCertificate::test_square_system",)),
@@ -177,6 +180,11 @@ MUTANTS = [
     Mutant("prime-power-cofactor-not-rooted", "core.py",
            "for e in range(n.bit_length() // 16, 1, -1)", "for e in range(0)",
            ("tests/test_core.py::test_composite_modulus_factors_past_trial_division",)),
+    # packed words: the one decoder of little-endian bytes
+    Mutant("words-decoded-big-endian", "core.py",
+           'int.from_bytes(data[i:i + width], "little")', 'int.from_bytes(data[i:i + width], "big")',
+           ("tests/test_analysis.py::TestIngestion::test_bytes_round_trip_at_every_width",
+            "tests/test_core.py::test_words_round_trip_through_little_endian_bytes")),
     # block kernels: the block CRT and literal POW exponents
     Mutant("crt-block-first-basis", "core.py",
            "(first, b), *rest = zip(runs, self.basis)",

@@ -24,10 +24,11 @@ from padicforge.analysis import (
     _solve_howell,
 )
 from padicforge.certify import CapExceeded
-from padicforge.core import Modulus
+from padicforge.core import Modulus, pack_slots
 from padicforge.expr import compile_map
 from padicforge.funcalg import inv, parse_dsl
-from padicforge.genlib import NotBinaryModulus, NotCertified, emit_bytes, make_generator
+from padicforge.genlib import (GeneratorState, NotBinaryModulus, NotCertified, emit_bytes,
+                              make_generator)
 from padicforge.mahler import MahlerSeries, RationalPoly
 
 from corpus import random_compatible_ast
@@ -742,7 +743,7 @@ class TestPackedRelationCheck:
 def packed_absorb(basis, v, q):
     """analysis._absorb of the entries v, each in [0, q), packed one to a slot."""
     slot, reduce = analysis._slot_ring(q, len(v))
-    return analysis._absorb(basis, analysis._packed(v, slot), q, slot, reduce)
+    return analysis._absorb(basis, pack_slots(v, slot), q, slot, reduce)
 
 
 # slots of more than one 64-bit word: 2^70 and 3^45 are both past 2^64
@@ -896,6 +897,15 @@ class TestIngestion:
         words = sequence_from_generator(spec, count=40)
         data = emit_bytes(spec, 40)
         assert sequence_from_bytes(data, Modulus(2, 16)) == words
+
+    @pytest.mark.parametrize("k", [8, 16, 24, 32, 40, 64, 72])
+    def test_bytes_round_trip_at_every_width(self, k):
+        # 1-, 2-, 4- and 8-byte words go through an array, 3-, 5- and 9-byte
+        # words word by word; a block of 2^16 words is crossed at k = 8
+        spec = make_generator(parse_dsl(README_MAP), Modulus(2, k), 2**k - 5)
+        n = 2**16 + 7 if k == 8 else 1000
+        words = GeneratorState(spec).take(n)
+        assert sequence_from_bytes(emit_bytes(spec, n), Modulus(2, k)) == words
 
     def test_bytes_validation(self):
         with pytest.raises(NotBinaryModulus):

@@ -302,8 +302,10 @@ class TestJacobianCertificate:
 
     def test_unbalanced_mod_p_unknown(self):
         cert = jacobian_equiprobable_certificate([MultiPoly(2, {(1, 1): 1})], 2)
-        assert cert.verdict == UNKNOWN
+        assert cert.verdict == REFUTED
         assert cert.witness["reason"] == "not equiprobable mod p"
+        assert cert.witness["census"] == equiprobable_mod([MultiPoly(2, {(1, 1): 1})], 2,
+                                                          Modulus(2, 1))[1]
 
     def test_partial_derivative(self):
         g = MultiPoly(2, {(1, 0): 1, (0, 1): 3, (0, 2): 6, (0, 3): 4}).partial(1)
@@ -341,10 +343,13 @@ class TestTwoComponentSystems:
             bijective = equiprobable_mod(F, 2, Modulus(p, 2))[0]
             if (polynomial_bijectivity_certificate(F, p).verdict == PROVEN) != bijective:
                 wrong.append(("C3_10", F))
-            if jacobian_equiprobable_certificate(F, p).verdict == PROVEN:
+            verdict = jacobian_equiprobable_certificate(F, p).verdict
+            if verdict == PROVEN:
                 seen += 1
                 if not (bijective and equiprobable_mod(F, 2, Modulus(p, 3))[0]):
                     wrong.append(("C3_8", F))
+            if verdict == REFUTED and bijective:
+                wrong.append(("C3_8 refuted", F))
         assert wrong == []
         assert seen == proven
 

@@ -22,7 +22,7 @@ from padicforge import funcalg as fa
 from padicforge.certify import GENERIC_COMPATIBLE, FunctionClass, infer_class
 from padicforge.cli import main, report_schema
 from padicforge.core import CompositeModulus, Modulus
-from padicforge.funcalg import _MAX_NESTING, parse_dsl
+from padicforge.funcalg import _MAX_DELTAS, _MAX_NESTING, parse_dsl
 from padicforge.genlib import emit_bytes, make_generator, spec_to_json
 from padicforge.mahler import RationalPoly
 
@@ -485,6 +485,28 @@ class TestHostileInput:
             rc, seconds = timed_certify("x + " + opener * depth + "x" + closer * depth)
             assert rc == 2 and seconds < 1.0
             assert f"nesting deeper than {_MAX_NESTING} levels" in capsys.readouterr().err
+
+    def test_delta_nesting_past_the_cap_exits_2(self, capsysbinary, tmp_path):
+        # d nested deltas cost 2^d calls per point: past the cap the input is
+        # refused where it arrives, inline or in a spec file
+        path = tmp_path / "spec.json"
+        for depth in (_MAX_DELTAS, _MAX_DELTAS + 1):
+            nested, tree = "delta(" * depth + "x*x*x + x" + ")" * depth, parse_dsl("x*x*x + x")
+            for _ in range(depth):
+                tree = fa.delta(tree)
+            state = fa.add(fa.add(fa.const(1), fa.var()), fa.mul(fa.const(2), tree))
+            path.write_text(json.dumps(spec_to_json(make_generator(state, Modulus(2, 32), 1))))
+            runs = [["check", f"1 + x + 2*{nested}", "-p", "2", "-k", "6"],
+                    ["certify", f"1 + x + 3*{nested}", "-p", "3"],
+                    ["gen", "--file", str(path), "--count", "1024"]]
+            for argv in runs:
+                rc, seconds = reference_seconds(lambda: main(argv))
+                err = capsysbinary.readouterr().err.decode()
+                if depth <= _MAX_DELTAS:
+                    assert rc != 2 and "nested" not in err, argv
+                else:
+                    assert rc == 2 and seconds < 1.0, argv
+                    assert f"delta nested deeper than {_MAX_DELTAS} levels" in err
 
     def test_xor_chain_of_3000_terms(self, capsys):
         rc, seconds = timed_certify(" xor ".join(["x"] * 3000))

@@ -20,7 +20,7 @@ from oracles import eval_tree, poly_eval_mod, random_integer_valued_poly, series
 from padicforge import expr
 from padicforge import funcalg as fa
 from padicforge.certify import MultiPoly
-from padicforge.core import BaseNotOneUnit, Modulus, NotAUnit, ResidueInt, unit_pow
+from padicforge.core import BaseNotOneUnit, Modulus, NotAUnit, ResidueInt, unit_pow, unpack_slots
 from padicforge.expr import BitwiseOddPrime, compile_map, evaluator
 from padicforge.funcalg import parse_dsl
 from padicforge.mahler import MahlerSeries, NotIntegerValued, RationalPoly
@@ -434,7 +434,7 @@ def lane_corpus(seed, count):
 def assert_lanes_match_tree(e, m):
     lanes = expr.lane_table(e, m)
     assert lanes is not None
-    table = expr._unpack(lanes, m.value)
+    table = unpack_slots(lanes, 32, m.value)
     with deep_recursion():
         assert list(table) == [eval_tree(e, x, m) for x in range(m.value)], (e, m)
 
@@ -472,10 +472,10 @@ def test_lane_table_of_3000_term_chains(op):
         e = build(e, term) if i % 2 else build(term, e)
     m = Modulus(2, 10)
     compiled = compile_map(e, m)
-    assert list(expr._unpack(expr.lane_table(e, m), m.value)) == [
+    assert list(unpack_slots(expr.lane_table(e, m), 32, m.value)) == [
         compiled(x) for x in range(m.value)]
     for m in (Modulus(2, 10), Modulus(2, 13)):
-        table = expr._unpack(expr.lane_table(e, m), m.value)
+        table = unpack_slots(expr.lane_table(e, m), 32, m.value)
         with deep_recursion():
             for x in (0, 1, 2, 77, m.value // 2 + 3, m.value - 2, m.value - 1):
                 assert table[x] == eval_tree(e, x, m), (m, x)

@@ -11,10 +11,15 @@ from padicforge.core import (
     Modulus,
     NotAUnit,
     ResidueInt,
+    bytes_to_words,
     is_prime,
     mod_inverse,
     ord_p,
+    pack_slots,
+    slot_ones,
     unit_pow,
+    unpack_slots,
+    words_to_bytes,
 )
 
 
@@ -245,3 +250,35 @@ def test_block_crt_matches_a_plain_crt(m, factors):
         assert cm.combine(runs) == [crt_value(rs, moduli) for rs in zip(*runs)]
     with pytest.raises(ValueError, match="one run per factor"):
         cm.combine([[0]] * (factors + 1))
+
+
+@pytest.mark.parametrize("width", [*range(1, 10), 16])
+def test_words_round_trip_through_little_endian_bytes(width):
+    # 1, 2, 4 and 8 bytes go through an array, the other widths word by word
+    top = 2 ** (8 * width) - 1
+    rng = random.Random(width)
+    values = [0, top, 1, top - 1] + [rng.randrange(top + 1) for _ in range(200)]
+    data = words_to_bytes(values, width)
+    assert data == b"".join(v.to_bytes(width, "little") for v in values)
+    assert list(bytes_to_words(data, width)) == values
+    assert words_to_bytes(iter(values), width) == data
+    assert words_to_bytes([], width) == b"" and list(bytes_to_words(b"", width)) == []
+    for bad in (-1, top + 1):
+        with pytest.raises(OverflowError):
+            words_to_bytes([0, bad], width)
+
+
+@pytest.mark.parametrize("bits", [32, 64, 128])
+def test_slots_round_trip_through_one_int(bits):
+    rng = random.Random(bits)
+    values = [0, 2**bits - 1] + [rng.randrange(2**bits) for _ in range(300)] + [0, 0]
+    x = pack_slots(values, bits)
+    assert x == sum(v << bits * n for n, v in enumerate(values))
+    assert list(unpack_slots(x, bits, len(values))) == values  # trailing zero slots kept
+    assert pack_slots([], bits) == 0 and list(unpack_slots(0, bits, 0)) == []
+
+
+@pytest.mark.parametrize("bits", [8, 32, 64, 128, 192])
+def test_slot_ones_is_a_plain_sum(bits):
+    for count in (0, 1, 2, 1000):
+        assert slot_ones(bits, count) == sum(1 << bits * n for n in range(count))

@@ -31,6 +31,7 @@ from padicforge.certify import (
 from padicforge.core import BaseNotOneUnit, Modulus, NotAUnit, ResidueInt
 from padicforge.expr import BitwiseOddPrime, compile_map, evaluator
 from padicforge.funcalg import (
+    _MAX_DELTAS,
     _MAX_NESTING,
     BoolTriangle,
     CDivisibleByP,
@@ -553,6 +554,28 @@ def test_parser_and_spec_loader_agree_on_depth():
             parse_dsl(text)
         with pytest.raises(ValueError, match=f"deeper than {_MAX_NESTING} levels"):
             expr_from_json(expr_to_json(tree))
+
+
+def test_delta_nesting_capped_in_source_and_spec():
+    # d deltas on one path evaluate their core 2^d times per point, so both
+    # readers refuse more than _MAX_DELTAS; a sum between them is no level
+    for depth in (_MAX_DELTAS, _MAX_DELTAS + 1):
+        text, tree = "x xor 3", fa.xor(X, fa.const(3))
+        for _ in range(depth):
+            text, tree = f"x + delta({text})", fa.add(X, fa.delta(tree))
+        if depth <= _MAX_DELTAS:
+            assert parse_dsl(text) == tree
+            assert expr_from_json(expr_to_json(tree)) == tree
+            continue
+        with pytest.raises(DslSyntaxError) as err:
+            parse_dsl(text)
+        assert (err.value.line, err.value.col) == (1, text.rindex("delta(") + 1)
+        assert str(err.value).startswith(f"delta nested deeper than {_MAX_DELTAS} levels")
+        with pytest.raises(ValueError, match=f"^delta nested deeper than {_MAX_DELTAS} levels$"):
+            expr_from_json(expr_to_json(tree))
+    # deltas side by side are one level each
+    siblings = " + ".join(["delta(delta(x xor 3))"] * (4 * _MAX_DELTAS))
+    assert expr_from_json(expr_to_json(parse_dsl(siblings))) == parse_dsl(siblings)
 
 
 def test_three_machine_forms():
