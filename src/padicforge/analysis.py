@@ -41,7 +41,7 @@ from math import gcd
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .certify import PROVEN, CapExceeded, MapLike, ergodicity_certificate
-from .core import Modulus, bytes_to_words, pack_slots, slot_ones, words_to_bytes
+from .core import Modulus, bytes_to_words, pack_slots, slot_ones, unpack_slots, words_to_bytes
 from .expr import compile_map
 from .genlib import GeneratorSpec, GeneratorState, NotBinaryModulus, NotCertified, walk
 
@@ -50,7 +50,7 @@ DEFAULT_R_MAX = 32
 R_MAX_CAP = 2 * DEFAULT_R_MAX
 
 
-class EmptySequence(Exception):
+class EmptySequence(ValueError):
     """The diagnostics need at least one element."""
 
 
@@ -150,7 +150,7 @@ class SequenceReport:
             return value
 
         blob = {
-            "modulus": {"p": self.modulus.p, "k": self.modulus.k},
+            "modulus": self.modulus.to_json(),
             "period": self.period,
             "linear_complexity": enc(self.linear_complexity),
             "unit_complexity": enc(self.unit_complexity),
@@ -219,7 +219,7 @@ def _solve_howell(rows: List[List[int]], rhs: List[int], q: int):
     lead, row = basis.get(n, (0, 0))
     if lead != 1:
         return None
-    unpack = lambda x: [x >> slot * j & (1 << slot) - 1 for j in range(n + 1, n + width)]
+    unpack = lambda x: unpack_slots(x >> slot * (n + 1), slot, width - 1)  # the tags' slots
     gens = [unpack(basis[t][1]) for t in sorted(basis) if t > n]
     return [-v % q for v in unpack(row)], gens
 

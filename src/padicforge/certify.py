@@ -29,7 +29,8 @@ from itertools import product
 from typing import Callable, Optional, Sequence, Union
 
 from .core import Modulus, ord_p, pack_slots, slot_ones, unpack_slots
-from .expr import _BITWISE, _LANE_STATES, FnExpr, compile_map, fold, lane_table, operands
+from .expr import (_BITWISE, _LANE_BITS, _LANE_STATES, FnExpr, compile_map, fold, lane_table,
+                   operands)
 from .funcalg import BoolTriangle
 from .mahler import (
     DEGREE_CAP,
@@ -86,7 +87,7 @@ class Certificate:
             "property": self.property,
             "verdict": self.verdict,
             "theorem": self.theorem,
-            "modulus": {"p": self.checked_modulus.p, "k": self.checked_modulus.k},
+            "modulus": self.checked_modulus.to_json(),
             "elapsed_ms": self.elapsed_ms,
         }
         if self.witness is not None:
@@ -133,7 +134,7 @@ def bijective_mod(f: MapLike, m: Modulus, cap: Optional[int] = None):
     lanes = lane_table(f, m)
     if lanes is not None and _slices_bijective(lanes, m.k):
         return True, None
-    table = None if lanes is None else unpack_slots(lanes, 32, m.value)
+    table = None if lanes is None else unpack_slots(lanes, _LANE_BITS, m.value)
     fn = compile_map(f, m) if table is None else table.__getitem__
     seen = bytearray(m.value)
     for x in range(m.value):
@@ -162,7 +163,7 @@ def transitive_mod(f: MapLike, m: Modulus, cap: Optional[int] = None):
     if _slices_transitive(f, m, lanes):
         return True, m.value
     if lanes is not None:
-        table = unpack_slots(lanes, 32, m.value)
+        table = unpack_slots(lanes, _LANE_BITS, m.value)
         x = 0
         for step in range(1, m.value + 1):  # no state recurs before 0 does
             x = table[x]
@@ -553,13 +554,13 @@ def _probe_modulus(p: int, cap: Optional[int]) -> Modulus:
 # at every level 1 <= i < k, bit i of f(y) is set for an odd number of
 # y < 2^i (Anashin, Discrete Math. Appl. 12, 2002): the orbit of 0 mod
 # 2^i then flips bit i that many times in 2^i steps.  Each level is a few
-# big-integer operations on the packed lanes of a table (lane y, 32 bits
+# big-integer operations on the packed lanes of a table (lane y, _LANE_BITS
 # wide, holds f(y); see expr.lane_table), over its first 2^(i+1) lanes.
 
 @lru_cache(maxsize=16)  # one entry per level below 2^16 states
 def _slice_masks(i: int):
     """(bit i of each of the lanes 0..2^i-1, all bits of the lanes 0..2^(i+1)-1)."""
-    return slot_ones(32, 1 << i) << i, (1 << (64 << i)) - 1
+    return slot_ones(_LANE_BITS, 1 << i) << i, (1 << (_LANE_BITS << i + 1)) - 1
 
 
 def _slices_bijective(lanes: int, k: int) -> bool:
@@ -567,7 +568,7 @@ def _slices_bijective(lanes: int, k: int) -> bool:
     for i in range(k):
         bit, low = _slice_masks(i)
         low &= lanes  # f at 0..2^(i+1)-1: bit i of f(y) and f(y + 2^i) must differ
-        if (low ^ low >> (32 << i)) & bit != bit:
+        if (low ^ low >> (_LANE_BITS << i)) & bit != bit:
             return False
     return True
 
@@ -604,7 +605,7 @@ def _slices_transitive(f: MapLike, m: Modulus, lanes: Optional[int]) -> bool:
         return False
     fn = compile_map(f, m)
     try:
-        half = pack_slots(map(fn, range(m.value >> 1)), 32)
+        half = pack_slots(map(fn, range(m.value >> 1)), _LANE_BITS)
     except ValueError:  # left for the walk to raise in its own order
         return False
     return _slices_single_cycle(half, m.k)

@@ -19,9 +19,9 @@ repro    replays the worked-example regression table and fails the run if
          records; a row that fails says "got <observed>, want <recorded>",
          or "raised <Type>: <message>" when the observation raises.
 
-Exit codes: 0 success, 1 repro row failure, 2 parse or configuration
-error, 3 state cap exceeded, 4 a requested certificate came back UNKNOWN,
-5 a requested certificate came back REFUTED.  PADIC_FORGE_CAP sets the
+Exit codes: 0 success, 1 repro row failure, 2 any ValueError or OSError
+or input nested too deep, 3 state cap exceeded, 4 a requested certificate
+came back UNKNOWN, 5 one came back REFUTED.  PADIC_FORGE_CAP sets the
 default brute-force cap; --cap-states overrides it per run.
 
 Reports are plain dictionaries rendered either as text or as JSON
@@ -40,8 +40,9 @@ from operator import attrgetter, itemgetter
 from typing import List, Optional, Tuple
 
 from .analysis import (
+    DEFAULT_R_MAX,
+    R_MAX_CAP,
     SOLVER_PERIOD_CAP,
-    EmptySequence,
     Relation,
     affine_linear_complexity,
     complexity_growth_profile,
@@ -83,10 +84,8 @@ from .funcalg import (
 )
 from .genlib import (
     GeneratorSpec,
-    NotBinaryModulus,
     NotCertified,
     _check_seed,
-    _factors,
     _output_modulus,
     emit_blocks,
     full_period_census,
@@ -203,8 +202,8 @@ def cmd_check(args) -> Tuple[dict, int]:
     source = _load_source(args)
     fn = parse_dsl(source)
     results = []
-    for fac in _factors(modulus):
-        entry = {"modulus": {"p": fac.p, "k": fac.k}}
+    for fac in modulus.factors:
+        entry = {"modulus": fac.to_json()}
         entry["compatibility"] = compatibility_certificate(fn, fac.p, cap).to_json()
         ok, witness = bijective_mod(fn, fac, cap)
         entry["bijective"] = ok
@@ -243,7 +242,7 @@ def cmd_certify(args) -> Tuple[dict, int]:
         erg = ergodicity_certificate(fn, p, cls, cap=cap)
         verdicts += [compat.verdict, mp.verdict, erg.verdict]
         results.append({
-            "modulus": {"p": p, "k": erg.checked_modulus.k},
+            "modulus": erg.checked_modulus.to_json(),
             "class": _class_json(cls),
             "compatibility": compat.to_json(),
             "measure_preservation": mp.to_json(),
@@ -642,8 +641,8 @@ _FLAGS = {
     "--seed": dict(type=int, metavar="N", help="starting state (default 0)"),
     "--cap-states": dict(type=int, metavar="N", dest="cap_states",
                          help="brute-force state cap (default from PADIC_FORGE_CAP)"),
-    "--rmax": dict(type=int, default=32, metavar="R",
-                   help="largest recurrence order to search (default 32, at most 64)"),
+    "--rmax": dict(type=int, default=DEFAULT_R_MAX, metavar="R",
+                   help=f"largest recurrence order (default %(default)s, at most {R_MAX_CAP})"),
     "--json": dict(action="store_true", dest="json_out", help="machine-readable report"),
     "--file": dict(metavar="PATH", help="read the function, spec, or data from a file"),
     "--count": dict(type=int, default=DEFAULT_GEN_WORDS, metavar="N",
@@ -697,7 +696,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except NotCertified as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN if exc.verdict == UNKNOWN else EXIT_REFUTED
-    except (ValueError, OSError, EmptySequence, NotBinaryModulus, RecursionError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)  # RecursionError: input nested too deep
         return EXIT_PARSE
     _emit(report, args)

@@ -7,7 +7,8 @@ can be shared freely across threads.
 
 Composite moduli m = p_1^{k_1} ... p_s^{k_s} never get direct ring
 arithmetic: they are split into prime-power components (CRT) and each
-component is handled in its own Z/p^k.  The last section owns packed words.
+component is handled in its own Z/p^k.  Either kind lists its prime-power
+factors and writes its own JSON.  The last section owns packed words.
 """
 
 import math
@@ -97,9 +98,17 @@ class Modulus:
                              f" {_MAX_MODULUS_BITS} bits")
         object.__setattr__(self, "value", self.p**self.k)
 
+    @property
+    def factors(self):
+        """The prime-power factors, as CompositeModulus has them: just this one."""
+        return (self,)
+
     def residue(self, x):
         """Wrap an integer as a ResidueInt modulo this modulus."""
         return ResidueInt(x % self.value, self)
+
+    def to_json(self):
+        return {"p": self.p, "k": self.k}
 
     def __str__(self):
         return f"{self.p}^{self.k}"
@@ -172,10 +181,6 @@ class CompositeModulus:
         """Product of the distinct prime divisors of m."""
         return math.prod(f.p for f in self.factors)
 
-    def decompose(self, x):
-        """Residues of x modulo each prime-power component."""
-        return [x % f.value for f in self.factors]
-
     def combine(self, runs):
         """CRT over a block: runs[i] lists residues mod factor i, all runs
         of one length, and the result lists the values mod m that match
@@ -190,8 +195,20 @@ class CompositeModulus:
         v = self.value
         return [t % v for t in total]
 
+    def to_json(self):
+        return {"factors": [[f.p, f.k] for f in self.factors]}
+
     def __str__(self):
         return " * ".join(str(f) for f in self.factors)
+
+
+def modulus_from_json(blob):
+    """to_json's inverse, but a one-factor {"factors": [[p, k]]} is Modulus(p, k)."""
+    pairs = blob["factors"] if "factors" in blob else [(blob["p"], blob["k"])]
+    if any(type(v) is not int for pair in pairs for v in pair):
+        raise TypeError(f"modulus {blob} has a p or k that is not an integer")
+    factors = tuple(Modulus(p, k) for p, k in pairs)
+    return factors[0] if len(factors) == 1 else CompositeModulus(factors)
 
 
 def ord_p(n, p):

@@ -437,9 +437,9 @@ def evaluator(e: FnExpr, m: Modulus):
 
 
 # A whole table at 2^10 <= m <= 2^16 is one big-integer operation per node:
-# residue x sits in 32-bit lane x and every node's value is its table, kept
-# below m in each lane, so a sum of two lanes or a constant times a lane
-# (below m^2 <= 2^32) never carries into the next.  A subtraction adds
+# residue x sits in lane x, _LANE_BITS = 32 bits wide, and every node's value
+# is its table, kept below m in each lane, so a sum of two lanes or a constant
+# times a lane (below m^2 <= 2^32) never carries into the next.  A subtraction adds
 # (b ^ M) + ONES, which is m - b in each lane.  DELTA turns its child's
 # table by one lane, its values at x + 1, since no lane-able node reads
 # more of x than its residue; COMPOSE reads its outer map's table at its
@@ -450,14 +450,15 @@ def evaluator(e: FnExpr, m: Modulus):
 # at 2^8, 0.09 ms against 0.08 ms at 2^9 and 0.13 ms against 0.18 ms at
 # 2^10 (min of 15, Python 3.11.7 on a 2-core x86-64 VM).
 _LANE_STATES = (1 << 10, 1 << 16)
-_LANE = (1 << 32) - 1
+_LANE_BITS = 32
+_LANE = (1 << _LANE_BITS) - 1
 
 
 @lru_cache(maxsize=4)
 def _lanes(m: int):
     """(X, ONES, M): lane x holds x, 1 and m - 1."""
-    ones = slot_ones(32, m)
-    return pack_slots(range(m), 32), ones, (m - 1) * ones
+    ones = slot_ones(_LANE_BITS, m)
+    return pack_slots(range(m), _LANE_BITS), ones, (m - 1) * ones
 
 
 def _lane_plan(e: FnExpr):
@@ -500,12 +501,12 @@ def _on_lanes(e: FnExpr, plan: dict, m: int) -> int:
             return values[0] ^ mask
         if kind == "DELTA":  # the table at x + 1 less the table at x
             a = values[0]
-            values, signs = ((a >> 32) | (a & _LANE) << 32 * (m - 1), a), (1, -1)
+            values, signs = ((a >> _LANE_BITS) | (a & _LANE) << _LANE_BITS * (m - 1), a), (1, -1)
         a, b = values
         if kind == "COMPOSE":
             outer, inner = (b, a) if swapped(node) else (a, b)
-            return pack_slots(map(unpack_slots(outer, 32, m).__getitem__,
-                                  unpack_slots(inner, 32, m)), 32)
+            return pack_slots(map(unpack_slots(outer, _LANE_BITS, m).__getitem__,
+                                  unpack_slots(inner, _LANE_BITS, m)), _LANE_BITS)
         if kind == "XOR":
             return a ^ b
         if kind == "AND":
@@ -520,7 +521,7 @@ def _on_lanes(e: FnExpr, plan: dict, m: int) -> int:
 
 
 def lane_table(f, m: Modulus):
-    """f's values at 0..m-1 as one int whose 32-bit lane x (bits 32x to 32x + 31)
+    """f's values at 0..m-1 as one int whose lane x (bits 32x to 32x + 31)
     holds f(x), for core.unpack_slots, or None where lanes do not apply: f not
     an FnExpr, p odd, m outside 2^10..2^16, or a node with no lane form (POW,
     INV, POLY, an even-denominator constant, a product of two non-constants)."""

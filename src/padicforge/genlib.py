@@ -7,6 +7,8 @@ through walk, one loop that returns a block of states: composite moduli
 walk each CRT component as a block and recombine the block with one pass
 per factor (CompositeModulus.combine), and emit_blocks makes one block of
 words at a time, packed by core.words_to_bytes, which sequence_from_bytes inverts.
+Each modulus lists its own factors and writes its own JSON (core), so a
+one-factor CompositeModulus streams and emits bytes as its prime power does.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .certify import (
     bijective_mod,
     ergodicity_certificate,
 )
-from .core import CompositeModulus, Modulus, _brief, words_to_bytes
+from .core import CompositeModulus, Modulus, _brief, modulus_from_json, words_to_bytes
 from .expr import FnExpr, compile_map
 from .funcalg import expr_from_json, expr_to_json
 
@@ -38,7 +40,7 @@ class NotCertified(Exception):
         self.verdict = verdict
 
 
-class NotBinaryModulus(Exception):
+class NotBinaryModulus(ValueError):
     """Byte emission needs an output word of at least 8 bits over p=2."""
 
 
@@ -53,12 +55,6 @@ def walk(step: Callable[[int], int], x: int, count: int) -> List[int]:
         x = step(x)
         states.append(x)
     return states
-
-
-def _factors(m: AnyModulus):
-    if isinstance(m, CompositeModulus):
-        return list(m.factors)
-    return [m]
 
 
 def _check_seed(seed: int, m: AnyModulus) -> None:
@@ -110,7 +106,7 @@ def _certified(spec: GeneratorSpec, cap: Optional[int]) -> GeneratorSpec:
     if spec.unchecked:
         return spec
     certs = []
-    for factor in _factors(spec.modulus):
+    for factor in spec.modulus.factors:
         cert = ergodicity_certificate(spec.state_fn, factor.p, cap=cap)
         if cert.verdict != PROVEN:
             raise NotCertified(
@@ -130,9 +126,8 @@ class GeneratorState:
 
     def __init__(self, spec: GeneratorSpec):
         self.spec = spec
-        m = spec.modulus
-        self._maps = [compile_map(spec.state_fn, f) for f in _factors(m)]
-        self._parts = m.decompose(spec.seed) if isinstance(m, CompositeModulus) else [spec.seed]
+        self._maps = [compile_map(spec.state_fn, f) for f in spec.modulus.factors]
+        self._parts = [spec.seed % f.value for f in spec.modulus.factors]
         self._output = lambda states: states
         if spec.out_fn is not None:
             out = compile_map(spec.out_fn, spec.out_modulus)
@@ -158,8 +153,8 @@ def _output_modulus(spec: GeneratorSpec) -> AnyModulus:
 
 
 def _word_bits(spec: GeneratorSpec) -> int:
-    m = _output_modulus(spec)
-    if not isinstance(m, Modulus) or m.p != 2:
+    m, *others = _output_modulus(spec).factors
+    if others or m.p != 2:
         raise NotBinaryModulus("byte emission needs a 2-power output modulus")
     if m.k < 8:
         raise NotBinaryModulus(f"output words have {m.k} bits, need at least 8")
@@ -217,12 +212,12 @@ def spec_to_json(spec: GeneratorSpec) -> dict:
         raise TypeError("only expression state maps serialize to JSON")
     blob: dict = {
         "state_fn": expr_to_json(spec.state_fn),
-        "modulus": _modulus_to_json(spec.modulus),
+        "modulus": spec.modulus.to_json(),
         "seed": spec.seed,
     }
     if spec.out_fn is not None:
         blob["out_fn"] = expr_to_json(spec.out_fn)
-        blob["out_modulus"] = _modulus_to_json(spec.out_modulus)
+        blob["out_modulus"] = spec.out_modulus.to_json()
     if spec.unchecked:
         blob["unchecked"] = True
     return blob
@@ -234,9 +229,9 @@ def spec_from_json(blob: dict, cap: Optional[int] = None) -> GeneratorSpec:
     rules, raises ValueError("malformed generator spec")."""
     try:
         out_fn = expr_from_json(blob["out_fn"]) if "out_fn" in blob else None
-        out_modulus = _modulus_from_json(blob["out_modulus"]) if "out_modulus" in blob else None
+        out_modulus = modulus_from_json(blob["out_modulus"]) if "out_modulus" in blob else None
         state_fn, modulus, seed = (expr_from_json(blob["state_fn"]),
-                                   _modulus_from_json(blob["modulus"]), blob["seed"])
+                                   modulus_from_json(blob["modulus"]), blob["seed"])
         unchecked = blob.get("unchecked", False)
         if type(seed) is not int:
             raise TypeError(f"seed {seed!r} is not an integer")
@@ -249,17 +244,3 @@ def spec_from_json(blob: dict, cap: Optional[int] = None) -> GeneratorSpec:
     except ValueError as exc:
         raise ValueError(f"malformed generator spec: {exc}") from None
     return _certified(spec, cap)
-
-
-def _modulus_to_json(m: AnyModulus) -> dict:
-    if isinstance(m, CompositeModulus):
-        return {"factors": [[f.p, f.k] for f in m.factors]}
-    return {"p": m.p, "k": m.k}
-
-
-def _modulus_from_json(blob: dict) -> AnyModulus:
-    pairs = blob["factors"] if "factors" in blob else [(blob["p"], blob["k"])]
-    if any(type(v) is not int for pair in pairs for v in pair):
-        raise TypeError(f"modulus {blob} has a p or k that is not an integer")
-    factors = tuple(Modulus(p, k) for p, k in pairs)
-    return CompositeModulus(factors) if "factors" in blob else factors[0]

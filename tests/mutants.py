@@ -3,11 +3,13 @@
 Each entry of MUTANTS is a Mutant: a name, a file under src/padicforge, an
 exact text that occurs there once, the text that replaces it, and the tests
 that must then fail.  For each entry the script copies src/ into a
-temporary directory, makes the one edit, and runs the named tests with
-PYTHONPATH pointing at the copy.  A mutant is killed when pytest reports a
-failed test (exit code 1).  One whose tests all pass survives; any other
-outcome (a missing test, a collection error, a timeout) marks a broken
-entry.  Either makes the script exit 1.
+temporary directory of its own, makes the one edit, and runs the named
+tests with PYTHONPATH pointing at the copy.  Mutants run one per CPU at a
+time, each thread waiting on its own pytest, and their results print in
+MUTANTS order.  A mutant is killed when pytest reports a failed test (exit
+code 1).  One whose tests all pass survives; any other outcome (a missing
+test, a collection error, a timeout) marks a broken entry.  Either makes
+the script exit 1.
 
     python tests/mutants.py              # every mutant
     python tests/mutants.py shape lane   # those whose name holds a given word
@@ -23,6 +25,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple, Tuple
 
@@ -137,7 +140,8 @@ MUTANTS = [
            "            if not x:\n                return True, step",
            ("tests/test_certify.py::TestCheckersOnLanes",)),
     Mutant("delta-lane-turned", "expr.py",
-           "<< 32 * (m - 1), a), (1, -1)", "<< 32 * (m - 1), a), (-1, 1)", (LANES,)),
+           "<< _LANE_BITS * (m - 1), a), (1, -1)", "<< _LANE_BITS * (m - 1), a), (-1, 1)",
+           (LANES,)),
     Mutant("sub-lane-without-ones", "expr.py",
            "(v ^ mask) + ones", "(v ^ mask)", (LANES,)),
     Mutant("compose-lanes-swapped", "expr.py",
@@ -177,6 +181,10 @@ MUTANTS = [
     Mutant("unchecked-read-through-bool", "genlib.py",
            "if type(unchecked) is not bool:", "if False:",
            ("tests/test_cli.py::TestMalformedSpec::test_rule_break_exits_2_before_any_certificate",)),
+    Mutant("one-factor-spec-stays-composite", "core.py",
+           "return factors[0] if len(factors) == 1 else CompositeModulus(factors)",
+           'return CompositeModulus(factors) if "factors" in blob else factors[0]',
+           ("tests/test_cli.py::TestGen::test_one_factor_spec_file_is_its_prime_power",)),
     Mutant("prime-power-cofactor-not-rooted", "core.py",
            "for e in range(n.bit_length() // 16, 1, -1)", "for e in range(0)",
            ("tests/test_core.py::test_composite_modulus_factors_past_trial_division",)),
@@ -204,39 +212,49 @@ MUTANTS = [
 ]
 
 
-def run(mutant: Mutant, scratch: Path) -> str:
-    """'killed', 'survived' or what broke, for one mutant run in scratch."""
-    src = scratch / "src"
-    if src.exists():
-        shutil.rmtree(src)
-    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
-    path = src / "padicforge" / mutant.file
-    text = path.read_text()
-    if text.count(mutant.old) != 1:
-        return f"old text occurs {text.count(mutant.old)} times in {mutant.file}"
-    path.write_text(text.replace(mutant.old, mutant.new))
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests]
-    try:
-        done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True,
-                              timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        return f"timed out after {TIMEOUT_S} s"
+def run(mutant: Mutant) -> str:
+    """'killed', 'survived' or what broke, for one mutant run in a copy of src/."""
+    with tempfile.TemporaryDirectory() as scratch:
+        src = Path(scratch) / "src"
+        shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / "padicforge" / mutant.file
+        text = path.read_text()
+        if text.count(mutant.old) != 1:
+            return f"old text occurs {text.count(mutant.old)} times in {mutant.file}"
+        path.write_text(text.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+               *mutant.tests]
+        try:
+            done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True,
+                                  timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return f"timed out after {TIMEOUT_S} s"
     if done.returncode in (0, 1):
         return ("survived", "killed")[done.returncode]
     return f"pytest exit {done.returncode}: {done.stdout.strip().splitlines()[-1:]}"
+
+
+def timed_run(mutant: Mutant) -> Tuple[str, float]:
+    t = time.perf_counter()
+    return run(mutant), time.perf_counter() - t
+
+
+def cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def main(words) -> int:
     chosen = [m for m in MUTANTS if not words or any(w in m.name for w in words)]
     failed = 0
     t0 = time.perf_counter()
-    with tempfile.TemporaryDirectory() as scratch:
-        for mutant in chosen:
-            t = time.perf_counter()
-            outcome = run(mutant, Path(scratch))
+    with ThreadPoolExecutor(max_workers=cpus()) as pool:
+        for mutant, (outcome, seconds) in zip(chosen, pool.map(timed_run, chosen)):
             failed += outcome != "killed"
-            print(f"{outcome:<10} {time.perf_counter() - t:5.1f} s  {mutant.name}", flush=True)
+            print(f"{outcome:<10} {seconds:5.1f} s  {mutant.name}", flush=True)
     print(f"{len(chosen) - failed} of {len(chosen)} mutants killed "
           f"in {time.perf_counter() - t0:.1f} s")
     return 1 if failed or not chosen else 0

@@ -17,7 +17,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import padicforge
-from padicforge import cli
+from padicforge import analysis, cli, genlib
 from padicforge import funcalg as fa
 from padicforge.certify import GENERIC_COMPATIBLE, FunctionClass, infer_class
 from padicforge.cli import main, report_schema
@@ -260,6 +260,24 @@ class TestGen:
         assert rc == 0
         assert capsysbinary.readouterr().out == emit_bytes(spec, 4)
 
+    def test_one_factor_spec_file_is_its_prime_power(self, capsysbinary, tmp_path):
+        # {"factors": [[2, 8]]} is 2^8: gen writes the bytes gen -m 256 writes,
+        # and analyze reads the spec as the prime power it is
+        assert main(["gen", "1 + 5*x", "-m", "256", "--seed", "3", "--count", "4"]) == 0
+        want = capsysbinary.readouterr().out
+        assert want == bytes.fromhex("105196ef")
+        blob = spec_to_json(make_generator(parse_dsl("1 + 5*x"), Modulus(2, 8), 3))
+        blob["modulus"] = {"factors": [[2, 8]]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(blob))
+        assert main(["gen", "--file", str(path), "--count", "4", "--json"]) == 0
+        captured = capsysbinary.readouterr()
+        assert captured.out == want
+        assert json.loads(captured.err)["spec"]["modulus"] == {"p": 2, "k": 8}
+        assert main(["analyze", "--file", str(path), "--json"]) == 0
+        report = json.loads(capsysbinary.readouterr().out)
+        assert (report["modulus"], report["period"]) == ({"p": 2, "k": 8}, 256)
+
     def test_spec_file_conflicts_with_modulus_flags(self, capsysbinary, tmp_path):
         spec = make_generator(parse_dsl(XORGEN), Modulus(2, 16), 3)
         path = tmp_path / "spec.json"
@@ -378,6 +396,24 @@ class TestAnalyze:
         path = tmp_path / "stream.bin"
         path.write_bytes(bytes(range(16)))
         assert main(["analyze", "--file", str(path), "-p", "2", "-k", "12"]) == 2
+
+    def test_sequence_errors_are_value_errors_and_exit_2(self, capsys, tmp_path):
+        assert issubclass(analysis.EmptySequence, ValueError)
+        assert issubclass(genlib.NotBinaryModulus, ValueError)
+        path = tmp_path / "empty.bin"
+        path.write_bytes(b"")
+        assert main(["analyze", "--file", str(path), "-p", "2", "-k", "8"]) == 2
+        assert capsys.readouterr().err == "error: need one full period, got an empty buffer\n"
+        assert main(["analyze", "--file", str(path), "-p", "3", "-k", "8"]) == 2
+        assert capsys.readouterr().err == (
+            "error: byte ingestion needs p = 2 and 8 | k, modulus is 3^8\n")
+
+    def test_help_shows_the_default_and_cap_of_analysis(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"(default {analysis.DEFAULT_R_MAX}, at most {analysis.R_MAX_CAP})" in text
 
 
 class TestRepro:

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from padicforge.core import (
     bytes_to_words,
     is_prime,
     mod_inverse,
+    modulus_from_json,
     ord_p,
     pack_slots,
     slot_ones,
@@ -181,7 +183,7 @@ def test_composite_modulus():
     assert cm.value == 100000
     assert cm.radical() == 10
     x = 31415
-    parts = cm.decompose(x)
+    parts = [x % f.value for f in cm.factors]
     assert parts == [31415 % 32, 31415 % 3125]
     assert cm.combine([[r] for r in parts]) == [x]
     with pytest.raises(ValueError):
@@ -232,9 +234,24 @@ def test_errors_shorten_huge_numbers_to_leading_digits_and_count():
         is_prime(2**89 - 1)
 
 
+def test_a_modulus_lists_its_factors_and_writes_its_json():
+    assert Modulus(2, 32).factors == (Modulus(2, 32),)
+    assert json.dumps(Modulus(2, 32).to_json()) == '{"p": 2, "k": 32}'
+    assert json.dumps(CompositeModulus.from_int(10000).to_json()) == (
+        '{"factors": [[2, 4], [5, 4]]}')
+    for m in (Modulus(2, 32), Modulus(65537, 2), CompositeModulus.from_int(10000),
+              CompositeModulus.from_int(8 * 65537)):
+        assert modulus_from_json(json.loads(json.dumps(m.to_json()))) == m
+    # a product of one factor is that prime power
+    assert modulus_from_json(CompositeModulus.from_int(256).to_json()) == Modulus(2, 8)
+    with pytest.raises(TypeError, match="not an integer"):
+        modulus_from_json({"factors": [[2, 3], [5, 1.0]]})
+
+
 def test_composite_crt_roundtrip():
     cm = CompositeModulus.from_int(360)  # 2^3 * 3^2 * 5
-    assert cm.combine(list(zip(*map(cm.decompose, range(360))))) == list(range(360))
+    runs = [[x % f.value for x in range(360)] for f in cm.factors]
+    assert cm.combine(runs) == list(range(360))
 
 
 @pytest.mark.parametrize("m, factors", [

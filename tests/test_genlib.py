@@ -10,7 +10,8 @@ from oracles import crt_value
 from padicforge.certify import CapExceeded
 from padicforge.core import CompositeModulus, Modulus
 from padicforge.expr import compile_map
-from padicforge.funcalg import build_composite_generator, build_ergodic, parse_dsl, var
+from padicforge.funcalg import (build_composite_generator, build_ergodic, expr_to_json,
+                                parse_dsl, var)
 from padicforge.genlib import (
     GeneratorSpec,
     GeneratorState,
@@ -146,6 +147,16 @@ class TestEmitBytes:
             emit_bytes(make_generator(
                 parse_dsl("1+x"), CompositeModulus.from_int(1000), 0), 1)
 
+    def test_one_factor_composite_emits_as_its_prime_power(self):
+        # from_int(256) is a CompositeModulus of one factor, 2^8: its one
+        # factor decides the word width, as Modulus(2, 8) does
+        one_factor = CompositeModulus.from_int(256)
+        assert one_factor.factors == (Modulus(2, 8),)
+        words = [emit_bytes(make_generator(parse_dsl("1 + 5*x"), m, 3), 300)
+                 for m in (one_factor, Modulus(2, 8))]
+        assert words[0] == words[1]
+        assert words[0][:4] == bytes.fromhex("105196ef")
+
 
 class TestCensus:
     def test_ergodic_uniform(self):
@@ -240,6 +251,22 @@ class TestSpecJson:
                                            unchecked=True))
         del blob["unchecked"]
         with pytest.raises(NotCertified):
+            spec_from_json(blob)
+
+    def test_one_factor_modulus_reads_as_its_prime_power(self):
+        m = CompositeModulus.from_int(256)
+        blob = spec_to_json(make_generator(parse_dsl("1 + 5*x"), m, 3))
+        assert blob["modulus"] == {"factors": [[2, 8]]}
+        again = spec_from_json(blob)
+        assert again.modulus == Modulus(2, 8)
+        assert spec_to_json(again)["modulus"] == {"p": 2, "k": 8}
+
+    @pytest.mark.parametrize("modulus", [
+        {"p": 2.0, "k": 8}, {"p": 2, "k": "8"}, {"p": True, "k": 8}, {"factors": [[2, 8.0]]},
+        {"factors": [[2, 3], ["5", 1]]}])
+    def test_non_integer_p_or_k_is_a_malformed_spec(self, modulus):
+        blob = {"state_fn": expr_to_json(parse_dsl("1 + x")), "modulus": modulus, "seed": 0}
+        with pytest.raises(ValueError, match="^malformed generator spec: TypeError: modulus "):
             spec_from_json(blob)
 
     def test_polynomial_state_not_serializable(self):
